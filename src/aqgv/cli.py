@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -132,7 +131,6 @@ def _build_parser() -> _Parser:
     search.add_argument("--k1", type=int)
     search.add_argument("--k2", type=int)
     search.add_argument("--k", type=int)
-    search.add_argument("--threads", type=int, help="worker pool size (default: machine parallelism)")
     search.add_argument("--out", help="write the witness code file here")
     _add_json(search)
 
@@ -269,9 +267,6 @@ def _cmd_search(args) -> CommandResult:
     else:
         if args.k is None or args.k1 is not None or args.k2 is not None:
             raise _UsageError("search stab takes --k (not --k1/--k2)")
-    workers = args.threads if args.threads is not None else (os.cpu_count() or 1)
-    if workers < 1:
-        raise _UsageError("--threads must be >= 1")
     hit = codesearch.gv_witness_search(
         args.kind,
         q=args.q,
@@ -283,7 +278,6 @@ def _cmd_search(args) -> CommandResult:
         k1=args.k1,
         k2=args.k2,
         k=args.k,
-        workers=workers,
     )
     payload = {
         "kind": args.kind,
@@ -373,3 +367,7 @@ def run(argv: list[str]) -> CommandResult:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]).exit_code)
+
+
+if __name__ == "__main__":
+    main()

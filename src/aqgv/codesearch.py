@@ -12,14 +12,13 @@ not scalability.
 from __future__ import annotations
 
 import json
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import combinations, product
 from pathlib import Path
 from random import Random
-from typing import Iterator, Mapping, Union
+from typing import Iterator, Mapping, Sequence, Union
 
 from .bounds import CssBoundQuery, StabBoundQuery, ball_sum, gaussian_binomial
 from .errors import (
@@ -28,7 +27,7 @@ from .errors import (
     InputShapeError,
     ParameterRangeError,
 )
-from .fields import GF, Subspace, Vec, _iter_span, vec_add, vec_scale, weight
+from .fields import GF, Subspace, Vec, _iter_span, vec_add, weight
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
 ERROR_TABLE_GUARD = 10**6   # nonzero error vectors tallied at once
@@ -153,6 +152,16 @@ def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
             yield Subspace(field, n, tuple(tuple(r) for r in rows))
 
 
+def _combine(coeffs: Sequence[int], rows: Sequence[Vec], p: int, n: int) -> Vec:
+    """The combination sum_i coeffs[i] * rows[i] in GF(p)^n."""
+    acc = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, x in enumerate(row):
+                acc[j] += c * x
+    return tuple(a % p for a in acc)
+
+
 def _complement_rows(big: Subspace, small: Subspace) -> list[Vec]:
     """Rows extending a basis of small to one of big (assumes small <= big)."""
     cur = small
@@ -178,10 +187,7 @@ def _iter_difference(big: Subspace, small: Subspace) -> Iterator[Vec]:
     for coeffs in product(range(p), repeat=len(d_rows)):
         if not any(coeffs):
             continue
-        shift = (0,) * n
-        for c, row in zip(coeffs, d_rows):
-            if c:
-                shift = vec_add(shift, vec_scale(row, c, p), p)
+        shift = _combine(coeffs, d_rows, p, n)
         members = small_cached if small_cached is not None else _iter_span(small.basis, p, n)
         for s in members:
             yield vec_add(shift, s, p)
@@ -220,14 +226,7 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     for c1 in iter_subspaces(field, n, k1):
         c1_dual = c1.dual()
         for coeff_space in iter_subspaces(field, k1, k2):
-            rows = []
-            for srow in coeff_space.basis:
-                vec = (0,) * n
-                for coef, brow in zip(srow, c1.basis):
-                    if coef:
-                        vec = vec_add(vec, vec_scale(brow, coef, q), q)
-                rows.append(vec)
-            c2 = Subspace.span(field, n, rows)
+            c2 = Subspace.span(field, n, [_combine(row, c1.basis, q, n) for row in coeff_space.basis])
             total += 1
             for e in _iter_difference(c1, c2):
                 per_x[e] += 1
@@ -334,13 +333,7 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     rng = Random(seed)
     c1, _ = _random_full_rank(rng, field, k1, n)
     _, coeff_rows = _random_full_rank(rng, field, k2, k1)
-    rows = []
-    for crow in coeff_rows:
-        vec = (0,) * n
-        for coef, brow in zip(crow, c1.basis):
-            if coef:
-                vec = vec_add(vec, vec_scale(brow, coef, q), q)
-        rows.append(vec)
+    rows = [_combine(row, c1.basis, q, n) for row in coeff_rows]
     return NestedPair(c1=c1, c2=Subspace.span(field, n, rows))
 
 
@@ -360,10 +353,7 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     for _ in range(n - k):
         dual = c.symplectic_dual()
         while True:
-            v = (0,) * (2 * n)
-            for coef, brow in zip((rng.randrange(q) for _ in range(dual.dim)), dual.basis):
-                if coef:
-                    v = vec_add(v, vec_scale(brow, coef, q), q)
+            v = _combine([rng.randrange(q) for _ in range(dual.dim)], dual.basis, q, 2 * n)
             if not c.contains(v):
                 break
         c = Subspace.span(field, 2 * n, c.basis + (v,))
@@ -386,31 +376,6 @@ def derive_trial_seed(seed: int, trial: int) -> int:
     return seed * (1 << 64) + trial
 
 
-def _evaluate_trial(
-    kind: str,
-    q: int,
-    n: int,
-    k1: int | None,
-    k2: int | None,
-    k: int | None,
-    dx: int,
-    dz: int,
-    seed: int,
-    trial: int,
-) -> SearchHit | None:
-    trial_seed = derive_trial_seed(seed, trial)
-    if kind == "css":
-        pair = random_nested_pair(n, q, k1, k2, trial_seed)
-        dist = css_distances(pair)
-        if dist.meets(dx, dz):
-            return SearchHit(code=pair, distances=dist, trial_index=trial)
-    else:
-        code = random_isotropic_code(n, q, k, trial_seed)
-        if stab_detects_profile(code, dx, dz):
-            return SearchHit(code=code, distances=DistancePair(dx=dx, dz=dz), trial_index=trial)
-    return None
-
-
 def gv_witness_search(
     kind: str,
     *,
@@ -428,10 +393,15 @@ def gv_witness_search(
     """Randomized witness search: draw up to ``trials`` codes and return the
     first (lowest trial index) whose verified distances meet (dx, dz).
 
-    Trial t uses the derived seed f(seed, t), so the outcome is identical
-    whether trials run sequentially or on a worker pool.  For the css kind
-    the sampler is uniform, so when the corresponding bound is feasible
-    each trial succeeds with probability at least 1 - lhs.
+    Trials run one after another in this process; trial t uses the derived
+    seed f(seed, t), so the outcome depends only on ``seed`` and ``trials``.
+    For the css kind the sampler is uniform, so when the corresponding
+    bound is feasible each trial succeeds with probability at least
+    1 - lhs, so a search rarely needs more than a few trials.
+
+    ``workers`` is accepted and ignored, so that existing callers keep
+    working: a search that hits in about one trial gains nothing from a
+    worker pool but its start-up and shutdown.
     """
     if kind == "css":
         if k1 is None or k2 is None:
@@ -446,27 +416,17 @@ def gv_witness_search(
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
 
-    if workers <= 1:
-        for trial in range(1, trials + 1):
-            hit = _evaluate_trial(kind, q, n, k1, k2, k, dx, dz, seed, trial)
-            if hit is not None:
-                return hit
-        return None
-
-    batch = 4 * workers
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        start = 1
-        while start <= trials:
-            stop = min(start + batch, trials + 1)
-            futures = [
-                pool.submit(_evaluate_trial, kind, q, n, k1, k2, k, dx, dz, seed, trial)
-                for trial in range(start, stop)
-            ]
-            for fut in futures:
-                hit = fut.result()
-                if hit is not None:
-                    return hit
-            start = stop
+    for trial in range(1, trials + 1):
+        trial_seed = derive_trial_seed(seed, trial)
+        if kind == "css":
+            pair = random_nested_pair(n, q, k1, k2, trial_seed)
+            dist = css_distances(pair)
+            if dist.meets(dx, dz):
+                return SearchHit(code=pair, distances=dist, trial_index=trial)
+        else:
+            code = random_isotropic_code(n, q, k, trial_seed)
+            if stab_detects_profile(code, dx, dz):
+                return SearchHit(code=code, distances=DistancePair(dx=dx, dz=dz), trial_index=trial)
     return None
 
 

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from aqgv.cli import run
 from aqgv.codesearch import css_distances, load_code_file
@@ -139,7 +143,7 @@ def test_search_css_writes_verifiable_witness(tmp_path, capsys):
         capsys,
         ["search", "css", "--q", "2", "--n", "12", "--k1", "7", "--k2", "5",
          "--dx", "2", "--dz", "2", "--trials", "100", "--seed", "1",
-         "--threads", "1", "--out", str(out_file), "--json"],
+         "--out", str(out_file), "--json"],
     )
     assert result.status == "ok"
     assert payload["found"] is True
@@ -162,7 +166,7 @@ def test_search_not_found(capsys):
         capsys,
         ["search", "css", "--q", "2", "--n", "4", "--k1", "4", "--k2", "0",
          "--dx", "3", "--dz", "3", "--trials", "20", "--seed", "3",
-         "--threads", "1", "--json"],
+         "--json"],
     )
     assert result.status == "not_found" and result.exit_code == 0
     assert payload["found"] is False
@@ -174,7 +178,7 @@ def test_search_stab_and_profile_distances(tmp_path, capsys):
     result, payload = run_json(
         capsys,
         ["search", "stab", "--q", "2", "--n", "6", "--k", "1", "--dx", "2",
-         "--dz", "2", "--trials", "200", "--seed", "11", "--threads", "1",
+         "--dz", "2", "--trials", "200", "--seed", "11",
          "--out", str(out_file), "--json"],
     )
     assert result.status == "ok" and payload["found"] is True
@@ -221,12 +225,14 @@ def test_usage_errors_exit_1(capsys):
         ["bound", "css", "--q", "2"],
         ["bound", "css", "--q", "two", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2"],
         ["lemma", "--q", "2", "--n", "3", "--k1", "2"],
+        ["search", "css", "--q", "2", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2",
+         "--trials", "100", "--seed", "1", "--threads", "2"],
     ]
     for argv in bad:
         result = run(argv)
         captured = capsys.readouterr()
         assert result.exit_code == 1 and result.status == "error"
-        assert captured.err.strip(), argv
+        assert len(captured.err.strip().splitlines()) == 1, argv
 
 
 def test_input_errors_exit_1(capsys):
@@ -252,10 +258,40 @@ def test_input_errors_exit_1(capsys):
 def test_json_outputs_are_reproducible(capsys):
     argv = ["search", "css", "--q", "2", "--n", "10", "--k1", "6", "--k2", "4",
             "--dx", "2", "--dz", "2", "--trials", "30", "--seed", "5", "--json"]
-    run(argv + ["--threads", "1"])
-    first = capsys.readouterr().out
-    run(argv + ["--threads", "1"])
-    second = capsys.readouterr().out
-    run(argv + ["--threads", "2"])
-    third = capsys.readouterr().out
-    assert first == second == third
+    outputs = []
+    for _ in range(3):
+        run(argv)
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == outputs[2]
+
+
+# ---------------------------------------------------------------------------
+# module entry and import cost
+# ---------------------------------------------------------------------------
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_python(*args):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+def test_python_m_aqgv_cli_runs_the_command():
+    proc = run_python("-m", "aqgv.cli", "bound", "css", "--q", "2", "--n", "12", "--k1", "7",
+                      "--k2", "5", "--dx", "2", "--dz", "2")
+    assert proc.returncode == 0 and proc.stderr == ""
+    assert proc.stdout == (
+        "query        bound css q=2 n=12 k1=7 k2=5 dx=2 dz=2\n"
+        "lhs          256/455\n"
+        "lhs_decimal  0.562637\n"
+        "terms        128/455 + 128/455\n"
+        "feasible     yes\n"
+    )
+
+
+def test_cli_import_starts_no_process_machinery():
+    proc = run_python("-c", "import sys, aqgv.cli; "
+                            "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

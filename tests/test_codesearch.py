@@ -281,6 +281,28 @@ def test_random_isotropic_code_trivial_k_equals_n():
     assert code.c == Subspace.zero(F2, 8)
 
 
+def test_sampler_seed_to_basis_is_pinned():
+    # A change in the samplers' draw order or row combination would move
+    # every seeded search result, so the seed-to-code map is fixed here.
+    pair = random_nested_pair(6, 2, 4, 2, seed=1)
+    assert pair.c1.basis == (
+        (1, 0, 0, 0, 1, 0), (0, 1, 0, 0, 0, 0), (0, 0, 1, 0, 1, 1), (0, 0, 0, 1, 0, 0),
+    )
+    assert pair.c2.basis == ((1, 0, 1, 0, 0, 1), (0, 1, 1, 0, 1, 1))
+    pair = random_nested_pair(5, 3, 3, 1, seed=7)
+    assert pair.c1.basis == ((1, 0, 1, 0, 2), (0, 1, 0, 0, 0), (0, 0, 0, 1, 2))
+    assert pair.c2.basis == ((1, 1, 1, 0, 2),)
+    assert random_isotropic_code(4, 2, 1, seed=1).c.basis == (
+        (1, 1, 0, 0, 0, 1, 0, 0),
+        (0, 0, 1, 0, 1, 1, 1, 0),
+        (0, 0, 0, 0, 0, 0, 0, 1),
+    )
+    assert random_isotropic_code(3, 3, 1, seed=5).c.basis == (
+        (1, 0, 2, 2, 2, 1),
+        (0, 1, 1, 0, 1, 0),
+    )
+
+
 # ---------------------------------------------------------------------------
 # witness search
 # ---------------------------------------------------------------------------
