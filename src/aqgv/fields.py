@@ -1,20 +1,26 @@
 """Exact linear algebra over prime fields GF(p).
 
-Vectors are plain tuples of residues in ``[0, p)``.  A subspace is always
-held in reduced row-echelon form, so two equal subspaces compare equal
-structurally and can be used as dict keys.  Everything is immutable and
-pure; sizes are desk scale (ambient dimension up to a few dozen).
+Vectors in the API are plain tuples of residues in ``[0, p)``.  A subspace
+is always held in reduced row-echelon form, so two equal subspaces compare
+equal structurally and can be used as dict keys.  Everything is immutable
+and pure; sizes are desk scale (ambient dimension up to a few dozen).
+
+Walks over whole spans do not use tuples: :class:`Packing` packs each
+vector into one Python int, a fixed-width bit field per coordinate, so that
+adding two vectors or taking a weight is a handful of big-int operations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import islice
 from typing import Iterator, Sequence
 
 from .errors import InputShapeError, UnsupportedFieldError
 
 MAX_PRIME = 251
+SPAN_CHUNK = 1 << 16   # packed vectors a span walk materializes in one list
 
 Vec = tuple[int, ...]
 
@@ -53,14 +59,6 @@ def weight(v: Sequence[int]) -> int:
     return sum(1 for x in v if x)
 
 
-def vec_add(u: Vec, v: Vec, p: int) -> Vec:
-    return tuple((a + b) % p for a, b in zip(u, v))
-
-
-def vec_scale(v: Vec, c: int, p: int) -> Vec:
-    return tuple((c * a) % p for a in v)
-
-
 def _rref(rows: list[list[int]], p: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
     mat = [list(r) for r in rows]
@@ -87,16 +85,95 @@ def _rref(rows: list[list[int]], p: int) -> tuple[tuple[Vec, ...], tuple[int, ..
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
-def _iter_span(basis: Sequence[Vec], p: int, n: int) -> Iterator[Vec]:
-    """All q^k vectors spanned by ``basis`` (zero included), each exactly once."""
-    if not basis:
-        yield (0,) * n
-        return
-    head = basis[0]
-    multiples = [vec_scale(head, c, p) for c in range(p)]
-    for rest in _iter_span(basis[1:], p, n):
-        for m in multiples:
-            yield vec_add(rest, m, p)
+class Packing:
+    """GF(p)^n with each vector packed into one int: coordinate j sits in
+    bits [j*width, (j+1)*width).
+
+    For p = 2 the width is 1, addition is XOR and the weight is a popcount.
+    For odd p the width b = (p-1).bit_length() + 1 leaves each field a spare
+    top bit M = 2^(b-1) > p - 1, so one SWAR form is exact for every
+    p <= 251: the sum of two residues is below 2M, and adding M - p sets a
+    field's top bit exactly where that sum is >= p (where p is subtracted);
+    adding M - 1 sets it exactly where a residue is nonzero.
+    """
+
+    def __init__(self, p: int, n: int):
+        self.p = p
+        self.n = n
+        self.width = b = 1 if p == 2 else (p - 1).bit_length() + 1
+        ones = sum(1 << (b * j) for j in range(n))   # the low bit of every field
+        top = 1 << (b - 1)
+        self._wrap = (top - p) * ones
+        self._top = top * ones
+        self._nonzero = (top - 1) * ones
+
+    def pack(self, v: Sequence[int]) -> int:
+        b = self.width
+        return sum(x << (b * j) for j, x in enumerate(v))
+
+    def unpack(self, x: int) -> Vec:
+        b = self.width
+        mask = (1 << b) - 1
+        return tuple((x >> (b * j)) & mask for j in range(self.n))
+
+    def add(self, a: int, r: int) -> int:
+        if self.p == 2:
+            return a ^ r
+        s = a + r
+        return s - (((s + self._wrap) & self._top) >> (self.width - 1)) * self.p
+
+    def shifted(self, r: int, vs: Sequence[int]) -> list[int]:
+        """[add(r, v) for v in vs]."""
+        if self.p == 2:
+            return list(map(r.__xor__, vs))
+        wrap, top, shift, p = self._wrap, self._top, self.width - 1, self.p
+        return [s - (((s + wrap) & top) >> shift) * p for s in map(r.__add__, vs)]
+
+    def supports(self, vs: Sequence[int]) -> Iterator[int]:
+        """For each packed vector, an int with one set bit per nonzero
+        coordinate (the field's top bit); its popcount is the weight."""
+        if self.p == 2:
+            return iter(vs)
+        return map(self._top.__and__, map(self._nonzero.__add__, vs))
+
+    def weights(self, vs: Sequence[int]) -> Iterator[int]:
+        return map(int.bit_count, self.supports(vs))
+
+    def span(self, rows: Sequence[int]) -> list[int]:
+        """All p^len(rows) combinations, rows[0] varying fastest; each
+        vector costs one packed addition."""
+        out = [0]
+        for r in rows:
+            block = out
+            for _ in range(self.p - 1):
+                block = self.shifted(r, block)
+                out.extend(block)
+        return out
+
+    def _lazy_span(self, rows: Sequence[int]) -> Iterator[int]:
+        """span(rows) in the same order, lazily."""
+        if not rows:
+            yield 0
+            return
+        head = rows[0]
+        for x in self._lazy_span(rows[1:]):
+            yield x
+            for _ in range(self.p - 1):
+                x = self.add(x, head)
+                yield x
+
+    def span_chunks(self, rows: Sequence[int], skip: int = 0) -> Iterator[list[int]]:
+        """span(rows) after its first ``skip`` vectors, in lists of at most
+        SPAN_CHUNK: the span of the leading rows is materialized once and
+        shifted by each combination of the remaining rows in turn."""
+        inner_rows = 0
+        while inner_rows < len(rows) and self.p ** (inner_rows + 1) <= SPAN_CHUNK:
+            inner_rows += 1
+        inner = self.span(rows[:inner_rows])
+        first, cut = divmod(skip, len(inner))
+        for offset in islice(self._lazy_span(rows[inner_rows:]), first, None):
+            yield self.shifted(offset, inner[cut:]) if offset else inner[cut:]
+            cut = 0
 
 
 @dataclass(frozen=True)
@@ -186,8 +263,11 @@ class Subspace:
         return all(self.contains(row) for row in other.basis)
 
     def vectors(self) -> Iterator[Vec]:
-        """All q^dim member vectors, zero included."""
-        return _iter_span(self.basis, self.field.p, self.ambient_dim)
+        """All q^dim member vectors, zero included, the first basis row
+        varying fastest."""
+        packing = Packing(self.field.p, self.ambient_dim)
+        for chunk in packing.span_chunks([packing.pack(row) for row in self.basis]):
+            yield from map(packing.unpack, chunk)
 
     def dual(self) -> "Subspace":
         """Dual code under the standard inner product sum(v_i * c_i) mod p."""

@@ -3,11 +3,16 @@ import math
 import random
 from fractions import Fraction
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aqgv import fields
 from aqgv.bounds import CssBoundQuery, css_gv_lhs, gaussian_binomial
 from aqgv.codesearch import (
+    COSET_GUARD,
     DistancePair,
     IsotropicCode,
     NestedPair,
@@ -23,6 +28,7 @@ from aqgv.codesearch import (
     stab_is_detectable,
     stab_profile_matrix,
     write_code_file,
+    _walk_difference,
 )
 from aqgv.errors import (
     DomainError,
@@ -31,10 +37,14 @@ from aqgv.errors import (
     ParameterRangeError,
     UnsupportedFieldError,
 )
-from aqgv.fields import GF, Subspace, weight
+from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, weight
 
 F2 = GF(2)
 F3 = GF(3)
+PROPERTY = settings(derandomize=True, deadline=None)
+# Walk list sizes for the property tests: small ones make the walks span
+# many lists, as large codes do at the real SPAN_CHUNK.
+CHUNKS = st.sampled_from([1, 4, 27, SPAN_CHUNK])
 
 
 # ---------------------------------------------------------------------------
@@ -144,6 +154,45 @@ def test_distances_match_oracle_on_random_pairs():
                 assert css_distances(pair) == distance_oracle(pair)
 
 
+@st.composite
+def css_shape(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 8, 3: 5, 5: 3}[q]))
+    k1 = draw(st.integers(0, n))
+    k2 = draw(st.integers(0, k1))
+    return n, q, k1, k2, draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(css_shape(), CHUNKS)
+def test_distances_match_oracle_property(shape, chunk):
+    pair = random_nested_pair(*shape)
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        assert css_distances(pair) == distance_oracle(pair)
+
+
+def test_distances_walk_does_not_stop_before_the_minimum():
+    # The walk visits (1,1,0) before (0,0,1); split into one-vector lists,
+    # the early exit must still wait for weight 1.
+    pair = NestedPair(c1=Subspace.span(F2, 3, [[1, 1, 0], [0, 0, 1]]), c2=Subspace.zero(F2, 3))
+    for chunk in (1, SPAN_CHUNK):
+        with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+            assert css_distances(pair) == DistancePair(dx=1, dz=1)
+
+
+def test_distances_when_small_space_exceeds_one_chunk():
+    # C2 (even weight, 2^17 words) is larger than one materialized list.
+    n = 18
+    even = Subspace.span(F2, n, [[1] + [int(i == j) for i in range(1, n)] for j in range(1, n)])
+    pair = NestedPair(c1=Subspace.full(F2, n), c2=even)
+    assert css_distances(pair) == DistancePair(dx=1, dz=n)
+    chunks = list(_walk_difference(Packing(2, n), pair.c1, pair.c2))
+    assert all(len(chunk) <= SPAN_CHUNK for chunk in chunks)
+    odd = [v for chunk in chunks for v in chunk]
+    assert len(odd) == len(set(odd)) == 2 ** (n - 1)
+    assert all(v.bit_count() % 2 for v in odd)
+
+
 def test_distances_guard():
     pair = NestedPair(c1=Subspace.full(F2, 30), c2=Subspace.zero(F2, 30))
     with pytest.raises(EnumerationSizeError):
@@ -202,6 +251,10 @@ def test_profile_guard_and_ranges(five_qubit):
     big = IsotropicCode(c=Subspace.zero(F2, 60))
     with pytest.raises(EnumerationSizeError):
         stab_detects_profile(big, 31, 31)
+    # [[14, 14]]: 2^28 - 1 undetectable errors to walk
+    assert 2**28 - 1 > COSET_GUARD
+    with pytest.raises(EnumerationSizeError):
+        stab_profile_matrix(IsotropicCode(c=Subspace.zero(F2, 28)))
 
 
 def test_profile_matrix_consistent_and_monotone(five_qubit):
@@ -215,6 +268,25 @@ def test_profile_matrix_consistent_and_monotone(five_qubit):
         for j in range(5):
             assert matrix[i][j] or not matrix[i][j + 1]
             assert matrix[j][i] or not matrix[j + 1][i]
+
+
+@st.composite
+def stab_shape(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 4, 3: 3, 5: 2}[q]))
+    return n, q, draw(st.integers(0, n)), draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(stab_shape(), CHUNKS)
+def test_profile_matrix_matches_per_cell_property(shape, chunk):
+    code = random_isotropic_code(*shape)
+    cells = range(1, code.n + 2)
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        matrix = stab_profile_matrix(code)
+    assert matrix == [
+        [stab_detects_profile(code, dx, dz) for dz in cells] for dx in cells
+    ]
 
 
 def test_isotropic_code_rejects_non_isotropic():
@@ -265,6 +337,24 @@ def test_random_nested_pair_uniform_over_universe():
     sigma = math.sqrt(n_draws * p * (1 - p))
     for pair, count in counts.items():
         assert abs(count - n_draws * p) <= 5 * sigma, (pair, count)
+
+
+def test_random_isotropic_code_uniform_over_universe():
+    # Every extension step is uniform over C-dual \\ C, whose size does not
+    # depend on C, so every Lagrangian of GF(2)^4 is equally likely.
+    universe = [
+        c for c in iter_subspaces(F2, 4, 2) if c.symplectic_dual().contains_space(c)
+    ]
+    assert len(universe) == 15
+
+    n_draws = 10**4
+    counts = {c: 0 for c in universe}
+    for t in range(n_draws):
+        counts[random_isotropic_code(2, 2, 0, derive_trial_seed(99, t)).c] += 1
+    p = 1 / 15
+    sigma = math.sqrt(n_draws * p * (1 - p))
+    for c, count in counts.items():
+        assert abs(count - n_draws * p) <= 5 * sigma, (c, count)
 
 
 def test_random_isotropic_code_invariants():

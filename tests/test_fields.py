@@ -1,10 +1,14 @@
 import random
 from itertools import product
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from aqgv import fields
 from aqgv.errors import InputShapeError, UnsupportedFieldError
-from aqgv.fields import GF, Subspace, weight
+from aqgv.fields import GF, Packing, Subspace, weight
 
 F2 = GF(2)
 F3 = GF(3)
@@ -53,6 +57,83 @@ def test_weight_examples():
     assert weight((0, 1, 2, 0)) == 2
     assert weight((0, 0, 0)) == 0
     assert weight((1, 1, 1, 1, 1)) == 5
+
+
+# ---------------------------------------------------------------------------
+# packed vectors: tuple arithmetic is the oracle
+# ---------------------------------------------------------------------------
+
+PROPERTY = settings(derandomize=True, deadline=None)
+
+
+def vectors_of(p, n):
+    return st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def packed_operands(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    n = draw(st.integers(0, 12))
+    return p, n, draw(st.lists(vectors_of(p, n), min_size=2, max_size=4))
+
+
+@PROPERTY
+@given(packed_operands())
+def test_packed_arithmetic_matches_tuples(case):
+    p, n, vs = case
+    packing = Packing(p, n)
+    packed = [packing.pack(v) for v in vs]
+    assert [packing.unpack(x) for x in packed] == vs
+    assert list(packing.weights(packed)) == [weight(v) for v in vs]
+    u = vs[0]
+    sums = [tuple((a + b) % p for a, b in zip(u, v)) for v in vs]
+    assert [packing.unpack(packing.add(packed[0], x)) for x in packed] == sums
+    assert [packing.unpack(x) for x in packing.shifted(packed[0], packed)] == sums
+
+
+def tuple_span(rows, p, n):
+    """Every combination of rows, rows[0] varying fastest, by tuple arithmetic."""
+    out = []
+    for coeffs in product(range(p), repeat=len(rows)):
+        acc = [0] * n
+        for c, row in zip(reversed(coeffs), rows):
+            acc = [(a + c * x) % p for a, x in zip(acc, row)]
+        out.append(tuple(acc))
+    return out
+
+
+@st.composite
+def span_case(draw):
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 6))
+    rows = draw(st.lists(vectors_of(p, n), max_size=3 if p == 5 else 4))
+    expected = tuple_span(rows, p, n)
+    skip = draw(st.integers(0, len(expected)))
+    chunk = draw(st.sampled_from([1, p, p * p, 1 << 16]))
+    return p, n, rows, expected, skip, chunk
+
+
+@PROPERTY
+@given(span_case())
+def test_packed_span_and_chunks_match_tuple_combinations(case):
+    p, n, rows, expected, skip, chunk = case
+    packing = Packing(p, n)
+    packed = [packing.pack(row) for row in rows]
+    assert [packing.unpack(x) for x in packing.span(packed)] == expected
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        chunks = list(packing.span_chunks(packed, skip=skip))
+    assert all(len(c) <= chunk for c in chunks)
+    assert [packing.unpack(x) for c in chunks for x in c] == expected[skip:]
+    space = Subspace.span(GF(p), n, rows)
+    assert list(space.vectors()) == tuple_span(space.basis, p, n)
+
+
+def test_vectors_beyond_one_chunk_each_once_in_order():
+    space = Subspace.full(F2, 17)   # 2^17 members, two chunks
+    members = list(space.vectors())
+    assert len(members) == 2**17 == len(set(members))
+    assert members[:3] == [(0,) * 17, (1,) + (0,) * 16, (0, 1) + (0,) * 15]
+    assert members[2**16] == (0,) * 16 + (1,)
 
 
 # ---------------------------------------------------------------------------
