@@ -52,11 +52,13 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise ParameterRangeError(f"q must be >= 2, got {q}")
     if not 0 <= k <= n:
         raise ParameterRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
-    out = Fraction(1)
+    num = den = 1
     for i in range(k):
-        out *= Fraction(q ** (n - i) - 1, q ** (i + 1) - 1)
-    assert out.denominator == 1
-    return out.numerator
+        num *= q ** (n - i) - 1
+        den *= q ** (i + 1) - 1
+    out, rem = divmod(num, den)
+    assert rem == 0
+    return out
 
 
 def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:

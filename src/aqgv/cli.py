@@ -3,7 +3,12 @@
 Verdicts are data: a command that runs to completion exits 0 whether the
 bound is feasible or not, unless --assert-feasible asks for exit 2 on a
 negative verdict.  Usage and input errors exit 1 with one diagnostic line
-on stderr.  --json emits a single sorted-key JSON object on stdout.
+on stderr.
+
+Each handler returns (status, payload, rows) and prints nothing.  ``run``
+alone prints the result, the payload as one sorted-key JSON object with
+--json and the rows as a two-column table otherwise, and sets the exit
+code.  frontier, which has neither, prints its one sentence itself.
 """
 
 from __future__ import annotations
@@ -23,15 +28,6 @@ from .errors import (
     UnsupportedFieldError,
 )
 
-_INPUT_ERRORS = (
-    DomainError,
-    EnumerationSizeError,
-    InputShapeError,
-    ParameterRangeError,
-    UnsupportedFieldError,
-    OSError,
-)
-
 
 @dataclass
 class CommandResult:
@@ -49,6 +45,19 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+_ERRORS = (
+    _UsageError,
+    DomainError,
+    EnumerationSizeError,
+    InputShapeError,
+    ParameterRangeError,
+    UnsupportedFieldError,
+    OSError,
+)
+
+_Outcome = tuple[str, dict, list[tuple[str, object]]]  # (status, payload, rows)
+
+
 def _frac_str(fr: Fraction) -> str:
     return f"{fr.numerator}/{fr.denominator}"
 
@@ -57,17 +66,16 @@ def _dist_value(d: int | None):
     return "inf" if d is None else d
 
 
-def _print_table(rows: list[tuple[str, object]]) -> None:
-    width = max(len(key) for key, _ in rows)
-    for key, value in rows:
-        print(f"{key.ljust(width)}  {value}")
+def _lhs(report: bounds.BoundReport, digits: int = 6) -> dict:
+    return {"lhs": _frac_str(report.lhs), "lhs_decimal": report.decimal_str(digits)}
 
 
-def _emit(payload: dict, args, rows: list[tuple[str, object]]) -> None:
-    if getattr(args, "json", False):
-        print(json.dumps(payload, sort_keys=True))
-    else:
-        _print_table(rows)
+def _lhs_row(payload: dict) -> tuple[str, str]:
+    return ("lhs", f"{payload['lhs']} = {payload['lhs_decimal']}")
+
+
+def _pick(payload: dict, *keys: str) -> list[tuple[str, object]]:
+    return [(key, payload[key]) for key in keys]
 
 
 def _add_json(parser: argparse.ArgumentParser) -> None:
@@ -141,98 +149,76 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_bound(args) -> CommandResult:
+def _cmd_bound(args) -> _Outcome:
     if args.family == "css":
-        query = bounds.CssBoundQuery(q=args.q, n=args.n, k1=args.k1, k2=args.k2, dx=args.dx, dz=args.dz)
-        report = bounds.css_gv_lhs(query)
-        params = [("k1", args.k1), ("k2", args.k2)]
+        params = {"k1": args.k1, "k2": args.k2}
+        report = bounds.css_gv_lhs(bounds.CssBoundQuery(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
         term_join = " + "
     else:
-        query = bounds.StabBoundQuery(q=args.q, n=args.n, k=args.k, dx=args.dx, dz=args.dz)
-        report = bounds.stab_gv_lhs(query)
-        params = [("k", args.k)]
+        params = {"k": args.k}
+        report = bounds.stab_gv_lhs(bounds.StabBoundQuery(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
         term_join = " * "
     payload = {
         "q": args.q,
         "n": args.n,
         "dx": args.dx,
         "dz": args.dz,
-        "lhs": _frac_str(report.lhs),
-        "lhs_decimal": report.decimal_str(args.digits),
+        **params,
+        **_lhs(report, args.digits),
         "feasible": report.feasible,
         "terms": [_frac_str(t) for t in report.terms],
     }
-    payload.update(params)
     rows = [
         ("query", f"bound {args.family} q={args.q} n={args.n} "
-                  + " ".join(f"{k}={v}" for k, v in params)
+                  + " ".join(f"{k}={v}" for k, v in params.items())
                   + f" dx={args.dx} dz={args.dz}"),
-        ("lhs", _frac_str(report.lhs)),
-        ("lhs_decimal", report.decimal_str(args.digits)),
-        ("terms", term_join.join(_frac_str(t) for t in report.terms)),
+        *_pick(payload, "lhs", "lhs_decimal"),
+        ("terms", term_join.join(payload["terms"])),
         ("feasible", "yes" if report.feasible else "no"),
     ]
-    _emit(payload, args, rows)
-    status = "ok" if report.feasible else "infeasible"
-    exit_code = 2 if (args.assert_feasible and not report.feasible) else 0
-    return CommandResult(status, payload, exit_code)
+    return ("ok" if report.feasible else "infeasible"), payload, rows
 
 
-def _cmd_maxk(args) -> CommandResult:
+def _cmd_maxk(args) -> _Outcome:
     k_max = bounds.max_k_stab(args.n, args.q, args.dx, args.dz)
     payload = {"q": args.q, "n": args.n, "dx": args.dx, "dz": args.dz, "k_max": k_max}
-    if k_max is not None:
-        report = bounds.stab_gv_lhs(bounds.StabBoundQuery(q=args.q, n=args.n, k=k_max, dx=args.dx, dz=args.dz))
-        payload["lhs"] = _frac_str(report.lhs)
-        payload["lhs_decimal"] = report.decimal_str(6)
-    rows = [("k_max", "none" if k_max is None else k_max)]
-    if k_max is not None:
-        rows.append(("lhs", f"{payload['lhs']} = {payload['lhs_decimal']}"))
-    _emit(payload, args, rows)
     if k_max is None:
-        return CommandResult("not_found", payload, 0)
-    return CommandResult("ok", payload, 0)
+        return "not_found", payload, [("k_max", "none")]
+    report = bounds.stab_gv_lhs(bounds.StabBoundQuery(q=args.q, n=args.n, k=k_max, dx=args.dx, dz=args.dz))
+    payload.update(_lhs(report))
+    return "ok", payload, [("k_max", k_max), _lhs_row(payload)]
 
 
-def _cmd_best(args) -> CommandResult:
+def _cmd_best(args) -> _Outcome:
     pair = bounds.best_css_params(args.n, args.q, args.dx, args.dz)
     payload = {"q": args.q, "n": args.n, "dx": args.dx, "dz": args.dz}
     if pair is None:
         payload.update({"k1": None, "k2": None, "net_k": None})
-        rows = [("result", "none feasible")]
-    else:
-        k1, k2 = pair
-        report = bounds.css_gv_lhs(bounds.CssBoundQuery(q=args.q, n=args.n, k1=k1, k2=k2, dx=args.dx, dz=args.dz))
-        payload.update(
-            {
-                "k1": k1,
-                "k2": k2,
-                "net_k": k1 - k2,
-                "lhs": _frac_str(report.lhs),
-                "lhs_decimal": report.decimal_str(6),
-            }
-        )
-        rows = [
-            ("k1", k1),
-            ("k2", k2),
-            ("net_k", k1 - k2),
-            ("lhs", f"{payload['lhs']} = {payload['lhs_decimal']}"),
-        ]
-    _emit(payload, args, rows)
-    return CommandResult("ok" if pair else "not_found", payload, 0)
+        return "not_found", payload, [("result", "none feasible")]
+    k1, k2 = pair
+    report = bounds.css_gv_lhs(bounds.CssBoundQuery(q=args.q, n=args.n, k1=k1, k2=k2, dx=args.dx, dz=args.dz))
+    payload.update(
+        {
+            "k1": k1,
+            "k2": k2,
+            "net_k": k1 - k2,
+            **_lhs(report),
+        }
+    )
+    return "ok", payload, [*_pick(payload, "k1", "k2", "net_k"), _lhs_row(payload)]
 
 
-def _cmd_frontier(args) -> CommandResult:
+def _cmd_frontier(args) -> _Outcome:
     grid = asymptotic.frontier_grid(args.q, args.points)
     points = asymptotic.stab_frontier(args.q, args.r, grid)
     with open(args.out, "w", newline="") as handle:
         asymptotic.write_frontier_csv(points, args.q, handle)
     payload = {"q": args.q, "r": args.r, "points": len(points), "out": args.out}
-    print(f"wrote {len(points)} frontier points to {args.out}")
-    return CommandResult("ok", payload, 0)
+    print(f"wrote {len(points)} frontier points to {args.out}")  # no --json, no table
+    return "ok", payload, []
 
 
-def _cmd_lemma(args) -> CommandResult:
+def _cmd_lemma(args) -> _Outcome:
     report = codesearch.enumerate_nested_pairs(args.n, args.q, args.k1, args.k2)
     x_values = set(report.per_error_x.values())
     z_values = set(report.per_error_z.values())
@@ -250,23 +236,23 @@ def _cmd_lemma(args) -> CommandResult:
         "lemma_ok": ok,
     }
     rows = [
-        ("total_pairs", report.total_pairs),
-        ("nonzero_errors", len(report.per_error_x)),
+        *_pick(payload, "total_pairs", "nonzero_errors"),
         ("per_error_x", f"{sorted(x_values)} (expected {expected_x})"),
         ("per_error_z", f"{sorted(z_values)} (expected {expected_z})"),
         ("identities", "PASS" if ok else "FAIL"),
     ]
-    _emit(payload, args, rows)
-    return CommandResult("ok", payload, 0)
+    return "ok", payload, rows
 
 
-def _cmd_search(args) -> CommandResult:
+def _cmd_search(args) -> _Outcome:
     if args.kind == "css":
         if args.k1 is None or args.k2 is None or args.k is not None:
             raise _UsageError("search css takes --k1 and --k2 (not --k)")
+        params = {"k1": args.k1, "k2": args.k2}
     else:
         if args.k is None or args.k1 is not None or args.k2 is not None:
             raise _UsageError("search stab takes --k (not --k1/--k2)")
+        params = {"k": args.k}
     hit = codesearch.gv_witness_search(
         args.kind,
         q=args.q,
@@ -275,9 +261,7 @@ def _cmd_search(args) -> CommandResult:
         dz=args.dz,
         trials=args.trials,
         seed=args.seed,
-        k1=args.k1,
-        k2=args.k2,
-        k=args.k,
+        **params,
     )
     payload = {
         "kind": args.kind,
@@ -285,33 +269,22 @@ def _cmd_search(args) -> CommandResult:
         "n": args.n,
         "seed": args.seed,
         "trials": args.trials,
+        **params,
         "found": hit is not None,
         "trial_index": None if hit is None else hit.trial_index,
         "dx": None if hit is None else _dist_value(hit.distances.dx),
         "dz": None if hit is None else _dist_value(hit.distances.dz),
     }
-    if args.kind == "css":
-        payload.update({"k1": args.k1, "k2": args.k2})
-    else:
-        payload.update({"k": args.k})
-    if hit is not None and args.out:
-        codesearch.write_code_file(hit.code, args.out)
     if hit is None:
-        rows = [("found", "no"), ("trials", args.trials)]
-    else:
-        rows = [
-            ("found", "yes"),
-            ("trial_index", hit.trial_index),
-            ("dx", _dist_value(hit.distances.dx)),
-            ("dz", _dist_value(hit.distances.dz)),
-        ]
-        if args.out:
-            rows.append(("out", args.out))
-    _emit(payload, args, rows)
-    return CommandResult("ok" if hit is not None else "not_found", payload, 0)
+        return "not_found", payload, [("found", "no"), ("trials", args.trials)]
+    rows = [("found", "yes"), *_pick(payload, "trial_index", "dx", "dz")]
+    if args.out:
+        codesearch.write_code_file(hit.code, args.out)
+        rows.append(("out", args.out))
+    return "ok", payload, rows
 
 
-def _cmd_distances(args) -> CommandResult:
+def _cmd_distances(args) -> _Outcome:
     code = codesearch.load_code_file(args.infile)
     if isinstance(code, codesearch.NestedPair):
         dist = codesearch.css_distances(code)
@@ -322,22 +295,20 @@ def _cmd_distances(args) -> CommandResult:
             "dx": _dist_value(dist.dx),
             "dz": _dist_value(dist.dz),
         }
-        rows = [("type", "css"), ("dx", payload["dx"]), ("dz", payload["dz"])]
-    else:
-        matrix = codesearch.stab_profile_matrix(code)
-        payload = {
-            "type": "stab",
-            "q": code.q,
-            "n": code.n,
-            "k": code.k,
-            "profile": matrix,
-        }
-        rows = [("type", "stab"), ("n", code.n), ("k", code.k)]
-        for dx_idx, row in enumerate(matrix):
-            dz_max = sum(row)  # row is a monotone prefix of True values
-            rows.append((f"dx={dx_idx + 1}", f"dz_max={dz_max if dz_max else 'none'}"))
-    _emit(payload, args, rows)
-    return CommandResult("ok", payload, 0)
+        return "ok", payload, _pick(payload, "type", "dx", "dz")
+    matrix = codesearch.stab_profile_matrix(code)
+    payload = {
+        "type": "stab",
+        "q": code.q,
+        "n": code.n,
+        "k": code.k,
+        "profile": matrix,
+    }
+    rows = _pick(payload, "type", "n", "k")
+    for dx_idx, row in enumerate(matrix):
+        dz_max = sum(row)  # row is a monotone prefix of True values
+        rows.append((f"dx={dx_idx + 1}", f"dz_max={dz_max if dz_max else 'none'}"))
+    return "ok", payload, rows
 
 
 _HANDLERS = {
@@ -353,16 +324,20 @@ _HANDLERS = {
 
 def run(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, print the result, and return it."""
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
-        return _HANDLERS[args.command](args)
-    except _UsageError as exc:
+        args = _build_parser().parse_args(argv)
+        status, payload, rows = _HANDLERS[args.command](args)
+    except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult("error", {}, 1)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return CommandResult("error", {}, 1)
+    if getattr(args, "json", False):
+        print(json.dumps(payload, sort_keys=True))
+    elif rows:
+        width = max(len(key) for key, _ in rows)
+        for key, value in rows:
+            print(f"{key.ljust(width)}  {value}")
+    # only bound returns "infeasible", and only bound has --assert-feasible
+    return CommandResult(status, payload, 2 if status == "infeasible" and args.assert_feasible else 0)
 
 
 def main() -> None:

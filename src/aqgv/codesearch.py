@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 from itertools import chain, combinations, product
 from pathlib import Path
@@ -116,14 +115,14 @@ class EnumerationReport:
     def expected_counts(self) -> tuple[int, int]:
         """Per-error counts implied by the counting identities (exact)."""
         denom = self.q**self.n - 1
-        x = Fraction((self.q**self.k1 - self.q**self.k2) * self.total_pairs, denom)
-        z = Fraction(
+        x, x_rem = divmod((self.q**self.k1 - self.q**self.k2) * self.total_pairs, denom)
+        z, z_rem = divmod(
             (self.q ** (self.n - self.k2) - self.q ** (self.n - self.k1)) * self.total_pairs,
             denom,
         )
-        if x.denominator != 1 or z.denominator != 1:
+        if x_rem or z_rem:
             return (-1, -1)  # identities cannot hold
-        return (x.numerator, z.numerator)
+        return (x, z)
 
     @property
     def identities_hold(self) -> bool:
@@ -464,6 +463,19 @@ def write_code_file(code: Union[NestedPair, IsotropicCode], path: str | Path) ->
     Path(path).write_text(json.dumps(code_to_json_dict(code), sort_keys=True) + "\n")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not 1
+
+
+def _json_rows(data: dict, key: str) -> list[list[int]]:
+    rows = data.get(key)
+    if not isinstance(rows, list) or not all(
+        isinstance(row, list) and all(_is_int(x) for x in row) for row in rows
+    ):
+        raise InputShapeError(f'{data["type"]} code file needs "{key}" as a list of integer rows')
+    return rows
+
+
 def load_code_file(path: str | Path) -> Union[NestedPair, IsotropicCode]:
     """Load a code from its JSON file form; rows are canonicalized and all
     invariants (entry ranges, nesting, isotropy) re-checked."""
@@ -474,15 +486,11 @@ def load_code_file(path: str | Path) -> Union[NestedPair, IsotropicCode]:
     if not isinstance(data, dict) or data.get("type") not in ("css", "stab"):
         raise InputShapeError('code file needs "type": "css" or "stab"')
     q, n = data.get("q"), data.get("n")
-    if not isinstance(q, int) or not isinstance(n, int) or n < 1:
+    if not _is_int(q) or not _is_int(n) or n < 1:
         raise InputShapeError('code file needs integer "q" and "n" fields')
     field = GF(q)
     if data["type"] == "css":
-        if "c1" not in data or "c2" not in data:
-            raise InputShapeError('css code file needs "c1" and "c2" generator lists')
-        c1 = Subspace.span(field, n, data["c1"])
-        c2 = Subspace.span(field, n, data["c2"])
+        c1 = Subspace.span(field, n, _json_rows(data, "c1"))
+        c2 = Subspace.span(field, n, _json_rows(data, "c2"))
         return NestedPair(c1=c1, c2=c2)
-    if "generators" not in data:
-        raise InputShapeError('stab code file needs a "generators" list')
-    return IsotropicCode(c=Subspace.span(field, 2 * n, data["generators"]))
+    return IsotropicCode(c=Subspace.span(field, 2 * n, _json_rows(data, "generators")))

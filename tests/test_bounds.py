@@ -200,6 +200,18 @@ def test_stab_lhs_trivial_distances():
         assert report.feasible
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="stab_gv_lhs counts ball_sum(dx-1) * ball_sum(dz-1) error patterns, which is 0 at dx = 1 "
+    "or dz = 1; a code must also detect the patterns with ex = 0 or ez = 0, "
+    "(Bx+1)(Bz+1) - 1 of them, as stab_detects_profile checks",
+)
+def test_stab_bound_not_feasible_when_no_code_exists():
+    # With k = n the stabilizer is zero, so no [[5, 5]]_2 code detects a
+    # single Z error: [[5, 5, 1, 2]]_2 does not exist.
+    assert not stab_gv_lhs(StabBoundQuery(q=2, n=5, k=5, dx=1, dz=2)).feasible
+
+
 def test_stab_lhs_strictly_increasing_in_k():
     for q in (2, 3):
         for n in (5, 12, 30):

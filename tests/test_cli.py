@@ -5,8 +5,10 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import pytest
+
 from aqgv.cli import run
-from aqgv.codesearch import css_distances, load_code_file
+from aqgv.codesearch import css_distances, load_code_file, write_code_file
 
 
 def run_json(capsys, argv):
@@ -215,6 +217,79 @@ def test_frontier_writes_csv(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
+# exact tables: every command and branch, stdout and exit code byte for byte
+# ---------------------------------------------------------------------------
+
+PINNED_TABLES = [
+    ("bound stab --q 2 --n 10 --k 3 --dx 2 --dz 2", 0,
+     "query        bound stab q=2 n=10 k=3 dx=2 dz=2\n"
+     "lhs          10752/13981\n"
+     "lhs_decimal  0.769044\n"
+     "terms        2688/349525 * 10/1 * 10/1\n"
+     "feasible     yes\n"),
+    ("bound css --q 2 --n 7 --k1 4 --k2 1 --dx 2 --dz 2 --assert-feasible", 2,
+     "query        bound css q=2 n=7 k1=4 k2=1 dx=2 dz=2\n"
+     "lhs          490/127\n"
+     "lhs_decimal  3.858268\n"
+     "terms        98/127 + 392/127\n"
+     "feasible     no\n"),
+    ("maxk stab --q 2 --n 10 --dx 2 --dz 2", 0,
+     "k_max  3\n"
+     "lhs    10752/13981 = 0.769044\n"),
+    ("maxk stab --q 2 --n 4 --dx 3 --dz 3", 0,
+     "k_max  none\n"),
+    ("best css --q 2 --n 12 --dx 2 --dz 2", 0,
+     "k1     7\n"
+     "k2     4\n"
+     "net_k  3\n"
+     "lhs    64/65 = 0.984615\n"),
+    ("best css --q 2 --n 4 --dx 3 --dz 3", 0,
+     "result  none feasible\n"),
+    ("lemma --q 2 --n 3 --k1 2 --k2 1", 0,
+     "total_pairs     21\n"
+     "nonzero_errors  7\n"
+     "per_error_x     [6] (expected 6)\n"
+     "per_error_z     [6] (expected 6)\n"
+     "identities      PASS\n"),
+    ("search css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2 --trials 100 --seed 1 --out witness.json", 0,
+     "found        yes\n"
+     "trial_index  1\n"
+     "dx           2\n"
+     "dz           2\n"
+     "out          witness.json\n"),
+    ("search css --q 2 --n 4 --k1 4 --k2 0 --dx 3 --dz 3 --trials 20 --seed 3", 0,
+     "found   no\n"
+     "trials  20\n"),
+    ("distances --in steane.json", 0,
+     "type  css\n"
+     "dx    3\n"
+     "dz    3\n"),
+    ("distances --in five.json", 0,
+     "type  stab\n"
+     "n     5\n"
+     "k     1\n"
+     "dx=1  dz_max=5\n"
+     "dx=2  dz_max=2\n"
+     "dx=3  dz_max=1\n"
+     "dx=4  dz_max=1\n"
+     "dx=5  dz_max=1\n"
+     "dx=6  dz_max=none\n"),
+    ("frontier --q 2 --r 0.5 --points 8 --out frontier.csv", 0,
+     "wrote 2 frontier points to frontier.csv\n"),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, stdout", PINNED_TABLES, ids=[a for a, _, _ in PINNED_TABLES])
+def test_table_output_is_pinned(argv, exit_code, stdout, tmp_path, monkeypatch, capsys, steane_pair, five_qubit):
+    monkeypatch.chdir(tmp_path)
+    write_code_file(steane_pair, "steane.json")
+    write_code_file(five_qubit, "five.json")
+    result = run(argv.split())
+    captured = capsys.readouterr()
+    assert (result.exit_code, captured.out, captured.err) == (exit_code, stdout, "")
+
+
+# ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
 
@@ -235,7 +310,9 @@ def test_usage_errors_exit_1(capsys):
         assert len(captured.err.strip().splitlines()) == 1, argv
 
 
-def test_input_errors_exit_1(capsys):
+def test_input_errors_exit_1(tmp_path, capsys):
+    malformed = tmp_path / "malformed.json"
+    malformed.write_text(json.dumps({"type": "css", "q": 2, "n": 3, "c1": 5, "c2": []}))
     bad = [
         ["bound", "css", "--q", "6", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2"],
         ["bound", "css", "--q", "2", "--n", "12", "--k1", "5", "--k2", "7", "--dx", "2", "--dz", "2"],
@@ -243,12 +320,14 @@ def test_input_errors_exit_1(capsys):
         ["lemma", "--q", "2", "--n", "30", "--k1", "15", "--k2", "5"],
         ["frontier", "--q", "2", "--r", "1.5", "--points", "8", "--out", "/tmp/x.csv"],
         ["distances", "--in", "/nonexistent/code.json"],
+        ["distances", "--in", str(malformed)],
     ]
     for argv in bad:
         result = run(argv)
         captured = capsys.readouterr()
         assert result.exit_code == 1 and result.status == "error", argv
         assert captured.err.strip(), argv
+    assert captured.err == 'error: css code file needs "c1" as a list of integer rows\n'
 
 
 # ---------------------------------------------------------------------------

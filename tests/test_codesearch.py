@@ -511,3 +511,16 @@ def test_code_file_rejects_bad_entries_and_shapes(tmp_path):
     }))
     with pytest.raises(InputShapeError):
         load_code_file(path)
+    # rows that are not lists of lists, and JSON booleans read as 0/1
+    for data in (
+        {"type": "css", "q": 2, "n": 3, "c1": 5, "c2": []},
+        {"type": "css", "q": 2, "n": 3, "c1": None, "c2": []},
+        {"type": "css", "q": 2, "n": 3, "c1": [[1, 0, 1]], "c2": [5]},
+        {"type": "css", "q": 2, "n": 3, "c1": [[True, False, True]], "c2": []},
+        {"type": "css", "q": 2, "n": True, "c1": [[1]], "c2": []},
+        {"type": "stab", "q": True, "n": 1, "generators": [[1, 0]]},
+        {"type": "stab", "q": 2, "n": 1, "generators": [5]},
+    ):
+        path.write_text(json.dumps(data))
+        with pytest.raises(InputShapeError):
+            load_code_file(path)
