@@ -36,7 +36,6 @@ from .codesearch import (
     random_isotropic_code,
     random_nested_pair,
     stab_detects_profile,
-    stab_is_detectable,
     write_code_file,
 )
 from .fields import GF, Subspace, weight
@@ -75,7 +74,6 @@ __all__ = [
     "stab_detects_profile",
     "stab_frontier",
     "stab_gv_lhs",
-    "stab_is_detectable",
     "weight",
     "write_code_file",
 ]

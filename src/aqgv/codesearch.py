@@ -2,9 +2,10 @@
 
 Exhaustive enumeration of nested code pairs with per-error undetectable
 tallies, asymmetric distances and stabilizer profile matrices from one
-packed-vector coset walk, detectability tests for stabilizer codes, seeded
-random samplers, and the randomized witness search that turns the
-existence argument into actual codes.
+packed-vector coset walk, single stabilizer profile checks that join the
+bit-error and phase-error balls on their syndromes, seeded random
+samplers, and the randomized witness search that turns the existence
+argument into actual codes.
 
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.
@@ -22,7 +23,6 @@ from typing import Iterator, Mapping, Sequence, Union
 
 from .bounds import CssBoundQuery, StabBoundQuery, ball_sum, gaussian_binomial
 from .errors import (
-    DomainError,
     EnumerationSizeError,
     InputShapeError,
     ParameterRangeError,
@@ -68,8 +68,10 @@ class IsotropicCode:
     def __post_init__(self) -> None:
         if self.c.ambient_dim % 2:
             raise InputShapeError("stabilizer space needs an even ambient dimension")
-        if not self.stabilizer_dual.contains_space(self.c):
-            raise InputShapeError("generators are not symplectic self-orthogonal")
+        n, q = self.n, self.q
+        for u, v in combinations(self.c.basis, 2):
+            if sum(u[j] * v[n + j] - u[n + j] * v[j] for j in range(n)) % q:
+                raise InputShapeError("generators are not symplectic self-orthogonal")
 
     @cached_property
     def stabilizer_dual(self) -> Subspace:
@@ -243,31 +245,34 @@ def css_distances(pair: NestedPair) -> DistancePair:
     return DistancePair(dx=dx, dz=dz)
 
 
-def iter_weight_at_most(n: int, q: int, t: int) -> Iterator[Vec]:
-    """Nonzero vectors of GF(q)^n with weight <= t."""
-    for w in range(1, t + 1):
-        for positions in combinations(range(n), w):
-            for values in product(range(1, q), repeat=w):
-                v = [0] * n
-                for pos, val in zip(positions, values):
-                    v[pos] = val
-                yield tuple(v)
-
-
-def stab_is_detectable(code: IsotropicCode, e: Vec) -> bool:
-    """A nonzero error (ex|ez) is undetectable iff it lies in the
-    symplectic dual but outside the stabilizer space itself."""
-    if len(e) != 2 * code.n:
-        raise InputShapeError(f"error vector must have length {2 * code.n}")
-    if not any(e):
-        raise DomainError("the zero vector is not an error pattern")
-    return not (code.stabilizer_dual.contains(e) and not code.c.contains(e))
+def _ball(syn: Packing, vecs: Packing, cols: list[list[int]], t: int) -> Iterator[tuple[int, int, int]]:
+    """(vector, syndrome, next free coordinate) for each vector of weight <= t,
+    packed by ``vecs`` and ``syn``.  The syndrome of v is sum_j v_j * cols[j];
+    each vector extends a lighter one, at the cost of one syndrome add."""
+    q = syn.p
+    steps = [
+        [(c << vecs.width * j, syn.pack([c * x % q for x in col])) for c in range(1, q)]
+        for j, col in enumerate(cols)
+    ]
+    level = [(0, 0, 0)]
+    for w in range(t + 1):
+        if w:
+            level = [(v + u, syn.add(s, d), j + 1) for v, s, start in level
+                     for j in range(start, len(cols)) for u, d in steps[j]]
+        yield from level
 
 
 def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
-    """Whether the code qualifies as [[n, k, dx, dz]]: every error with bit
-    weight <= dx-1 and phase weight <= dz-1 (not both parts zero) is
-    detectable."""
+    """Whether the code qualifies as [[n, k, dx, dz]]: every error (ex|ez)
+    with bit weight <= dx-1 and phase weight <= dz-1 (not both parts zero)
+    lies outside S-dual \\ S.
+
+    A generator (a|b) has symplectic product a.ez - b.ex with (ex|ez), so
+    (ex|ez) is in S-dual exactly when its syndromes (b.ex) and (a.ez) agree.
+    The bit ball is joined on syndrome with the phase ball, and only the
+    colliding pairs are tested for membership in S: the work is the two
+    ball sizes plus the collisions.  The guard stays on the product of the
+    ball sizes, as with k = 0 S-dual is S and every pair can collide."""
     n, q = code.n, code.q
     for name, d in (("dx", dx), ("dz", dz)):
         if not 1 <= d <= n + 1:
@@ -275,14 +280,14 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     patterns = (ball_sum(n, q, dx - 1) + 1) * (ball_sum(n, q, dz - 1) + 1)
     if patterns > PROFILE_GUARD:
         raise EnumerationSizeError(f"{patterns} patterns exceeds the guard of {PROFILE_GUARD}")
-    zero = (0,) * n
-    xs = [zero, *iter_weight_at_most(n, q, dx - 1)]
-    zs = [zero, *iter_weight_at_most(n, q, dz - 1)]
-    for ex in xs:
-        for ez in zs:
-            if ex == zero and ez == zero:
-                continue
-            if not stab_is_detectable(code, ex + ez):
+    rows = code.c.basis
+    syn, vecs = Packing(q, len(rows)), Packing(q, n)
+    phase_by_syndrome: dict[int, list[int]] = {}
+    for ez, s, _ in _ball(syn, vecs, [[row[j] for row in rows] for j in range(n)], dz - 1):
+        phase_by_syndrome.setdefault(s, []).append(ez)
+    for ex, s, _ in _ball(syn, vecs, [[row[n + j] for row in rows] for j in range(n)], dx - 1):
+        for ez in phase_by_syndrome.get(s, ()):
+            if (ex or ez) and not code.c.contains(vecs.unpack(ex) + vecs.unpack(ez)):
                 return False
     return True
 
@@ -415,6 +420,7 @@ def gv_witness_search(
     working: a search that hits in about one trial gains nothing from a
     worker pool but its start-up and shutdown.
     """
+    GF(q)  # a search needs a prime field; checked first, so a huge q is refused at once
     if kind == "css":
         if k1 is None or k2 is None:
             raise ParameterRangeError("css search needs k1 and k2")

@@ -25,17 +25,6 @@ SPAN_CHUNK = 1 << 16   # packed vectors a span walk materializes in one list
 Vec = tuple[int, ...]
 
 
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    d = 2
-    while d * d <= p:
-        if p % d == 0:
-            return False
-        d += 1
-    return True
-
-
 @dataclass(frozen=True)
 class GF:
     """A prime field GF(p), 2 <= p <= 251."""
@@ -43,9 +32,10 @@ class GF:
     p: int
 
     def __post_init__(self) -> None:
-        if not isinstance(self.p, int) or not _is_prime(self.p) or self.p > MAX_PRIME:
+        p = self.p  # range first: trial division below MAX_PRIME is instant
+        if not isinstance(p, int) or not 2 <= p <= MAX_PRIME or any(p % d == 0 for d in range(2, p)):
             raise UnsupportedFieldError(
-                f"field order must be a prime in [2, {MAX_PRIME}], got {self.p!r}"
+                f"field order must be a prime in [2, {MAX_PRIME}], got {p!r}"
             )
 
     def inv(self, a: int) -> int:

@@ -313,20 +313,29 @@ def test_usage_errors_exit_1(capsys):
 def test_input_errors_exit_1(tmp_path, capsys):
     malformed = tmp_path / "malformed.json"
     malformed.write_text(json.dumps({"type": "css", "q": 2, "n": 3, "c1": 5, "c2": []}))
+    # A huge prime q is refused by the field's range check before any
+    # trial division (which would run for minutes).
+    huge_q = str(2**61 - 1)
+    huge_file = tmp_path / "huge_q.json"
+    huge_file.write_text(json.dumps({"type": "stab", "q": 2**61 - 1, "n": 1, "generators": [[1, 0]]}))
     bad = [
         ["bound", "css", "--q", "6", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2"],
         ["bound", "css", "--q", "2", "--n", "12", "--k1", "5", "--k2", "7", "--dx", "2", "--dz", "2"],
         ["lemma", "--q", "4", "--n", "3", "--k1", "2", "--k2", "1"],
         ["lemma", "--q", "2", "--n", "30", "--k1", "15", "--k2", "5"],
+        ["lemma", "--q", huge_q, "--n", "3", "--k1", "2", "--k2", "1"],
+        ["search", "css", "--q", huge_q, "--n", "12", "--k1", "7", "--k2", "5",
+         "--dx", "2", "--dz", "2", "--trials", "5", "--seed", "1"],
         ["frontier", "--q", "2", "--r", "1.5", "--points", "8", "--out", "/tmp/x.csv"],
         ["distances", "--in", "/nonexistent/code.json"],
+        ["distances", "--in", str(huge_file)],
         ["distances", "--in", str(malformed)],
     ]
     for argv in bad:
         result = run(argv)
         captured = capsys.readouterr()
         assert result.exit_code == 1 and result.status == "error", argv
-        assert captured.err.strip(), argv
+        assert captured.err.strip() and captured.err.count("\n") == 1, argv
     assert captured.err == 'error: css code file needs "c1" as a list of integer rows\n'
 
 

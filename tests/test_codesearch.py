@@ -2,7 +2,7 @@ import json
 import math
 import random
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 from unittest import mock
 
 import pytest
@@ -25,13 +25,11 @@ from aqgv.codesearch import (
     random_isotropic_code,
     random_nested_pair,
     stab_detects_profile,
-    stab_is_detectable,
     stab_profile_matrix,
     write_code_file,
     _walk_difference,
 )
 from aqgv.errors import (
-    DomainError,
     EnumerationSizeError,
     InputShapeError,
     ParameterRangeError,
@@ -98,6 +96,33 @@ def test_enumeration_identities_exact(q, n, k1, k2):
     denom = q**n - 1
     assert Fraction((q**k1 - q**k2) * report.total_pairs, denom) == x
     assert Fraction((q ** (n - k2) - q ** (n - k1)) * report.total_pairs, denom) == z
+
+
+@pytest.mark.parametrize("q,n,k,spaces,undetected", [(2, 3, 1, 315, 60), (3, 2, 1, 40, 12)])
+def test_stabilizer_identities_exact(q, n, k, spaces, undetected):
+    # The stabilizer counting identity, by enumeration: over all [[n, k]]_q
+    # stabilizer spaces S (the symplectic self-orthogonal (n-k)-subspaces of
+    # GF(q)^{2n}), every nonzero error lies in S-dual \ S equally often.
+    m = n - k
+    universe = list(iter_subspaces(GF(q), 2 * n, m))
+    isotropic = [c for c in universe if c.symplectic_dual().contains_space(c)]
+    for c in universe:  # IsotropicCode's own check agrees with the dual
+        if c in isotropic:
+            IsotropicCode(c=c)
+        else:
+            with pytest.raises(InputShapeError):
+                IsotropicCode(c=c)
+    total = len(isotropic)
+    assert total == spaces == math.prod(
+        Fraction(q ** (2 * (n - i)) - 1, q ** (i + 1) - 1) for i in range(m)
+    )
+    tally = dict.fromkeys(product(range(q), repeat=2 * n), 0)
+    del tally[(0,) * (2 * n)]
+    for c in isotropic:
+        for e in set(c.symplectic_dual().vectors()) - set(c.vectors()):
+            tally[e] += 1
+    per_error = Fraction(total * (q ** (n + k) - q ** (n - k)), q ** (2 * n) - 1)
+    assert set(tally.values()) == {per_error} == {undetected}
 
 
 def test_enumeration_guards():
@@ -217,6 +242,35 @@ def test_five_qubit_is_isotropic(five_qubit):
     assert five_qubit.stabilizer_dual.contains_space(five_qubit.c)
 
 
+# The per-pattern oracle: every (ex|ez) of the two weight balls, one
+# membership test each, against the syndrome join of stab_detects_profile.
+
+def iter_weight_at_most(n, q, t):
+    """Nonzero vectors of GF(q)^n with weight <= t."""
+    for w in range(1, t + 1):
+        for positions in combinations(range(n), w):
+            for values in product(range(1, q), repeat=w):
+                v = [0] * n
+                for pos, val in zip(positions, values):
+                    v[pos] = val
+                yield tuple(v)
+
+
+def stab_is_detectable(code, e):
+    """A nonzero error (ex|ez) is undetectable iff it lies in the
+    symplectic dual but outside the stabilizer space itself."""
+    return not (code.stabilizer_dual.contains(e) and not code.c.contains(e))
+
+
+def ball_profile_oracle(code, dx, dz):
+    zero = (0,) * code.n
+    xs = [zero, *iter_weight_at_most(code.n, code.q, dx - 1)]
+    zs = [zero, *iter_weight_at_most(code.n, code.q, dz - 1)]
+    return all(
+        stab_is_detectable(code, ex + ez) for ex in xs for ez in zs if ex != zero or ez != zero
+    )
+
+
 def test_stabilizer_elements_are_detectable(five_qubit):
     for row in five_qubit.c.basis:
         assert stab_is_detectable(five_qubit, row)
@@ -228,13 +282,6 @@ def test_five_qubit_logical_all_x_undetectable(five_qubit):
 
 def test_five_qubit_single_bit_error_detectable(five_qubit):
     assert stab_is_detectable(five_qubit, (1, 0, 0, 0, 0, 0, 0, 0, 0, 0))
-
-
-def test_detectability_input_checks(five_qubit):
-    with pytest.raises(DomainError):
-        stab_is_detectable(five_qubit, (0,) * 10)
-    with pytest.raises(InputShapeError):
-        stab_is_detectable(five_qubit, (1, 0, 0))
 
 
 def test_five_qubit_profiles(five_qubit):
@@ -287,6 +334,16 @@ def test_profile_matrix_matches_per_cell_property(shape, chunk):
     assert matrix == [
         [stab_detects_profile(code, dx, dz) for dz in cells] for dx in cells
     ]
+
+
+@PROPERTY
+@given(stab_shape())
+def test_profile_join_matches_ball_oracle_property(shape):
+    code = random_isotropic_code(*shape)
+    cells = range(1, code.n + 2)
+    for dx in cells:
+        for dz in cells:
+            assert stab_detects_profile(code, dx, dz) == ball_profile_oracle(code, dx, dz), (dx, dz)
 
 
 def test_isotropic_code_rejects_non_isotropic():
