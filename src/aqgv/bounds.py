@@ -1,13 +1,16 @@
 """Exact evaluation of the finite-length GV-type existence bounds.
 
 Everything is integer / rational arithmetic end to end: a verdict is
-``lhs < 1`` compared as exact fractions, never through floats.  Decimal
-renderings are for display only.
+``lhs < 1`` compared as exact fractions, never through floats, and the
+parameter scans compare the LHS numerator against its denominator as
+integers.  Decimal renderings are for display only.
 """
 
 from __future__ import annotations
 
 import decimal
+import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -17,17 +20,62 @@ from .errors import ParameterRangeError
 
 
 def prime_power_base(q: int) -> int | None:
-    """The prime p with q = p^m, or None if q is not a prime power >= 2."""
+    """The prime p with q = p^m, or None if q is not a prime power >= 2.
+
+    Trial division below 1000 settles every q with a prime factor there.
+    Otherwise p > 1000, so m <= log(q)/log(1000), and each such m has one
+    candidate root r with r^m = q.  A candidate is tested by Miller-Rabin
+    on the prime bases 2..41, which is exact below 3317044064679887385961981
+    (Sorenson and Webster, 2015); a probable prime at or above that bound
+    raises ParameterRangeError rather than give an uncertified answer.
+    """
     if not isinstance(q, int) or q < 2:
         return None
-    d = 2
-    while d * d <= q:
+    for d in range(2, 1000):
+        if d * d > q:
+            return q  # no factor up to sqrt(q): q is prime
         if q % d == 0:
             while q % d == 0:
                 q //= d
             return d if q == 1 else None
-        d += 1
-    return q  # q itself is prime
+    for m in range(1, int(math.log(q, 1000)) + 1):
+        r = _integer_root(q, m)
+        if r**m == q and _miller_rabin(r):
+            if r >= 3317044064679887385961981:
+                raise ParameterRangeError(
+                    f"cannot certify that q={q} is a prime power: {r} is only a probable prime"
+                )
+            return r
+    return None
+
+
+def _integer_root(x: int, m: int) -> int:
+    """floor(x^(1/m)) for x >= 1, by Newton's method from above."""
+    r = 1 << -(-x.bit_length() // m)
+    while True:
+        s = ((m - 1) * r + x // r ** (m - 1)) // m
+        if s >= r:
+            return r
+        r = s
+
+
+def _miller_rabin(r: int) -> bool:
+    """False if the odd r > 41 is composite; True if it is a strong
+    probable prime to every prime base up to 41."""
+    d, s = r - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41):
+        x = pow(a, d, r)
+        if x in (1, r - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % r
+            if x == r - 1:
+                break
+        else:
+            return False
+    return True
 
 
 def is_prime_power(q: int) -> bool:
@@ -137,6 +185,20 @@ class BoundReport:
         return fraction_decimal_str(self.lhs, digits)
 
 
+def _css_lhs_ints(q: int, n: int, k1: int, k2: int, dx: int, dz: int) -> tuple[tuple[int, int], int]:
+    """The CSS LHS as integers: addends (bit, phase) over one denominator."""
+    bit = (q**k1 - q**k2) * ball_sum(n, q, dx - 1)
+    phase = (q ** (n - k2) - q ** (n - k1)) * ball_sum(n, q, dz - 1)
+    return (bit, phase), q**n - 1
+
+
+def _stab_lhs_ints(q: int, n: int, k: int, dx: int, dz: int) -> tuple[tuple[int, int, int], int]:
+    """The stabilizer LHS as integers: factors (ratio, bit ball, phase
+    ball) whose product is the numerator, over the ratio's denominator."""
+    ratio = (q ** (2 * k) - 1) * q ** (n - k)
+    return (ratio, ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)), q ** (2 * n) - 1
+
+
 def css_gv_lhs(query: CssBoundQuery) -> BoundReport:
     """LHS of the nested-pair existence bound.
 
@@ -145,12 +207,8 @@ def css_gv_lhs(query: CssBoundQuery) -> BoundReport:
 
     If lhs < 1, an [[n, k1-k2, dx, dz]]_q CSS code exists.
     """
-    q, n = query.q, query.n
-    denom = q**n - 1
-    bit_term = Fraction(q**query.k1 - q**query.k2, denom) * ball_sum(n, q, query.dx - 1)
-    phase_term = Fraction(q ** (n - query.k2) - q ** (n - query.k1), denom) * ball_sum(
-        n, q, query.dz - 1
-    )
+    addends, denom = _css_lhs_ints(query.q, query.n, query.k1, query.k2, query.dx, query.dz)
+    bit_term, phase_term = (Fraction(a, denom) for a in addends)
     return BoundReport(lhs=bit_term + phase_term, terms=(bit_term, phase_term))
 
 
@@ -164,41 +222,47 @@ def stab_gv_lhs(query: StabBoundQuery) -> BoundReport:
     detect any one fixed error.  If lhs < 1, an [[n, k, dx, dz]]_q
     stabilizer code exists.  ``terms`` holds the three factors.
     """
-    q, n, k = query.q, query.n, query.k
-    ratio = Fraction((q ** (2 * k) - 1) * q ** (n - k), q ** (2 * n) - 1)
-    bit_ball = Fraction(ball_sum(n, q, query.dx - 1))
-    phase_ball = Fraction(ball_sum(n, q, query.dz - 1))
-    return BoundReport(lhs=ratio * bit_ball * phase_ball, terms=(ratio, bit_ball, phase_ball))
+    (ratio, bit_ball, phase_ball), denom = _stab_lhs_ints(query.q, query.n, query.k, query.dx, query.dz)
+    terms = (Fraction(ratio, denom), Fraction(bit_ball), Fraction(phase_ball))
+    return BoundReport(lhs=terms[0] * terms[1] * terms[2], terms=terms)
 
 
 def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:
     """Largest k in [1, n] whose stabilizer bound is feasible, or None.
 
-    The LHS is strictly increasing in k, so a descending scan can stop at
-    the first feasible k.
+    The LHS is strictly increasing in k (its ratio is q^(n+k) - q^(n-k)
+    over a constant) or 0 for every k, so the feasible k form a prefix of
+    1..n and a bisection finds its end in O(log n) exact integer
+    comparisons of numerator against denominator.
     """
     StabBoundQuery(q=q, n=n, k=0, dx=dx, dz=dz)  # validate ranges once
-    for k in range(n, 0, -1):
-        if stab_gv_lhs(StabBoundQuery(q=q, n=n, k=k, dx=dx, dz=dz)).feasible:
-            return k
-    return None
+
+    def infeasible(k: int) -> bool:
+        (ratio, bit_ball, phase_ball), denom = _stab_lhs_ints(q, n, k, dx, dz)
+        return ratio * bit_ball * phase_ball >= denom
+
+    return bisect_left(range(1, n + 1), True, key=infeasible) or None
 
 
 def best_css_params(n: int, q: int, dx: int, dz: int) -> tuple[int, int] | None:
     """Feasible (k1, k2) with k1 > k2 maximizing k1 - k2, or None.
 
-    Ties break toward the smallest k1, then the smallest k2.  Exhaustive
-    scan; the two ball sums are shared across all pairs.
+    Ties break toward the smallest k1, then the smallest k2.  The LHS
+    numerator rises with k1 and falls with k2, and k2 = k1 is always
+    feasible.  So the least feasible k2 never decreases as k1 grows, and
+    the largest feasible net at k1 exceeds that at k1 - 1 by at most one.
+    A two-pointer scan thus needs one exact integer comparison of
+    numerator against denominator per k1: is a net one more than the best
+    so far feasible here?  The first k1 to reach a net is the smallest,
+    and its k2 the least.
     """
     CssBoundQuery(q=q, n=n, k1=0, k2=0, dx=dx, dz=dz)  # validate ranges once
     best: tuple[int, int] | None = None
-    best_net = 0
-    for k1 in range(1, n + 1):
-        for k2 in range(k1):
-            if k1 - k2 <= best_net:
-                continue
-            query = CssBoundQuery(q=q, n=n, k1=k1, k2=k2, dx=dx, dz=dz)
-            if css_gv_lhs(query).feasible:
-                best = (k1, k2)
-                best_net = k1 - k2
+    k2 = 0
+    for k1 in range(1, n + 1):  # k1 - k2 is one more than the best net so far
+        addends, denom = _css_lhs_ints(q, n, k1, k2, dx, dz)
+        if sum(addends) < denom:
+            best = (k1, k2)
+        else:
+            k2 += 1
     return best

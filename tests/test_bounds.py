@@ -1,10 +1,14 @@
 import decimal
+import math
 import random
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from aqgv.asymptotic import entropy_hq
 from aqgv.bounds import (
     BoundReport,
     CssBoundQuery,
@@ -36,6 +40,37 @@ def test_prime_power_detection():
         assert not is_prime_power(q)
     for q in (2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 121):
         assert is_prime_power(q)
+    # past trial division: roots checked by Miller-Rabin
+    m61 = 2**61 - 1
+    assert prime_power_base(m61) == m61
+    assert prime_power_base(m61**3) == m61
+    assert prime_power_base(1009**5) == 1009
+    assert prime_power_base(2**100) == 2
+    # a semiprime of two large primes, a Carmichael number, a strong
+    # pseudoprime to the bases 2, 3, 5 and 7, and one to every prime base up
+    # to 31 with no factor below 1000 (149491 * 747451 * 34233211)
+    for q in ((2**31 - 1) * m61, 561, 3215031751, 3825123056546413051):
+        assert prime_power_base(q) is None
+
+
+def test_prime_power_base_matches_trial_division():
+    def trial(q):
+        p = next((d for d in range(2, math.isqrt(q) + 1) if q % d == 0), q)
+        while q % p == 0:
+            q //= p
+        return p if q == 1 else None
+
+    for q in range(2, 5000):
+        assert prime_power_base(q) == trial(q), q
+    for q in (999983, 998001, 10**6 + 3, 101**9, 997**7, 1009 * 1013, 1013**2, (10**6 + 3) ** 2):
+        assert prime_power_base(q) == trial(q), q
+
+
+def test_prime_power_base_refuses_uncertified_probable_primes():
+    # Miller-Rabin on the bases 2..41 is exact only below 3.3e24.
+    for q in (2**127 - 1, (2**89 - 1) ** 2):
+        with pytest.raises(ParameterRangeError, match="probable prime"):
+            prime_power_base(q)
 
 
 # ---------------------------------------------------------------------------
@@ -270,6 +305,68 @@ def test_best_css_params_agrees_with_full_scan():
             best_net = max(k1 - k2 for k1, k2 in candidates)
             expected = min((k1, k2) for k1, k2 in candidates if k1 - k2 == best_net)
             assert got == expected
+
+
+@st.composite
+def scan_rows(draw):
+    """(q, n, dx, dz) with n <= 30; each distance is drawn as 1 (empty
+    ball), n+1 (every nonzero vector, so nothing is feasible when k1 > k2
+    or k >= 1) or anywhere in between."""
+    q = draw(st.sampled_from([2, 3, 4, 5, 7, 8, 9]))
+    n = draw(st.integers(1, 30))
+    distance = st.one_of(st.just(1), st.just(n + 1), st.integers(1, n + 1))
+    return q, n, draw(distance), draw(distance)
+
+
+@settings(derandomize=True, deadline=None, max_examples=200)
+@given(scan_rows())
+@example((2, 30, 1, 1))
+@example((9, 30, 31, 2))
+@example((3, 17, 5, 18))
+@example((2, 4, 3, 3))
+def test_scans_match_exhaustive_oracles_property(row):
+    q, n, dx, dz = row
+    feasible_pairs = [
+        (k1, k2)
+        for k1 in range(n + 1)
+        for k2 in range(k1)
+        if css_gv_lhs(CssBoundQuery(q=q, n=n, k1=k1, k2=k2, dx=dx, dz=dz)).feasible
+    ]
+    if feasible_pairs:
+        best_net = max(k1 - k2 for k1, k2 in feasible_pairs)
+        expected = min((k1, k2) for k1, k2 in feasible_pairs if k1 - k2 == best_net)
+    else:
+        expected = None
+    assert best_css_params(n, q, dx, dz) == expected
+    feasible_k = [
+        k for k in range(1, n + 1) if stab_gv_lhs(StabBoundQuery(q=q, n=n, k=k, dx=dx, dz=dz)).feasible
+    ]
+    assert max_k_stab(n, q, dx, dz) == max(feasible_k, default=None)
+    if dx == dz == 1:
+        assert (expected, feasible_k[-1]) == ((n, 0), n)
+
+
+def test_finite_bound_meets_asymptotic_rate():
+    # The stabilizer lhs <= q^(k-n) * Vx * Vz with V the ball including
+    # zero, and V <= q^(n h(t/n)), so every k <= n (1 - 2 h(t/n)) is
+    # feasible.  The CSS net meets the same floor here because each ball is
+    # a factor of order sqrt(n) below q^(n h), which pays for splitting the
+    # budget between two addends.  The rates fall towards 1 - 2 h(0.05).
+    limit = 1 - 2 * entropy_hq(0.05, 2)
+    stab_rates, css_rates = [], []
+    for n in (400, 1600, 6400):
+        d = n // 20
+        k_floor = math.floor(n * (1 - 2 * entropy_hq((d - 1) / n, 2)) - 1e-9)
+        k = max_k_stab(n, 2, d, d)
+        assert k >= k_floor
+        stab_rates.append(k / n)
+        if n <= 1600:
+            k1, k2 = best_css_params(n, 2, d, d)
+            assert k1 - k2 >= k_floor
+            css_rates.append((k1 - k2) / n)
+    assert stab_rates == sorted(stab_rates, reverse=True) and len(set(stab_rates)) == 3
+    assert css_rates[0] > css_rates[1]
+    assert abs(stab_rates[-1] - limit) < 0.005
 
 
 # ---------------------------------------------------------------------------

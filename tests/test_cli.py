@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -220,6 +221,21 @@ def test_frontier_writes_csv(tmp_path, capsys):
 # exact tables: every command and branch, stdout and exit code byte for byte
 # ---------------------------------------------------------------------------
 
+class StdoutDigest:
+    """A table too long to pin verbatim (thousands of digits of lhs): it
+    equals the one output with this start, end and SHA-256."""
+
+    def __init__(self, head: str, tail: str, sha256: str):
+        self.head, self.tail, self.sha256 = head, tail, sha256
+
+    def __eq__(self, out):
+        return (isinstance(out, str) and out.startswith(self.head) and out.endswith(self.tail)
+                and hashlib.sha256(out.encode()).hexdigest() == self.sha256)
+
+    def __repr__(self):
+        return f"StdoutDigest({self.head!r}, {self.tail!r}, {self.sha256!r})"
+
+
 PINNED_TABLES = [
     ("bound stab --q 2 --n 10 --k 3 --dx 2 --dz 2", 0,
      "query        bound stab q=2 n=10 k=3 dx=2 dz=2\n"
@@ -245,6 +261,15 @@ PINNED_TABLES = [
      "lhs    64/65 = 0.984615\n"),
     ("best css --q 2 --n 4 --dx 3 --dz 3", 0,
      "result  none feasible\n"),
+    ("best css --q 2 --n 400 --dx 20 --dz 20", 0,
+     "k1     292\n"
+     "k2     108\n"
+     "net_k  184\n"
+     "lhs    384462642326020567601488158507346289887148759592660575989511546542101862664237512599166449666353623141888816196878336"
+     "/405058804405789582691124576000472450875247967502623296130299506908336881884994697196807114240021620617396575995725097 = 0.949153\n"),
+    ("maxk stab --q 2 --n 6400 --dx 320 --dz 320", 0,
+     StdoutDigest("k_max  2753\nlhs    ", " = 0.779147\n",
+                  "4a8360d21fa2127bcb2758260b9e875a971c79187490b1a36807a3ccd3fe2e5f")),
     ("lemma --q 2 --n 3 --k1 2 --k2 1", 0,
      "total_pairs     21\n"
      "nonzero_errors  7\n"
@@ -321,6 +346,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
     bad = [
         ["bound", "css", "--q", "6", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2"],
         ["bound", "css", "--q", "2", "--n", "12", "--k1", "5", "--k2", "7", "--dx", "2", "--dz", "2"],
+        # a probable prime beyond the range where Miller-Rabin is certified
+        ["bound", "css", "--q", str(2**127 - 1), "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2"],
         ["lemma", "--q", "4", "--n", "3", "--k1", "2", "--k2", "1"],
         ["lemma", "--q", "2", "--n", "30", "--k1", "15", "--k2", "5"],
         ["lemma", "--q", huge_q, "--n", "3", "--k1", "2", "--k2", "1"],
@@ -360,9 +387,9 @@ def test_json_outputs_are_reproducible(capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args):
+def run_python(*args, timeout=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
 
 
 def test_python_m_aqgv_cli_runs_the_command():
@@ -383,3 +410,15 @@ def test_cli_import_starts_no_process_machinery():
                             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_bound_queries_with_a_huge_prime_q_answer_at_once():
+    # A prime this large is past trial division; Miller-Rabin certifies it.
+    q = str(2**61 - 1)
+    for argv in (
+        ["bound", "css", "--q", q, "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2"],
+        ["maxk", "stab", "--q", q, "--n", "12", "--dx", "2", "--dz", "2"],
+        ["best", "css", "--q", q, "--n", "12", "--dx", "2", "--dz", "2"],
+    ):
+        proc = run_python("-m", "aqgv.cli", *argv, timeout=20)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
