@@ -100,6 +100,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
         raise ParameterRangeError(f"q must be >= 2, got {q}")
     if not 0 <= k <= n:
         raise ParameterRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
+    k = min(k, n - k)   # the same count from fewer factors
     num = den = 1
     for i in range(k):
         num *= q ** (n - i) - 1
@@ -113,11 +114,23 @@ def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:
     """Exact decimal rendering of a fraction to ``digits`` places (half-even)."""
     if digits < 1:
         raise ParameterRangeError("digits must be >= 1")
-    int_digits = len(str(abs(fr.numerator) // fr.denominator)) if fr.denominator else 0
+    whole = decimal.Decimal(abs(fr.numerator) // fr.denominator)   # exact, of any length
     with decimal.localcontext() as ctx:
-        ctx.prec = int_digits + digits + 10
+        ctx.prec = whole.adjusted() + 1 + digits + 10
         d = decimal.Decimal(fr.numerator) / decimal.Decimal(fr.denominator)
         return str(d.quantize(decimal.Decimal(1).scaleb(-digits), rounding=decimal.ROUND_HALF_EVEN))
+
+
+def check_ranges(q: int, n: int, dx: int, dz: int) -> None:
+    """The ranges every bound and profile check shares: q a prime power,
+    n >= 1 and design distances 1 <= dx, dz <= n+1."""
+    if not is_prime_power(q):
+        raise ParameterRangeError(f"q must be a prime power >= 2, got {q}")
+    if n < 1:
+        raise ParameterRangeError(f"n must be >= 1, got {n}")
+    for name, d in (("dx", dx), ("dz", dz)):
+        if not 1 <= d <= n + 1:
+            raise ParameterRangeError(f"need 1 <= {name} <= n+1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -132,17 +145,11 @@ class CssBoundQuery:
     dz: int
 
     def __post_init__(self) -> None:
-        if not is_prime_power(self.q):
-            raise ParameterRangeError(f"q must be a prime power >= 2, got {self.q}")
-        if self.n < 1:
-            raise ParameterRangeError(f"n must be >= 1, got {self.n}")
+        check_ranges(self.q, self.n, self.dx, self.dz)
         if not 0 <= self.k2 <= self.k1 <= self.n:
             raise ParameterRangeError(
                 f"need 0 <= k2 <= k1 <= n, got k1={self.k1}, k2={self.k2}, n={self.n}"
             )
-        for name, d in (("dx", self.dx), ("dz", self.dz)):
-            if not 1 <= d <= self.n + 1:
-                raise ParameterRangeError(f"need 1 <= {name} <= n+1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -156,15 +163,9 @@ class StabBoundQuery:
     dz: int
 
     def __post_init__(self) -> None:
-        if not is_prime_power(self.q):
-            raise ParameterRangeError(f"q must be a prime power >= 2, got {self.q}")
-        if self.n < 1:
-            raise ParameterRangeError(f"n must be >= 1, got {self.n}")
+        check_ranges(self.q, self.n, self.dx, self.dz)
         if not 0 <= self.k <= self.n:
             raise ParameterRangeError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
-        for name, d in (("dx", self.dx), ("dz", self.dz)):
-            if not 1 <= d <= self.n + 1:
-                raise ParameterRangeError(f"need 1 <= {name} <= n+1, got {d}")
 
 
 @dataclass(frozen=True)
@@ -235,7 +236,7 @@ def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:
     1..n and a bisection finds its end in O(log n) exact integer
     comparisons of numerator against denominator.
     """
-    StabBoundQuery(q=q, n=n, k=0, dx=dx, dz=dz)  # validate ranges once
+    check_ranges(q, n, dx, dz)
 
     def infeasible(k: int) -> bool:
         (ratio, bit_ball, phase_ball), denom = _stab_lhs_ints(q, n, k, dx, dz)
@@ -256,7 +257,7 @@ def best_css_params(n: int, q: int, dx: int, dz: int) -> tuple[int, int] | None:
     so far feasible here?  The first k1 to reach a net is the smallest,
     and its k2 the least.
     """
-    CssBoundQuery(q=q, n=n, k1=0, k2=0, dx=dx, dz=dz)  # validate ranges once
+    check_ranges(q, n, dx, dz)
     best: tuple[int, int] | None = None
     k2 = 0
     for k1 in range(1, n + 1):  # k1 - k2 is one more than the best net so far

@@ -14,6 +14,7 @@ code.  frontier, which has neither, prints its one sentence itself.
 from __future__ import annotations
 
 import argparse
+import decimal
 import json
 import sys
 from dataclasses import dataclass
@@ -59,7 +60,8 @@ _Outcome = tuple[str, dict, list[tuple[str, object]]]  # (status, payload, rows)
 
 
 def _frac_str(fr: Fraction) -> str:
-    return f"{fr.numerator}/{fr.denominator}"
+    # a Decimal prints an int's digits with no limit on their number
+    return f"{decimal.Decimal(fr.numerator)}/{decimal.Decimal(fr.denominator)}"
 
 
 def _dist_value(d: int | None):

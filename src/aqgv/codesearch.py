@@ -14,6 +14,7 @@ not scalability.
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -21,7 +22,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
 
-from .bounds import CssBoundQuery, StabBoundQuery, ball_sum, gaussian_binomial
+from .bounds import CssBoundQuery, StabBoundQuery, check_ranges, gaussian_binomial
 from .errors import (
     EnumerationSizeError,
     InputShapeError,
@@ -134,6 +135,49 @@ class EnumerationReport:
         )
 
 
+def _digits() -> int:
+    return sys.get_int_max_str_digits() or 4300   # 0 is no limit: keep messages short
+
+
+def _capped_pow(q: int, e: int) -> int:
+    return q ** min(e, 4 * _digits() + 1)
+
+
+def _capped_ball(n: int, q: int, t: int) -> int:
+    total, term, bits = 0, 1, 4 * _digits()
+    for i in range(1, t + 1):   # add C(n, i) (q-1)^i until the sum passes 2^bits
+        term = term * (n - i + 1) * (q - 1) // i
+        total += term
+        if total >> bits:
+            break
+    return total
+
+
+def _guard(cost: int, guard: int, message: str) -> None:
+    """Raise EnumerationSizeError(message) if ``cost`` exceeds ``guard``.
+
+    A cost is built with the _capped_* helpers: exact below 2^B, B = 4d for
+    the interpreter's int-to-str digit limit d, and at least 2^B past it, so
+    their sums and products decide a guard without building huge numbers.
+    As 2^B > 10^d, a cost the message shows in full is exact."""
+    if cost > guard:
+        d = _digits()
+        raise EnumerationSizeError(message.format(cost if cost < 10**d else f"10^{d} or more", guard))
+
+
+def _check_distance_size(q: int, n: int, k1: int, k2: int) -> None:
+    """css_distances walks C1 and C2-dual: q^k1 + q^(n-k2) codewords."""
+    codewords = _capped_pow(q, k1) + _capped_pow(q, n - k2)
+    _guard(codewords, COSET_GUARD, "{} codewords exceeds the guard of {}")
+
+
+def _check_profile_size(q: int, n: int, dx: int, dz: int) -> None:
+    """stab_detects_profile's (ex, ez) patterns: one more than each ball
+    size, of radius dx-1 and dz-1, multiplied."""
+    patterns = (_capped_ball(n, q, dx - 1) + 1) * (_capped_ball(n, q, dz - 1) + 1)
+    _guard(patterns, PROFILE_GUARD, "{} patterns exceeds the guard of {}")
+
+
 def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
     """Every dim-dimensional subspace of GF(p)^ambient_dim exactly once.
 
@@ -152,7 +196,7 @@ def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
                 rows[i][col] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            yield Subspace(field, n, tuple(tuple(r) for r in rows))
+            yield Subspace(field, n, rows)
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[Vec], p: int, n: int) -> Vec:
@@ -191,13 +235,11 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     field = GF(q)
     if not (n >= 1 and 0 <= k2 <= k1 <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
-    total_expected = gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q)
-    if total_expected > PAIR_GUARD:
-        raise EnumerationSizeError(f"{total_expected} pairs exceeds the guard of {PAIR_GUARD}")
-    if q**n - 1 > ERROR_TABLE_GUARD:
-        raise EnumerationSizeError(
-            f"{q**n - 1} error vectors exceed the tally guard of {ERROR_TABLE_GUARD}"
-        )
+    e = k1 * (n - k1) + k2 * (k1 - k2)   # there are at least q^e pairs
+    pairs = (_capped_pow(q, e) if e > 4 * _digits()
+             else gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q))
+    _guard(pairs, PAIR_GUARD, "{} pairs exceeds the guard of {}")
+    _guard(_capped_pow(q, n) - 1, ERROR_TABLE_GUARD, "{} error vectors exceed the tally guard of {}")
 
     packing = Packing(q, n)
     units = [1 << (packing.width * j) for j in range(n)]
@@ -236,9 +278,7 @@ def css_distances(pair: NestedPair) -> DistancePair:
     """Asymmetric distances of the CSS pair by a packed coset walk:
     dx = min weight over C1 \\ C2, dz = min weight over C2-dual \\ C1-dual."""
     q, n = pair.q, pair.n
-    cost = q**pair.c1.dim + q ** (n - pair.c2.dim)
-    if cost > COSET_GUARD:
-        raise EnumerationSizeError(f"{cost} codewords exceeds the guard of {COSET_GUARD}")
+    _check_distance_size(q, n, pair.c1.dim, pair.c2.dim)
     packing = Packing(q, n)
     dx = _min_weight(packing, pair.c1, pair.c2)
     dz = _min_weight(packing, pair.c2.dual(), pair.c1.dual())
@@ -274,12 +314,8 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     ball sizes plus the collisions.  The guard stays on the product of the
     ball sizes, as with k = 0 S-dual is S and every pair can collide."""
     n, q = code.n, code.q
-    for name, d in (("dx", dx), ("dz", dz)):
-        if not 1 <= d <= n + 1:
-            raise ParameterRangeError(f"need 1 <= {name} <= n+1, got {d}")
-    patterns = (ball_sum(n, q, dx - 1) + 1) * (ball_sum(n, q, dz - 1) + 1)
-    if patterns > PROFILE_GUARD:
-        raise EnumerationSizeError(f"{patterns} patterns exceeds the guard of {PROFILE_GUARD}")
+    check_ranges(q, n, dx, dz)
+    _check_profile_size(q, n, dx, dz)
     rows = code.c.basis
     syn, vecs = Packing(q, len(rows)), Packing(q, n)
     phase_by_syndrome: dict[int, list[int]] = {}
@@ -301,9 +337,8 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     exactly when some wx <= dx-1 has that least weight <= dz-1, so each row
     of the matrix is read off a prefix minimum."""
     n, q, k = code.n, code.q, code.k
-    cost = q ** (n + k) - q ** (n - k)
-    if cost > COSET_GUARD:
-        raise EnumerationSizeError(f"{cost} error vectors exceeds the guard of {COSET_GUARD}")
+    undetectable = _capped_pow(q, n - k) * (_capped_pow(q, 2 * k) - 1)   # q^(n+k) - q^(n-k)
+    _guard(undetectable, COSET_GUARD, "{} error vectors exceeds the guard of {}")
     packing = Packing(q, 2 * n)
     half = n * packing.width
     x_mask = (1 << half) - 1
@@ -322,16 +357,14 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     return matrix
 
 
-def _random_full_rank(
-    rng: Random, field: GF, nrows: int, ncols: int
-) -> tuple[Subspace, list[list[int]]]:
-    """Row space (and raw rows) of a uniformly random full-rank nrows x ncols
-    matrix; the induced distribution over nrows-dim subspaces is uniform."""
+def _random_full_rank(rng: Random, field: GF, nrows: int, ncols: int) -> Subspace:
+    """Row space of a uniformly random full-rank nrows x ncols matrix; the
+    induced distribution over nrows-dim subspaces is uniform."""
     while True:
         rows = [[rng.randrange(field.p) for _ in range(ncols)] for _ in range(nrows)]
         space = Subspace.span(field, ncols, rows)
         if space.dim == nrows:
-            return space, rows
+            return space
         # reject rank-deficient draws
 
 
@@ -345,9 +378,9 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     if not (n >= 1 and 0 <= k2 <= k1 <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
     rng = Random(seed)
-    c1, _ = _random_full_rank(rng, field, k1, n)
-    _, coeff_rows = _random_full_rank(rng, field, k2, k1)
-    rows = [_combine(row, c1.basis, q, n) for row in coeff_rows]
+    c1 = _random_full_rank(rng, field, k1, n)
+    coeffs = _random_full_rank(rng, field, k2, k1)   # its basis spans the same rows as the draw
+    rows = [_combine(row, c1.basis, q, n) for row in coeffs.basis]
     return NestedPair(c1=c1, c2=Subspace.span(field, n, rows))
 
 
@@ -425,10 +458,12 @@ def gv_witness_search(
         if k1 is None or k2 is None:
             raise ParameterRangeError("css search needs k1 and k2")
         CssBoundQuery(q=q, n=n, k1=k1, k2=k2, dx=dx, dz=dz)
+        _check_distance_size(q, n, k1, k2)   # the check's guard, before any draw
     elif kind == "stab":
         if k is None:
             raise ParameterRangeError("stab search needs k")
         StabBoundQuery(q=q, n=n, k=k, dx=dx, dz=dz)
+        _check_profile_size(q, n, dx, dz)
     else:
         raise ParameterRangeError(f"kind must be 'css' or 'stab', got {kind!r}")
     if trials < 1:

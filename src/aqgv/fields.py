@@ -1,9 +1,10 @@
 """Exact linear algebra over prime fields GF(p).
 
-Vectors in the API are plain tuples of residues in ``[0, p)``.  A subspace
-is always held in reduced row-echelon form, so two equal subspaces compare
-equal structurally and can be used as dict keys.  Everything is immutable
-and pure; sizes are desk scale (ambient dimension up to a few dozen).
+Vectors in the API are plain tuples of residues in ``[0, p)``.  Building a
+subspace makes its rows canonical: it is held in reduced row-echelon form,
+so two equal subspaces compare equal structurally and can be used as dict
+keys.  Everything is immutable and pure; sizes are desk scale (ambient
+dimension up to a few dozen).
 
 Walks over whole spans do not use tuples: :class:`Packing` packs each
 vector into one Python int, a fixed-width bit field per coordinate, so that
@@ -12,8 +13,8 @@ adding two vectors or taking a weight is a handful of big-int operations.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import islice
 from typing import Iterator, Sequence
 
@@ -49,9 +50,9 @@ def weight(v: Sequence[int]) -> int:
     return sum(1 for x in v if x)
 
 
-def _rref(rows: list[list[int]], p: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form; returns (nonzero rows, pivot columns)."""
-    mat = [list(r) for r in rows]
+def _rref(mat: list[list[int]], p: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Reduced row echelon form, computed in place; returns (nonzero rows,
+    pivot columns)."""
     if not mat:
         return (), ()
     ncols = len(mat[0])
@@ -168,50 +169,38 @@ class Packing:
 
 @dataclass(frozen=True)
 class Subspace:
-    """A linear code C <= GF(p)^n in canonical RREF basis form.
+    """A linear code C <= GF(p)^n, held in its canonical RREF basis.
 
-    Equality is structural: two Subspace values represent the same space
-    iff they are equal.  Construct through :meth:`span` (arbitrary rows)
-    or the :meth:`zero` / :meth:`full` helpers.
+    Construction makes the rows canonical: ``Subspace(field, n, rows)``
+    takes any rows (dependent, shuffled or zero ones included) and stores
+    the reduced row-echelon basis of their span, with its pivot columns.
+    So equality is structural: two Subspace values represent the same
+    space iff they are equal.
     """
 
     field: GF
     ambient_dim: int
     basis: tuple[Vec, ...]
+    pivot_cols: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        p = self.field.p
-        last_pivot = -1
-        for row in self.basis:
-            if len(row) != self.ambient_dim:
-                raise InputShapeError("basis row length differs from ambient dimension")
-            piv = next((j for j, x in enumerate(row) if x), None)
-            if piv is None or row[piv] != 1 or piv <= last_pivot:
-                raise InputShapeError("basis is not in reduced row-echelon form")
-            if any(not (0 <= x < p) for x in row):
-                raise InputShapeError(f"basis entries must be residues in [0, {p})")
-            last_pivot = piv
-        for j in self.pivot_cols:
-            if sum(1 for row in self.basis if row[j]) != 1:
-                raise InputShapeError("pivot column has a second nonzero entry")
+        n, p = self.ambient_dim, self.field.p
+        if n < 0:
+            raise InputShapeError("ambient dimension must be >= 0")
+        rows = [list(row) for row in self.basis]
+        for row in rows:
+            if len(row) != n:
+                raise InputShapeError(f"row length {len(row)} differs from ambient dimension {n}")
+            if any(not isinstance(x, int) or not (0 <= x < p) for x in row):
+                raise InputShapeError(f"entries must be integer residues in [0, {p})")
+        basis, pivots = _rref(rows, p)
+        object.__setattr__(self, "basis", basis)
+        object.__setattr__(self, "pivot_cols", pivots)
 
     @classmethod
     def span(cls, field: GF, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
-        """Row space of ``rows`` in canonical form; rows may be dependent or empty."""
-        if ambient_dim < 0:
-            raise InputShapeError("ambient dimension must be >= 0")
-        clean: list[list[int]] = []
-        for row in rows:
-            row = list(row)
-            if len(row) != ambient_dim:
-                raise InputShapeError(
-                    f"row length {len(row)} differs from ambient dimension {ambient_dim}"
-                )
-            if any(not isinstance(x, int) or not (0 <= x < field.p) for x in row):
-                raise InputShapeError(f"entries must be integer residues in [0, {field.p})")
-            clean.append(row)
-        basis, _ = _rref(clean, field.p)
-        return cls(field, ambient_dim, basis)
+        """Row space of ``rows``; the same as ``Subspace(field, ambient_dim, rows)``."""
+        return cls(field, ambient_dim, rows)
 
     @classmethod
     def zero(cls, field: GF, ambient_dim: int) -> "Subspace":
@@ -227,10 +216,6 @@ class Subspace:
     @property
     def dim(self) -> int:
         return len(self.basis)
-
-    @cached_property
-    def pivot_cols(self) -> tuple[int, ...]:
-        return tuple(next(j for j, x in enumerate(row) if x) for row in self.basis)
 
     def reduce(self, v: Sequence[int]) -> Vec:
         """Residual of v after elimination against the basis; zero iff v is a member."""

@@ -3,11 +3,13 @@ import json
 import os
 import subprocess
 import sys
+from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from aqgv.bounds import CssBoundQuery, css_gv_lhs
 from aqgv.cli import run
 from aqgv.codesearch import css_distances, load_code_file, write_code_file
 
@@ -422,3 +424,34 @@ def test_bound_queries_with_a_huge_prime_q_answer_at_once():
     ):
         proc = run_python("-m", "aqgv.cli", *argv, timeout=20)
         assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
+@pytest.mark.parametrize("argv, code_file", [
+    ("lemma --q 2 --n 15000 --k1 1 --k2 0", None),
+    ("lemma --q 2 --n 100000000 --k1 1 --k2 0", None),
+    ("lemma --q 3 --n 100000000 --k1 100000000 --k2 1", None),
+    ("distances --in {}", {"type": "css", "q": 3, "n": 1000000, "c1": [], "c2": []}),
+    ("distances --in {}", {"type": "css", "q": 3, "n": 100000000, "c1": [], "c2": []}),
+    ("search css --q 2 --n 1000 --k1 500 --k2 0 --dx 2 --dz 2 --trials 1 --seed 1", None),
+], ids=["lemma-n15000", "lemma-n1e8", "lemma-k1-n1e8", "distances-n1e6", "distances-n1e8", "search-n1000"])
+def test_oversize_inputs_fail_at_once_with_one_line(tmp_path, argv, code_file):
+    # each size guard decides before it builds its cost or draws a code
+    if code_file is not None:
+        path = tmp_path / "code.json"
+        path.write_text(json.dumps(code_file))
+        argv = argv.format(path)
+    proc = run_python("-m", "aqgv.cli", *argv.split(), timeout=20)
+    assert proc.returncode == 1
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    assert "exceeds the guard of" in proc.stderr
+
+
+def test_bound_prints_an_lhs_past_the_int_digit_limit():
+    argv = "bound css --q 2 --n 20000 --k1 7 --k2 5 --dx 2 --dz 2 --json".split()
+    proc = run_python("-m", "aqgv.cli", *argv, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lhs = css_gv_lhs(CssBoundQuery(q=2, n=20000, k1=7, k2=5, dx=2, dz=2)).lhs
+    assert lhs.denominator > 10**4300   # str(int) would refuse it
+    # Decimal parses a digit string of any length; Fraction and int do not
+    numerator, denominator = (int(Decimal(part)) for part in json.loads(proc.stdout)["lhs"].split("/"))
+    assert Fraction(numerator, denominator) == lhs and denominator == lhs.denominator

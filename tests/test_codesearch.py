@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import combinations, product
 from unittest import mock
@@ -10,9 +11,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqgv import fields
-from aqgv.bounds import CssBoundQuery, css_gv_lhs, gaussian_binomial
+from aqgv.bounds import CssBoundQuery, ball_sum, css_gv_lhs, gaussian_binomial
 from aqgv.codesearch import (
     COSET_GUARD,
+    PAIR_GUARD,
+    PROFILE_GUARD,
     DistancePair,
     IsotropicCode,
     NestedPair,
@@ -27,6 +30,9 @@ from aqgv.codesearch import (
     stab_detects_profile,
     stab_profile_matrix,
     write_code_file,
+    _capped_ball,
+    _capped_pow,
+    _check_distance_size,
     _walk_difference,
 )
 from aqgv.errors import (
@@ -126,12 +132,45 @@ def test_stabilizer_identities_exact(q, n, k, spaces, undetected):
 
 
 def test_enumeration_guards():
-    with pytest.raises(EnumerationSizeError):
+    pairs = gaussian_binomial(30, 15, 2) * gaussian_binomial(15, 5, 2)
+    with pytest.raises(EnumerationSizeError, match=f"^{pairs} pairs exceeds the guard of {PAIR_GUARD}$"):
         enumerate_nested_pairs(30, 2, 15, 5)
     with pytest.raises(UnsupportedFieldError):
         enumerate_nested_pairs(3, 4, 2, 1)
     with pytest.raises(ParameterRangeError):
         enumerate_nested_pairs(3, 2, 1, 2)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 40), st.data(), st.integers(1, 16))
+def test_guarded_costs_are_exact_below_their_cap(q, n, data, digits):
+    k = data.draw(st.integers(0, n))
+    with mock.patch("sys.get_int_max_str_digits", return_value=digits):
+        capped = (_capped_pow(q, n), _capped_ball(n, q, k))
+    for value, exact in zip(capped, (q**n, ball_sum(n, q, k))):
+        assert value == exact if exact < 2 ** (4 * digits) else value >= 2 ** (4 * digits)
+
+
+def test_guard_message_shows_a_cost_in_full_up_to_the_digit_limit():
+    codewords = 1 + 2**27   # nine digits, over COSET_GUARD
+    for digits, shown in ((9, str(codewords)), (8, "10^8 or more")):
+        with mock.patch("sys.get_int_max_str_digits", return_value=digits), \
+                pytest.raises(EnumerationSizeError, match=f"^{re.escape(shown)} codewords exceeds"):
+            _check_distance_size(2, 27, 0, 0)
+
+
+def test_guards_decide_huge_costs_without_building_them():
+    # each cost below has millions of digits; the message gives its size only
+    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more pairs exceeds"):
+        enumerate_nested_pairs(10**8, 2, 1, 0)
+    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceed the tally"):
+        enumerate_nested_pairs(10**8, 3, 10**8, 10**8)
+    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more codewords exceeds"):
+        css_distances(NestedPair(c1=Subspace.zero(F3, 10**8), c2=Subspace.zero(F3, 10**8)))
+    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceeds"):
+        stab_profile_matrix(IsotropicCode(c=Subspace.zero(F3, 2 * 10**8)))
+    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more patterns exceeds"):
+        stab_detects_profile(IsotropicCode(c=Subspace.zero(F3, 2 * 10**8)), 10**8, 10**8)
 
 
 # ---------------------------------------------------------------------------
@@ -499,6 +538,23 @@ def test_witness_search_argument_validation():
         gv_witness_search("spam", q=2, n=4, dx=2, dz=2, trials=5, seed=0, k=2)
     with pytest.raises(ParameterRangeError):
         gv_witness_search("css", q=2, n=4, dx=6, dz=2, trials=5, seed=0, k1=2, k2=1)
+
+
+def test_witness_search_applies_its_checks_guard_before_drawing():
+    # the same error as the check's own, before any code is sampled
+    with pytest.raises(EnumerationSizeError) as check:
+        css_distances(NestedPair(c1=Subspace.full(F2, 30), c2=Subspace.zero(F2, 30)))
+    with pytest.raises(EnumerationSizeError) as search, \
+            mock.patch("aqgv.codesearch.random_nested_pair", side_effect=AssertionError("drew")):
+        gv_witness_search("css", q=2, n=30, k1=30, k2=0, dx=1, dz=1, trials=1, seed=0)
+    assert str(search.value) == str(check.value) == f"{2**30 + 2**30} codewords exceeds the guard of {COSET_GUARD}"
+
+    with pytest.raises(EnumerationSizeError) as check:
+        stab_detects_profile(IsotropicCode(c=Subspace.zero(F2, 60)), 31, 31)
+    with pytest.raises(EnumerationSizeError) as search, \
+            mock.patch("aqgv.codesearch.random_isotropic_code", side_effect=AssertionError("drew")):
+        gv_witness_search("stab", q=2, n=30, k=30, dx=31, dz=31, trials=1, seed=0)
+    assert str(search.value) == str(check.value) == f"{2**60} patterns exceeds the guard of {PROFILE_GUARD}"
 
 
 def test_witness_search_success_rate_tracks_bound():

@@ -185,12 +185,46 @@ def test_rref_idempotent_and_mixing_invariant():
 
 
 def test_span_rejects_bad_shapes():
-    with pytest.raises(InputShapeError):
-        Subspace.span(F2, 3, [[1, 0, 1], [1, 0]])  # ragged
-    with pytest.raises(InputShapeError):
-        Subspace.span(F2, 3, [[0, 1, 2]])  # entry outside [0, p)
-    with pytest.raises(InputShapeError):
-        Subspace.span(F3, 2, [[-1, 0]])
+    for make in (Subspace.span, Subspace):
+        with pytest.raises(InputShapeError):
+            make(F2, 3, [[1, 0, 1], [1, 0]])  # ragged
+        with pytest.raises(InputShapeError):
+            make(F2, 3, [[0, 1, 2]])  # entry outside [0, p)
+        with pytest.raises(InputShapeError):
+            make(F3, 2, [[-1, 0]])
+        with pytest.raises(InputShapeError):
+            make(F3, 2, [[1.0, 0]])  # not an int
+        with pytest.raises(InputShapeError):
+            make(F3, -1, [])  # negative ambient dimension
+
+
+@st.composite
+def raw_rows(draw):
+    """Rows as a caller may pass them: random ones plus zero rows and
+    combinations of earlier rows, in shuffled order."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 6))
+    drawn = draw(st.lists(vectors_of(p, n), max_size=3 if p == 5 else 4))
+    rows = list(drawn)
+    for _ in range(draw(st.integers(0, 2))):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(drawn), max_size=len(drawn)))
+        rows.append(tuple(sum(c * row[j] for c, row in zip(coeffs, drawn)) % p for j in range(n)))
+    rows += [(0,) * n] * draw(st.integers(0, 2))
+    return p, n, drawn, draw(st.permutations(rows))
+
+
+@PROPERTY
+@given(raw_rows())
+def test_constructor_makes_any_rows_canonical(case):
+    p, n, drawn, rows = case
+    space = Subspace(GF(p), n, rows)
+    assert space == Subspace.span(GF(p), n, rows)
+    assert space.pivot_cols == tuple(next(j for j, x in enumerate(row) if x) for row in space.basis)
+    # reduced row-echelon form: increasing pivots, each a 1 alone in its column
+    assert list(space.pivot_cols) == sorted(set(space.pivot_cols))
+    for i, j in enumerate(space.pivot_cols):
+        assert [row[j] for row in space.basis] == [int(r == i) for r in range(space.dim)]
+    assert set(space.vectors()) == set(tuple_span(drawn, p, n))
 
 
 def test_span_of_empty_rows_is_zero_space():

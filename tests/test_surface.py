@@ -4,10 +4,14 @@ A removal from ``aqgv.__all__`` has to edit the list below, so it is
 deliberate.  The traced benchmark run wraps module attributes and
 Subspace methods by name; ``perfbench/tracing.py`` is loaded here and its
 hooks installed and removed on the live package, so deleting a name it
-patches fails here rather than in the benchmark.
+patches fails here rather than in the benchmark.  The benchmark's reference
+code, which checks every benchmark output, has its own tests; they run here
+too, as the standalone script they are.
 """
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -86,3 +90,9 @@ def test_trace_hooks_attach_and_detach(workload):
     after = attributes(owners)
     assert after.keys() == before.keys()
     assert all(after[key] is before[key] for key in before), "an attribute was not restored"
+
+
+def test_benchmark_reference_self_tests_pass():
+    script = TRACING.parent / "test_reference.py"
+    proc = subprocess.run([sys.executable, "-B", str(script)], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
