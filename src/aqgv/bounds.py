@@ -14,7 +14,6 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import comb
 
 from .errors import ParameterRangeError
 
@@ -86,12 +85,17 @@ def is_prime_power(q: int) -> bool:
 def ball_sum(n: int, q: int, t: int) -> int:
     """Number of nonzero vectors in GF(q)^n of weight <= t:
     sum_{i=1}^{t} C(n,i) (q-1)^i.  t = 0 gives the empty sum 0.
+    Each term comes from the one before, by C(n,i) = C(n,i-1)(n-i+1)/i.
     """
     if q < 2:
         raise ParameterRangeError(f"q must be >= 2, got {q}")
     if not 0 <= t <= n:
         raise ParameterRangeError(f"need 0 <= t <= n, got t={t}, n={n}")
-    return sum(comb(n, i) * (q - 1) ** i for i in range(1, t + 1))
+    total, term = 0, 1
+    for i in range(1, t + 1):
+        term = term * (n - i + 1) * (q - 1) // i
+        total += term
+    return total
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:

@@ -15,9 +15,11 @@ from __future__ import annotations
 
 import json
 import sys
+from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
+from operator import mul
 from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
@@ -240,6 +242,9 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
              else gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q))
     _guard(pairs, PAIR_GUARD, "{} pairs exceeds the guard of {}")
     _guard(_capped_pow(q, n) - 1, ERROR_TABLE_GUARD, "{} error vectors exceed the tally guard of {}")
+    # each pair walks C1 \ C2 and C2-dual \ C1-dual, within q^k1 + q^(n-k2) vectors
+    walked = pairs * (_capped_pow(q, k1) + _capped_pow(q, n - k2))
+    _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
 
     packing = Packing(q, n)
     units = [1 << (packing.width * j) for j in range(n)]
@@ -384,6 +389,11 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     return NestedPair(c1=c1, c2=Subspace.span(field, n, rows))
 
 
+def _sub(a: Sequence[int], c: int, b: Sequence[int], p: int) -> list[int]:
+    """a - c*b in GF(p)^n."""
+    return [(x - c * y) % p for x, y in zip(a, b)]
+
+
 def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     """A random [[n, k]]_q stabilizer space built by iterated extension:
     repeatedly adjoin a uniform vector from (current dual) \\ (current
@@ -394,20 +404,52 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     basis is equally likely and the draw is uniform over all [[n, k]]_q
     stabilizer spaces (checked over the 15 Lagrangians of GF(2)^4 in the
     tests).
+
+    No dual is rebuilt.  The current space c and its symplectic dual D are
+    held as RREF rows (D's rows in pivot order, from the identity) and
+    updated in place, O((2n)^2) per step.  A draw v is rejected while its
+    residual against c is zero; else the normalized residual joins c, its
+    pivot column cleared from c's other rows.  Then D becomes D meet v-perp:
+    with f(w) = <v, w> on D's rows, the row s of largest pivot with
+    f(s) != 0 is subtracted, times f(w)/f(s), from every other row w with
+    f(w) != 0, and dropped.  Row s is zero before its pivot and at every
+    other pivot, so only s's pivot column (now free) and later columns
+    change: the rows stay RREF, and as the RREF of a space is unique, D is
+    exactly ``c.symplectic_dual()``.  So the rng is called in the same
+    order and the draws are those of a per-step ``symplectic_dual()``.
     """
     field = GF(q)
     if not (n >= 1 and 0 <= k <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k <= n, got {(n, k)}")
     rng = Random(seed)
-    c = Subspace.zero(field, 2 * n)
+    m = 2 * n
+    dual = [[int(i == j) for j in range(m)] for i in range(m)]
+    rows: list[list[int]] = []
+    pivots: list[int] = []
     for _ in range(n - k):
-        dual = c.symplectic_dual()
         while True:
-            v = _combine([rng.randrange(q) for _ in range(dual.dim)], dual.basis, q, 2 * n)
-            if not c.contains(v):
+            v = _combine([rng.randrange(q) for _ in range(len(dual))], dual, q, m)
+            r = list(v)
+            for row, j in zip(rows, pivots):
+                if r[j]:
+                    r = _sub(r, r[j], row, q)
+            if any(r):
                 break
-        c = Subspace.span(field, 2 * n, c.basis + (v,))
-    return IsotropicCode(c=c)
+        j = next(i for i, x in enumerate(r) if x)
+        inv = pow(r[j], q - 2, q)
+        r = [x * inv % q for x in r]
+        rows = [_sub(row, row[j], r, q) if row[j] else row for row in rows]
+        at = bisect(pivots, j)
+        rows.insert(at, r)
+        pivots.insert(at, j)
+
+        twisted = [-x for x in v[n:]] + list(v[:n])   # <v, w> = twisted . w
+        f = [sum(map(mul, twisted, w)) % q for w in dual]
+        s = max(i for i, x in enumerate(f) if x)
+        inv = pow(f[s], q - 2, q)
+        dual = [_sub(w, x * inv, dual[s], q) if x else w
+                for i, (w, x) in enumerate(zip(dual, f)) if i != s]
+    return IsotropicCode(c=Subspace(field, m, rows))
 
 
 @dataclass(frozen=True)

@@ -98,6 +98,13 @@ def test_ball_sum_full_radius_counts_all_nonzero():
             assert ball_sum(n, q, n) == q**n - 1
 
 
+@settings(derandomize=True, deadline=None)
+@given(st.sampled_from([2, 3, 5]), st.integers(0, 60), st.data())
+def test_ball_sum_matches_binomial_sum_property(q, n, data):
+    t = data.draw(st.integers(0, n))
+    assert ball_sum(n, q, t) == sum(math.comb(n, i) * (q - 1) ** i for i in range(1, t + 1))
+
+
 def test_ball_sum_range_errors():
     with pytest.raises(ParameterRangeError):
         ball_sum(5, 2, 6)

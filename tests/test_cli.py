@@ -428,12 +428,13 @@ def test_bound_queries_with_a_huge_prime_q_answer_at_once():
 
 @pytest.mark.parametrize("argv, code_file", [
     ("lemma --q 2 --n 15000 --k1 1 --k2 0", None),
+    ("lemma --q 3 --n 12 --k1 1 --k2 0", None),
     ("lemma --q 2 --n 100000000 --k1 1 --k2 0", None),
     ("lemma --q 3 --n 100000000 --k1 100000000 --k2 1", None),
     ("distances --in {}", {"type": "css", "q": 3, "n": 1000000, "c1": [], "c2": []}),
     ("distances --in {}", {"type": "css", "q": 3, "n": 100000000, "c1": [], "c2": []}),
     ("search css --q 2 --n 1000 --k1 500 --k2 0 --dx 2 --dz 2 --trials 1 --seed 1", None),
-], ids=["lemma-n15000", "lemma-n1e8", "lemma-k1-n1e8", "distances-n1e6", "distances-n1e8", "search-n1000"])
+], ids=["lemma-n15000", "lemma-walk-q3-n12", "lemma-n1e8", "lemma-k1-n1e8", "distances-n1e6", "distances-n1e8", "search-n1000"])
 def test_oversize_inputs_fail_at_once_with_one_line(tmp_path, argv, code_file):
     # each size guard decides before it builds its cost or draws a code
     if code_file is not None:
@@ -444,6 +445,12 @@ def test_oversize_inputs_fail_at_once_with_one_line(tmp_path, argv, code_file):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "exceeds the guard of" in proc.stderr
+
+
+def test_bound_with_a_ball_of_radius_near_n_answers_at_once():
+    argv = "bound css --q 2 --n 20000 --k1 20000 --k2 0 --dx 20000 --dz 2".split()
+    proc = run_python("-m", "aqgv.cli", *argv, timeout=20)
+    assert (proc.returncode, proc.stderr) == (0, "")
 
 
 def test_bound_prints_an_lhs_past_the_int_digit_limit():

@@ -33,6 +33,7 @@ from aqgv.codesearch import (
     _capped_ball,
     _capped_pow,
     _check_distance_size,
+    _combine,
     _walk_difference,
 )
 from aqgv.errors import (
@@ -135,6 +136,11 @@ def test_enumeration_guards():
     pairs = gaussian_binomial(30, 15, 2) * gaussian_binomial(15, 5, 2)
     with pytest.raises(EnumerationSizeError, match=f"^{pairs} pairs exceeds the guard of {PAIR_GUARD}$"):
         enumerate_nested_pairs(30, 2, 15, 5)
+    # pairs and error vectors each pass their guard, but the walks do not
+    walked = (3**12 - 1) // 2 * (3 + 3**12)
+    with pytest.raises(EnumerationSizeError,
+                       match=f"^{walked} walked vectors exceeds the guard of {COSET_GUARD}$"):
+        enumerate_nested_pairs(12, 3, 1, 0)
     with pytest.raises(UnsupportedFieldError):
         enumerate_nested_pairs(3, 4, 2, 1)
     with pytest.raises(ParameterRangeError):
@@ -465,6 +471,37 @@ def test_random_isotropic_code_trivial_k_equals_n():
     code = random_isotropic_code(4, 2, 4, 123)
     assert code.c.dim == 0
     assert code.c == Subspace.zero(F2, 8)
+
+
+def rebuilt_dual_sampler(n, q, k, seed):
+    # Reference for random_isotropic_code: the same draws, with the
+    # symplectic dual rebuilt from c at every step.
+    field = GF(q)
+    rng = random.Random(seed)
+    c = Subspace.zero(field, 2 * n)
+    for _ in range(n - k):
+        dual = c.symplectic_dual()
+        while True:
+            v = _combine([rng.randrange(q) for _ in range(dual.dim)], dual.basis, q, 2 * n)
+            if not c.contains(v):
+                break
+        c = Subspace.span(field, 2 * n, c.basis + (v,))
+    return IsotropicCode(c=c)
+
+
+@PROPERTY
+@given(st.sampled_from([2, 3, 5]), st.integers(1, 8), st.data(), st.integers(0, 2**64))
+def test_sampler_matches_rebuilt_dual_oracle_property(q, n, data, seed):
+    k = data.draw(st.integers(0, n))
+    assert random_isotropic_code(n, q, k, seed).c.basis == rebuilt_dual_sampler(n, q, k, seed).c.basis
+
+
+def test_sampler_rebuilds_no_dual():
+    refuse = AssertionError("a dual was rebuilt")
+    with mock.patch.object(Subspace, "symplectic_dual", side_effect=refuse), \
+            mock.patch.object(Subspace, "dual", side_effect=refuse):
+        code = random_isotropic_code(11, 2, 1, seed=3)
+    assert code.c.dim == 10 and code.stabilizer_dual.contains_space(code.c)
 
 
 def test_sampler_seed_to_basis_is_pinned():
