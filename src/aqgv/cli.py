@@ -19,6 +19,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator
 
 from . import asymptotic, bounds, codesearch
 from .errors import (
@@ -94,20 +95,27 @@ def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
     )
 
 
+_DIMENSIONS = {"css": ("k1", "k2"), "stab": ("k",)}  # family -> its dimension flags
+
+
+def _family_parsers(parser: argparse.ArgumentParser, *flags: str) -> Iterator[_Parser]:
+    """One subparser per family, each requiring --q, --n, the family's
+    dimension flags and then ``flags``, all integers."""
+    sub = parser.add_subparsers(dest="family", required=True, parser_class=_Parser)
+    for family, dims in _DIMENSIONS.items():
+        family_parser = sub.add_parser(family)
+        for flag in ("q", "n", *dims, *flags):
+            family_parser.add_argument(f"--{flag}", type=int, required=True)
+        yield family_parser
+
+
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aqgv", description="GV-type existence bounds for asymmetric quantum codes")
     sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     bound = sub.add_parser("bound", help="evaluate a finite-length bound exactly")
-    bsub = bound.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    bound_css = bsub.add_parser("css")
-    for flag in ("--q", "--n", "--k1", "--k2", "--dx", "--dz"):
-        bound_css.add_argument(flag, type=int, required=True)
-    _add_bound_flags(bound_css)
-    bound_stab = bsub.add_parser("stab")
-    for flag in ("--q", "--n", "--k", "--dx", "--dz"):
-        bound_stab.add_argument(flag, type=int, required=True)
-    _add_bound_flags(bound_stab)
+    for family_parser in _family_parsers(bound, "dx", "dz"):
+        _add_bound_flags(family_parser)
 
     maxk = sub.add_parser("maxk", help="largest feasible k")
     msub = maxk.add_subparsers(dest="family", required=True, parser_class=_Parser)
@@ -135,14 +143,9 @@ def _build_parser() -> _Parser:
     _add_json(lemma)
 
     search = sub.add_parser("search", help="randomized witness search with verification")
-    search.add_argument("kind", choices=("css", "stab"))
-    for flag in ("--q", "--n", "--dx", "--dz", "--trials", "--seed"):
-        search.add_argument(flag, type=int, required=True)
-    search.add_argument("--k1", type=int)
-    search.add_argument("--k2", type=int)
-    search.add_argument("--k", type=int)
-    search.add_argument("--out", help="write the witness code file here")
-    _add_json(search)
+    for family_parser in _family_parsers(search, "dx", "dz", "trials", "seed"):
+        family_parser.add_argument("--out", help="write the witness code file here")
+        _add_json(family_parser)
 
     distances = sub.add_parser("distances", help="verified distances / profile of a code file")
     distances.add_argument("--in", dest="infile", required=True)
@@ -152,12 +155,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_bound(args) -> _Outcome:
+    params = {dim: getattr(args, dim) for dim in _DIMENSIONS[args.family]}
     if args.family == "css":
-        params = {"k1": args.k1, "k2": args.k2}
         report = bounds.css_gv_lhs(bounds.CssBoundQuery(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
         term_join = " + "
     else:
-        params = {"k": args.k}
         report = bounds.stab_gv_lhs(bounds.StabBoundQuery(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
         term_join = " * "
     payload = {
@@ -247,16 +249,9 @@ def _cmd_lemma(args) -> _Outcome:
 
 
 def _cmd_search(args) -> _Outcome:
-    if args.kind == "css":
-        if args.k1 is None or args.k2 is None or args.k is not None:
-            raise _UsageError("search css takes --k1 and --k2 (not --k)")
-        params = {"k1": args.k1, "k2": args.k2}
-    else:
-        if args.k is None or args.k1 is not None or args.k2 is not None:
-            raise _UsageError("search stab takes --k (not --k1/--k2)")
-        params = {"k": args.k}
+    params = {dim: getattr(args, dim) for dim in _DIMENSIONS[args.family]}
     hit = codesearch.gv_witness_search(
-        args.kind,
+        args.family,
         q=args.q,
         n=args.n,
         dx=args.dx,
@@ -266,7 +261,7 @@ def _cmd_search(args) -> _Outcome:
         **params,
     )
     payload = {
-        "kind": args.kind,
+        "kind": args.family,
         "q": args.q,
         "n": args.n,
         "seed": args.seed,

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 import sys
-from bisect import bisect
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -30,7 +29,7 @@ from .errors import (
     InputShapeError,
     ParameterRangeError,
 )
-from .fields import GF, Packing, Subspace, Vec
+from .fields import GF, Packing, Subspace, Vec, symplectic_twist
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
@@ -71,9 +70,10 @@ class IsotropicCode:
     def __post_init__(self) -> None:
         if self.c.ambient_dim % 2:
             raise InputShapeError("stabilizer space needs an even ambient dimension")
-        n, q = self.n, self.q
-        for u, v in combinations(self.c.basis, 2):
-            if sum(u[j] * v[n + j] - u[n + j] * v[j] for j in range(n)) % q:
+        q, basis = self.q, self.c.basis
+        for i, u in enumerate(basis):
+            twisted = symplectic_twist(u, q)
+            if any(sum(map(mul, twisted, v)) % q for v in basis[i + 1:]):
                 raise InputShapeError("generators are not symplectic self-orthogonal")
 
     @cached_property
@@ -405,51 +405,41 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     stabilizer spaces (checked over the 15 Lagrangians of GF(2)^4 in the
     tests).
 
-    No dual is rebuilt.  The current space c and its symplectic dual D are
-    held as RREF rows (D's rows in pivot order, from the identity) and
-    updated in place, O((2n)^2) per step.  A draw v is rejected while its
-    residual against c is zero; else the normalized residual joins c, its
-    pivot column cleared from c's other rows.  Then D becomes D meet v-perp:
-    with f(w) = <v, w> on D's rows, the row s of largest pivot with
-    f(s) != 0 is subtracted, times f(w)/f(s), from every other row w with
-    f(w) != 0, and dropped.  Row s is zero before its pivot and at every
-    other pivot, so only s's pivot column (now free) and later columns
-    change: the rows stay RREF, and as the RREF of a space is unique, D is
-    exactly ``c.symplectic_dual()``.  So the rng is called in the same
-    order and the draws are those of a per-step ``symplectic_dual()``.
+    Only the symplectic dual D of the current space c is held, as RREF
+    rows in pivot order, starting from the identity of GF(q)^{2n}; c is
+    not, because the form is nondegenerate and so c = D^perp.  For a draw
+    v from D, f(w) = <v, w> over D's rows is zero everywhere exactly when
+    v is in D^perp = c: such a draw is rejected, the same decision a
+    residual test against c would make, so the rng is called in the same
+    order.  Else v is kept and D becomes D meet v-perp, O((2n)^2) per
+    step: the row s of largest pivot with f(s) != 0 is subtracted, times
+    f(w)/f(s), from every other row w with f(w) != 0, and dropped.  Row s
+    is zero before its pivot and at every other pivot, so only s's pivot
+    column (now free) and later columns change: the rows stay RREF, and as
+    the RREF of a space is unique, D is exactly ``c.symplectic_dual()``.
+    So the draws are those of a per-step ``symplectic_dual()``.  The kept
+    draws are made canonical once, by the Subspace they span.
     """
     field = GF(q)
     if not (n >= 1 and 0 <= k <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k <= n, got {(n, k)}")
     rng = Random(seed)
     m = 2 * n
-    dual = [[int(i == j) for j in range(m)] for i in range(m)]
-    rows: list[list[int]] = []
-    pivots: list[int] = []
+    dual = [[int(i == j) for j in range(m)] for i in range(m)] if k < n else []
+    gens: list[Vec] = []
     for _ in range(n - k):
         while True:
             v = _combine([rng.randrange(q) for _ in range(len(dual))], dual, q, m)
-            r = list(v)
-            for row, j in zip(rows, pivots):
-                if r[j]:
-                    r = _sub(r, r[j], row, q)
-            if any(r):
+            twisted = symplectic_twist(v, q)
+            f = [sum(map(mul, twisted, w)) % q for w in dual]
+            if any(f):
                 break
-        j = next(i for i, x in enumerate(r) if x)
-        inv = pow(r[j], q - 2, q)
-        r = [x * inv % q for x in r]
-        rows = [_sub(row, row[j], r, q) if row[j] else row for row in rows]
-        at = bisect(pivots, j)
-        rows.insert(at, r)
-        pivots.insert(at, j)
-
-        twisted = [-x for x in v[n:]] + list(v[:n])   # <v, w> = twisted . w
-        f = [sum(map(mul, twisted, w)) % q for w in dual]
+        gens.append(v)
         s = max(i for i, x in enumerate(f) if x)
         inv = pow(f[s], q - 2, q)
         dual = [_sub(w, x * inv, dual[s], q) if x else w
                 for i, (w, x) in enumerate(zip(dual, f)) if i != s]
-    return IsotropicCode(c=Subspace(field, m, rows))
+    return IsotropicCode(c=Subspace(field, m, gens))
 
 
 @dataclass(frozen=True)
@@ -563,8 +553,8 @@ def load_code_file(path: str | Path) -> Union[NestedPair, IsotropicCode]:
     """Load a code from its JSON file form; rows are canonicalized and all
     invariants (entry ranges, nesting, isotropy) re-checked."""
     try:
-        data = json.loads(Path(path).read_text())
-    except json.JSONDecodeError as exc:
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except (ValueError, RecursionError) as exc:   # bad UTF-8, JSON syntax, int digits or nesting
         raise InputShapeError(f"not valid JSON: {exc}") from exc
     if not isinstance(data, dict) or data.get("type") not in ("css", "stab"):
         raise InputShapeError('code file needs "type": "css" or "stab"')

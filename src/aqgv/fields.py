@@ -50,6 +50,14 @@ def weight(v: Sequence[int]) -> int:
     return sum(1 for x in v if x)
 
 
+def symplectic_twist(v: Sequence[int], p: int) -> Vec:
+    """(-b|a) mod p for v = (a|b) with entries in [0, p): the symplectic
+    form <(a|b), (c|d)> = a.d - b.c is the standard product of
+    symplectic_twist(v) with (c|d)."""
+    n = len(v) // 2
+    return tuple([(-x) % p for x in v[n:]] + list(v[:n]))
+
+
 def _rref(mat: list[list[int]], p: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
     """Reduced row echelon form, computed in place; returns (nonzero rows,
     pivot columns)."""
@@ -263,10 +271,5 @@ class Subspace:
         """Dual under <(a|b),(c|d)> = a.d - b.c on GF(p)^{2n}."""
         if self.ambient_dim % 2:
             raise InputShapeError("symplectic dual needs an even ambient dimension")
-        n = self.ambient_dim // 2
-        p = self.field.p
-        # <v, w> = 0 for v = (a|b) is the standard-product condition (-b|a).w = 0.
-        twisted = [
-            tuple((-x) % p for x in row[n:]) + row[:n] for row in self.basis
-        ]
+        twisted = [symplectic_twist(row, self.field.p) for row in self.basis]
         return Subspace.span(self.field, self.ambient_dim, twisted).dual()

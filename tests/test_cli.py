@@ -329,6 +329,8 @@ def test_usage_errors_exit_1(capsys):
         ["lemma", "--q", "2", "--n", "3", "--k1", "2"],
         ["search", "css", "--q", "2", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2",
          "--trials", "100", "--seed", "1", "--threads", "2"],
+        ["search", "stab", "--q", "2", "--n", "8", "--dx", "2", "--dz", "2",
+         "--trials", "5", "--seed", "1", "--k", "1", "--k1", "2"],
     ]
     for argv in bad:
         result = run(argv)
@@ -345,6 +347,14 @@ def test_input_errors_exit_1(tmp_path, capsys):
     huge_q = str(2**61 - 1)
     huge_file = tmp_path / "huge_q.json"
     huge_file.write_text(json.dumps({"type": "stab", "q": 2**61 - 1, "n": 1, "generators": [[1, 0]]}))
+    # undecodable files: bytes that are not UTF-8, an int past the digit
+    # limit, and arrays nested past the recursion limit
+    not_utf8 = tmp_path / "not_utf8.json"
+    not_utf8.write_bytes(b'\xff\xfe{"type": "css"}')
+    long_int = tmp_path / "long_int.json"
+    long_int.write_text('{"type": "stab", "q": ' + "9" * 5000 + "}")
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 10**5 + "]" * 10**5)
     bad = [
         ["bound", "css", "--q", "6", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2"],
         ["bound", "css", "--q", "2", "--n", "12", "--k1", "5", "--k2", "7", "--dx", "2", "--dz", "2"],
@@ -358,6 +368,9 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["frontier", "--q", "2", "--r", "1.5", "--points", "8", "--out", "/tmp/x.csv"],
         ["distances", "--in", "/nonexistent/code.json"],
         ["distances", "--in", str(huge_file)],
+        ["distances", "--in", str(not_utf8)],
+        ["distances", "--in", str(long_int)],
+        ["distances", "--in", str(deep)],
         ["distances", "--in", str(malformed)],
     ]
     for argv in bad:
@@ -445,6 +458,19 @@ def test_oversize_inputs_fail_at_once_with_one_line(tmp_path, argv, code_file):
     assert proc.returncode == 1
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
     assert "exceeds the guard of" in proc.stderr
+
+
+def test_stab_search_at_k_equal_n_builds_no_dual():
+    # k = n draws no generator, so the sampler must not build the
+    # (2n)^2 identity it would start a dual from; 1 GiB caps the child only.
+    argv = "search stab --q 2 --n 10000 --k 10000 --dx 1 --dz 1 --trials 1 --seed 1".split()
+    capped = ("import resource, runpy, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              f"sys.argv = ['aqgv', *{argv!r}]; "
+              "runpy.run_module('aqgv.cli', run_name='__main__')")
+    proc = run_python("-c", capped, timeout=30)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout.startswith("found        yes\n")
 
 
 def test_bound_with_a_ball_of_radius_near_n_answers_at_once():
