@@ -84,10 +84,10 @@ def stab_asymptotic_feasible(q: int, r: float, delta_x: float, delta_z: float) -
     """Whether an [[n, floor(n R), floor(n dx), floor(n dz)]]_q stabilizer
     code exists for all sufficiently large n.
 
-    True iff h_q(delta_x) + h_q(delta_z) < 1 - R.
+    True iff h_q(delta_x) + h_q(delta_z) < 1 - R; decided by
+    css_rate1_interval, so the two verdicts agree at the boundary too.
     """
-    _check_rate("R", r)
-    return entropy_hq(delta_x, q) + entropy_hq(delta_z, q) < 1.0 - r
+    return css_rate1_interval(q, r, delta_x, delta_z) is not None
 
 
 def css_rate1_interval(

@@ -7,6 +7,13 @@ bit-error and phase-error balls on their syndromes, seeded random
 samplers, and the randomized witness search that turns the existence
 argument into actual codes.
 
+The pair enumeration visits every C2 <= C1 with no elimination per pair.
+C1 comes from its canonical RREF generator matrix G1, and C2 = A.G1 for a
+k2-subspace A of GF(q)^k1.  So C1 \\ C2 is {y.G1 : y not in A}.  And x is
+in C2-dual iff G1.x is in A-dual, where x -> G1.x is onto with kernel
+C1-dual: C2-dual \\ C1-dual is the disjoint union of L(y) + C1-dual over y
+in A-dual \\ {0}, the lift L(y) being y placed at C1's pivot columns.
+
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.
 """
@@ -15,6 +22,7 @@ from __future__ import annotations
 
 import json
 import sys
+from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
@@ -29,7 +37,7 @@ from .errors import (
     InputShapeError,
     ParameterRangeError,
 )
-from .fields import GF, Packing, Subspace, Vec, symplectic_twist
+from .fields import GF, Packing, Subspace, Vec, dual_rows, symplectic_twist
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
@@ -180,15 +188,10 @@ def _check_profile_size(q: int, n: int, dx: int, dz: int) -> None:
     _guard(patterns, PROFILE_GUARD, "{} patterns exceeds the guard of {}")
 
 
-def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
-    """Every dim-dimensional subspace of GF(p)^ambient_dim exactly once.
-
-    Enumerates canonical RREF matrices directly: a choice of pivot columns
-    plus arbitrary entries in the free cells.
-    """
-    n, k, q = ambient_dim, dim, field.p
-    if not 0 <= k <= n:
-        raise ParameterRangeError(f"need 0 <= dim <= ambient, got dim={k}, ambient={n}")
+def _rref_matrices(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
+    """(pivots, rows) of every k x n RREF matrix over GF(q), each once: pivot
+    columns plus any entries in the free cells.  These are the canonical
+    bases of the k-subspaces of GF(q)^n, so no elimination is needed."""
     for pivots in combinations(range(n), k):
         pivot_set = set(pivots)
         free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
@@ -198,7 +201,15 @@ def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
                 rows[i][col] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            yield Subspace(field, n, rows)
+            yield pivots, rows
+
+
+def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
+    """Every dim-dimensional subspace of GF(p)^ambient_dim exactly once."""
+    if not 0 <= dim <= ambient_dim:
+        raise ParameterRangeError(f"need 0 <= dim <= ambient, got dim={dim}, ambient={ambient_dim}")
+    for _, rows in _rref_matrices(field.p, ambient_dim, dim):
+        yield Subspace(field, ambient_dim, rows)
 
 
 def _combine(coeffs: Sequence[int], rows: Sequence[Vec], p: int, n: int) -> Vec:
@@ -230,11 +241,21 @@ def _walk_difference(packing: Packing, big: Subspace, small: Subspace) -> Iterat
     )
 
 
+def _coefficient_indices(q: int, k1: int, pivots: Sequence[int], rows: list) -> tuple[list[int], list[int]]:
+    """Indices of GF(q)^k1 \\ A and of A-dual \\ {0}, for A with RREF rows and
+    pivots; y has index sum_j y_j q^j, as in Packing.span."""
+    coeffs = Packing(q, k1)
+    index = {v: i for i, v in enumerate(coeffs.span([1 << coeffs.width * j for j in range(k1)]))}
+    members = set(coeffs.span([coeffs.pack(row) for row in rows]))
+    dual = coeffs.span([coeffs.pack(row) for row in dual_rows(rows, pivots, q, k1)])
+    return [i for v, i in index.items() if v not in members], [index[v] for v in dual[1:]]
+
+
 def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationReport:
     """Visit every nested pair with dim C1 = k1, dim C2 = k2 exactly once and
     tally, for each nonzero error vector, how many pairs fail to detect it
-    as a bit error and as a phase error."""
-    field = GF(q)
+    as a bit error and as a phase error (the walk is in the module doc)."""
+    GF(q)   # the field is checked first, before the dimensions
     if not (n >= 1 and 0 <= k2 <= k1 <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
     e = k1 * (n - k1) + k2 * (k1 - k2)   # there are at least q^e pairs
@@ -248,23 +269,21 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
 
     packing = Packing(q, n)
     units = [1 << (packing.width * j) for j in range(n)]
-    per_x = dict.fromkeys(chain.from_iterable(packing.span_chunks(units, skip=1)), 0)
-    per_z = dict.fromkeys(per_x, 0)
-    total = 0
-    for c1 in iter_subspaces(field, n, k1):
-        c1_dual = c1.dual()
-        for coeff_space in iter_subspaces(field, k1, k2):
-            c2 = Subspace.span(field, n, [_combine(row, c1.basis, q, n) for row in coeff_space.basis])
+    coefficient_spaces = [_coefficient_indices(q, k1, *a) for a in _rref_matrices(q, k1, k2)]
+    per_x, per_z, total = Counter(), Counter(), 0
+    for pivots, rows in _rref_matrices(q, n, k1):
+        span1 = packing.span([packing.pack(row) for row in rows])
+        c1_dual = packing.span([packing.pack(row) for row in dual_rows(rows, pivots, q, n)])
+        lift = packing.span([units[j] for j in pivots])
+        for outside, dual_nonzero in coefficient_spaces:
             total += 1
-            for tally, big, small in ((per_x, c1, c2), (per_z, c2.dual(), c1_dual)):
-                for chunk in _walk_difference(packing, big, small):
-                    for e in chunk:
-                        tally[e] += 1
-    unpack = packing.unpack
+            per_x.update(map(span1.__getitem__, outside))
+            per_z.update(chain.from_iterable(packing.shifted(lift[y], c1_dual) for y in dual_nonzero))
+    unpack, errors = packing.unpack, packing.span(units)[1:]
     return EnumerationReport(
         q=q, n=n, k1=k1, k2=k2, total_pairs=total,
-        per_error_x={unpack(e): c for e, c in per_x.items()},
-        per_error_z={unpack(e): c for e, c in per_z.items()},
+        per_error_x={unpack(e): per_x[e] for e in errors},
+        per_error_z={unpack(e): per_z[e] for e in errors},
     )
 
 

@@ -39,11 +39,6 @@ class GF:
                 f"field order must be a prime in [2, {MAX_PRIME}], got {p!r}"
             )
 
-    def inv(self, a: int) -> int:
-        if a % self.p == 0:
-            raise ZeroDivisionError("no inverse of 0 in GF(p)")
-        return pow(a, self.p - 2, self.p)
-
 
 def weight(v: Sequence[int]) -> int:
     """Hamming weight: number of nonzero entries."""
@@ -82,6 +77,19 @@ def _rref(mat: list[list[int]], p: int) -> tuple[tuple[Vec, ...], tuple[int, ...
         if r == len(mat):
             break
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+def dual_rows(basis: Sequence[Sequence[int]], pivots: Sequence[int], p: int, n: int) -> list[list[int]]:
+    """The parity-check rows of an RREF basis, a basis of its dual: per free
+    column f, 1 at f and -basis[i][f] at pivots[i]."""
+    rows = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [0] * n
+        x[f] = 1
+        for row, j in zip(basis, pivots):
+            x[j] = (-row[f]) % p
+        rows.append(x)
+    return rows
 
 
 class Packing:
@@ -210,17 +218,6 @@ class Subspace:
         """Row space of ``rows``; the same as ``Subspace(field, ambient_dim, rows)``."""
         return cls(field, ambient_dim, rows)
 
-    @classmethod
-    def zero(cls, field: GF, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, ())
-
-    @classmethod
-    def full(cls, field: GF, ambient_dim: int) -> "Subspace":
-        rows = tuple(
-            tuple(1 if j == i else 0 for j in range(ambient_dim)) for i in range(ambient_dim)
-        )
-        return cls(field, ambient_dim, rows)
-
     @property
     def dim(self) -> int:
         return len(self.basis)
@@ -245,26 +242,9 @@ class Subspace:
             raise InputShapeError("subspaces live in different ambient spaces")
         return all(self.contains(row) for row in other.basis)
 
-    def vectors(self) -> Iterator[Vec]:
-        """All q^dim member vectors, zero included, the first basis row
-        varying fastest."""
-        packing = Packing(self.field.p, self.ambient_dim)
-        for chunk in packing.span_chunks([packing.pack(row) for row in self.basis]):
-            yield from map(packing.unpack, chunk)
-
     def dual(self) -> "Subspace":
         """Dual code under the standard inner product sum(v_i * c_i) mod p."""
-        p = self.field.p
-        pivots = set(self.pivot_cols)
-        rows: list[list[int]] = []
-        for f in range(self.ambient_dim):
-            if f in pivots:
-                continue
-            x = [0] * self.ambient_dim
-            x[f] = 1
-            for row, j in zip(self.basis, self.pivot_cols):
-                x[j] = (-row[f]) % p
-            rows.append(x)
+        rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
         return Subspace.span(self.field, self.ambient_dim, rows)
 
     def symplectic_dual(self) -> "Subspace":

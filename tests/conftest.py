@@ -1,7 +1,7 @@
 import pytest
 
 from aqgv.codesearch import IsotropicCode, NestedPair
-from aqgv.fields import GF, Subspace
+from aqgv.fields import GF, Packing, Subspace
 
 # Cyclic XZZXI generators of the [[5,1,3]] code, written as (x|z) rows.
 FIVE_QUBIT_GENERATORS = (
@@ -19,6 +19,22 @@ HAMMING_7_4_ROWS = (
     (0, 0, 1, 0, 1, 1, 0),
     (0, 0, 0, 1, 1, 1, 1),
 )
+
+
+def zero_space(field: GF, n: int) -> Subspace:
+    return Subspace(field, n, ())
+
+
+def full_space(field: GF, n: int) -> Subspace:
+    return Subspace(field, n, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def members(space: Subspace):
+    """All q^dim member vectors of space as tuples, zero included, the
+    first basis row varying fastest."""
+    packing = Packing(space.field.p, space.ambient_dim)
+    for chunk in packing.span_chunks([packing.pack(row) for row in space.basis]):
+        yield from map(packing.unpack, chunk)
 
 
 @pytest.fixture(scope="session")

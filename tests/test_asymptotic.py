@@ -1,4 +1,5 @@
 import io
+import math
 import random
 
 import pytest
@@ -163,6 +164,28 @@ def test_rate1_interval_iff_stab_feasible_off_boundary():
         if interval is not None:
             lo, hi = interval
             assert r <= lo < hi <= 1.0
+
+
+def test_rate1_interval_iff_stab_feasible_on_boundary():
+    # delta_z on the stabilizer boundary, h_q(delta_x) + h_q(delta_z) = 1 - r,
+    # and its float neighbours: the two verdicts are one comparison
+    q, r, dx, dz = 7, 0.46217857291304865, 0.16757242376170972, 0.051309353718735635
+    assert (css_rate1_interval(q, r, dx, dz) is not None) == stab_asymptotic_feasible(q, r, dx, dz)
+    rng = random.Random(808)
+    checked = 0
+    while checked < 3000:
+        q = rng.choice((2, 3, 5, 7))
+        dmax = 1 - 1 / q
+        r = rng.random()
+        dx = rng.uniform(0, dmax)
+        budget = 1 - r - entropy_hq(dx, q)
+        if budget < 0:
+            continue
+        dz = hq_inverse(budget, q)
+        for near in (math.nextafter(dz, 0.0), dz, min(math.nextafter(dz, 1.0), dmax)):
+            checked += 1
+            interval = css_rate1_interval(q, r, dx, near)
+            assert (interval is not None) == stab_asymptotic_feasible(q, r, dx, near)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import combinations, product
+from itertools import chain, combinations, product
 from unittest import mock
 
 import pytest
@@ -33,6 +33,7 @@ from aqgv.codesearch import (
     _capped_ball,
     _capped_pow,
     _check_distance_size,
+    _coefficient_indices,
     _combine,
     _walk_difference,
 )
@@ -42,7 +43,8 @@ from aqgv.errors import (
     ParameterRangeError,
     UnsupportedFieldError,
 )
-from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, weight
+from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, dual_rows, weight
+from conftest import full_space, members, zero_space
 
 F2 = GF(2)
 F3 = GF(3)
@@ -105,6 +107,69 @@ def test_enumeration_identities_exact(q, n, k1, k2):
     assert Fraction((q ** (n - k2) - q ** (n - k1)) * report.total_pairs, denom) == z
 
 
+def per_pair_subspace_oracle(n, q, k1, k2):
+    """(total pairs, per-error bit tally, per-error phase tally), the slow
+    way: every C2 is spanned and reduced, and its dual taken, pair by pair;
+    both difference sets are walked with _walk_difference."""
+    field = GF(q)
+    packing = Packing(q, n)
+    units = [1 << (packing.width * j) for j in range(n)]
+    per_x = dict.fromkeys(chain.from_iterable(packing.span_chunks(units, skip=1)), 0)
+    per_z = dict.fromkeys(per_x, 0)
+    total = 0
+    for c1 in iter_subspaces(field, n, k1):
+        c1_dual = c1.dual()
+        for coeff_space in iter_subspaces(field, k1, k2):
+            c2 = Subspace.span(field, n, [_combine(row, c1.basis, q, n) for row in coeff_space.basis])
+            total += 1
+            for tally, big, small in ((per_x, c1, c2), (per_z, c2.dual(), c1_dual)):
+                for chunk in _walk_difference(packing, big, small):
+                    for e in chunk:
+                        tally[e] += 1
+    unpack = packing.unpack
+    return (total, {unpack(e): c for e, c in per_x.items()}, {unpack(e): c for e, c in per_z.items()})
+
+
+@st.composite
+def lemma_dims(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    k1 = draw(st.integers(0, n))
+    return q, n, k1, draw(st.integers(0, k1))
+
+
+@settings(PROPERTY, max_examples=60)
+@given(lemma_dims())
+def test_enumeration_matches_per_pair_subspace_oracle(dims):
+    q, n, k1, k2 = dims
+    report = enumerate_nested_pairs(n, q, k1, k2)
+    total, per_x, per_z = per_pair_subspace_oracle(n, q, k1, k2)
+    assert report.total_pairs == total
+    assert report.per_error_x == per_x
+    assert report.per_error_z == per_z
+
+
+@pytest.mark.parametrize("q,n,k1,k2,seed", [
+    (2, 6, 3, 1, 1), (2, 5, 4, 2, 2), (3, 4, 2, 1, 3), (3, 5, 3, 0, 4), (5, 3, 2, 1, 5), (2, 4, 4, 1, 6),
+])
+def test_pair_difference_sets_from_c1_spans_and_coefficient_indices(q, n, k1, k2, seed):
+    # C1 \ C2 = {y.G1 : y outside A}, and C2-dual = C1-dual (+) L(A-dual) with
+    # the cosets disjoint, against Subspace.dual() of a random pair
+    pair = random_nested_pair(n, q, k1, k2, seed)
+    c1, c2 = pair.c1, pair.c2
+    # C1 is RREF, so a codeword's coordinates in C1's basis are its pivot entries
+    a = Subspace(GF(q), k1, [[row[j] for j in c1.pivot_cols] for row in c2.basis])
+    outside, a_dual_nonzero = _coefficient_indices(q, k1, a.pivot_cols, [list(row) for row in a.basis])
+    packing = Packing(q, n)
+    span1 = packing.span([packing.pack(row) for row in c1.basis])
+    c1_dual = packing.span([packing.pack(row) for row in dual_rows(c1.basis, c1.pivot_cols, q, n)])
+    lift = packing.span([1 << packing.width * j for j in c1.pivot_cols])
+    assert sorted(packing.unpack(span1[i]) for i in outside) == sorted(set(members(c1)) - set(members(c2)))
+    assert {packing.unpack(x) for x in c1_dual} == set(members(c1.dual()))
+    cosets = [packing.unpack(x) for y in a_dual_nonzero for x in packing.shifted(lift[y], c1_dual)]
+    assert sorted(cosets) == sorted(set(members(c2.dual())) - set(members(c1.dual())))
+
+
 @pytest.mark.parametrize("q,n,k,spaces,undetected", [(2, 3, 1, 315, 60), (3, 2, 1, 40, 12)])
 def test_stabilizer_identities_exact(q, n, k, spaces, undetected):
     # The stabilizer counting identity, by enumeration: over all [[n, k]]_q
@@ -126,7 +191,7 @@ def test_stabilizer_identities_exact(q, n, k, spaces, undetected):
     tally = dict.fromkeys(product(range(q), repeat=2 * n), 0)
     del tally[(0,) * (2 * n)]
     for c in isotropic:
-        for e in set(c.symplectic_dual().vectors()) - set(c.vectors()):
+        for e in set(members(c.symplectic_dual())) - set(members(c)):
             tally[e] += 1
     per_error = Fraction(total * (q ** (n + k) - q ** (n - k)), q ** (2 * n) - 1)
     assert set(tally.values()) == {per_error} == {undetected}
@@ -172,11 +237,11 @@ def test_guards_decide_huge_costs_without_building_them():
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceed the tally"):
         enumerate_nested_pairs(10**8, 3, 10**8, 10**8)
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more codewords exceeds"):
-        css_distances(NestedPair(c1=Subspace.zero(F3, 10**8), c2=Subspace.zero(F3, 10**8)))
+        css_distances(NestedPair(c1=zero_space(F3, 10**8), c2=zero_space(F3, 10**8)))
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceeds"):
-        stab_profile_matrix(IsotropicCode(c=Subspace.zero(F3, 2 * 10**8)))
+        stab_profile_matrix(IsotropicCode(c=zero_space(F3, 2 * 10**8)))
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more patterns exceeds"):
-        stab_detects_profile(IsotropicCode(c=Subspace.zero(F3, 2 * 10**8)), 10**8, 10**8)
+        stab_detects_profile(IsotropicCode(c=zero_space(F3, 2 * 10**8)), 10**8, 10**8)
 
 
 # ---------------------------------------------------------------------------
@@ -190,7 +255,7 @@ def test_steane_ingredient_distances(steane_pair):
 def test_distances_repetition_example():
     pair = NestedPair(
         c1=Subspace.span(F2, 3, [[1, 1, 1]]),
-        c2=Subspace.zero(F2, 3),
+        c2=zero_space(F2, 3),
     )
     assert css_distances(pair) == DistancePair(dx=3, dz=1)
 
@@ -244,7 +309,7 @@ def test_distances_match_oracle_property(shape, chunk):
 def test_distances_walk_does_not_stop_before_the_minimum():
     # The walk visits (1,1,0) before (0,0,1); split into one-vector lists,
     # the early exit must still wait for weight 1.
-    pair = NestedPair(c1=Subspace.span(F2, 3, [[1, 1, 0], [0, 0, 1]]), c2=Subspace.zero(F2, 3))
+    pair = NestedPair(c1=Subspace.span(F2, 3, [[1, 1, 0], [0, 0, 1]]), c2=zero_space(F2, 3))
     for chunk in (1, SPAN_CHUNK):
         with mock.patch.object(fields, "SPAN_CHUNK", chunk):
             assert css_distances(pair) == DistancePair(dx=1, dz=1)
@@ -254,7 +319,7 @@ def test_distances_when_small_space_exceeds_one_chunk():
     # C2 (even weight, 2^17 words) is larger than one materialized list.
     n = 18
     even = Subspace.span(F2, n, [[1] + [int(i == j) for i in range(1, n)] for j in range(1, n)])
-    pair = NestedPair(c1=Subspace.full(F2, n), c2=even)
+    pair = NestedPair(c1=full_space(F2, n), c2=even)
     assert css_distances(pair) == DistancePair(dx=1, dz=n)
     chunks = list(_walk_difference(Packing(2, n), pair.c1, pair.c2))
     assert all(len(chunk) <= SPAN_CHUNK for chunk in chunks)
@@ -264,7 +329,7 @@ def test_distances_when_small_space_exceeds_one_chunk():
 
 
 def test_distances_guard():
-    pair = NestedPair(c1=Subspace.full(F2, 30), c2=Subspace.zero(F2, 30))
+    pair = NestedPair(c1=full_space(F2, 30), c2=zero_space(F2, 30))
     with pytest.raises(EnumerationSizeError):
         css_distances(pair)
 
@@ -340,13 +405,13 @@ def test_five_qubit_profiles(five_qubit):
 def test_profile_guard_and_ranges(five_qubit):
     with pytest.raises(ParameterRangeError):
         stab_detects_profile(five_qubit, 7, 1)
-    big = IsotropicCode(c=Subspace.zero(F2, 60))
+    big = IsotropicCode(c=zero_space(F2, 60))
     with pytest.raises(EnumerationSizeError):
         stab_detects_profile(big, 31, 31)
     # [[14, 14]]: 2^28 - 1 undetectable errors to walk
     assert 2**28 - 1 > COSET_GUARD
     with pytest.raises(EnumerationSizeError):
-        stab_profile_matrix(IsotropicCode(c=Subspace.zero(F2, 28)))
+        stab_profile_matrix(IsotropicCode(c=zero_space(F2, 28)))
 
 
 def test_profile_matrix_consistent_and_monotone(five_qubit):
@@ -395,7 +460,7 @@ def test_isotropic_code_rejects_non_isotropic():
     with pytest.raises(InputShapeError):
         IsotropicCode(c=Subspace.span(F2, 4, [[1, 0, 0, 0], [0, 0, 1, 0]]))
     with pytest.raises(InputShapeError):
-        IsotropicCode(c=Subspace.zero(F2, 5))  # odd ambient
+        IsotropicCode(c=zero_space(F2, 5))  # odd ambient
 
 
 # ---------------------------------------------------------------------------
@@ -470,7 +535,7 @@ def test_random_isotropic_code_invariants():
 def test_random_isotropic_code_trivial_k_equals_n():
     code = random_isotropic_code(4, 2, 4, 123)
     assert code.c.dim == 0
-    assert code.c == Subspace.zero(F2, 8)
+    assert code.c == zero_space(F2, 8)
 
 
 def rebuilt_dual_sampler(n, q, k, seed):
@@ -478,7 +543,7 @@ def rebuilt_dual_sampler(n, q, k, seed):
     # symplectic dual rebuilt from c at every step.
     field = GF(q)
     rng = random.Random(seed)
-    c = Subspace.zero(field, 2 * n)
+    c = zero_space(field, 2 * n)
     for _ in range(n - k):
         dual = c.symplectic_dual()
         while True:
@@ -580,14 +645,14 @@ def test_witness_search_argument_validation():
 def test_witness_search_applies_its_checks_guard_before_drawing():
     # the same error as the check's own, before any code is sampled
     with pytest.raises(EnumerationSizeError) as check:
-        css_distances(NestedPair(c1=Subspace.full(F2, 30), c2=Subspace.zero(F2, 30)))
+        css_distances(NestedPair(c1=full_space(F2, 30), c2=zero_space(F2, 30)))
     with pytest.raises(EnumerationSizeError) as search, \
             mock.patch("aqgv.codesearch.random_nested_pair", side_effect=AssertionError("drew")):
         gv_witness_search("css", q=2, n=30, k1=30, k2=0, dx=1, dz=1, trials=1, seed=0)
     assert str(search.value) == str(check.value) == f"{2**30 + 2**30} codewords exceeds the guard of {COSET_GUARD}"
 
     with pytest.raises(EnumerationSizeError) as check:
-        stab_detects_profile(IsotropicCode(c=Subspace.zero(F2, 60)), 31, 31)
+        stab_detects_profile(IsotropicCode(c=zero_space(F2, 60)), 31, 31)
     with pytest.raises(EnumerationSizeError) as search, \
             mock.patch("aqgv.codesearch.random_isotropic_code", side_effect=AssertionError("drew")):
         gv_witness_search("stab", q=2, n=30, k=30, dx=31, dz=31, trials=1, seed=0)
