@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import decimal
 import math
+import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
@@ -127,11 +128,13 @@ def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:
 
 def check_ranges(q: int, n: int, dx: int, dz: int) -> None:
     """The ranges every bound and profile check shares: q a prime power,
-    n >= 1 and design distances 1 <= dx, dz <= n+1."""
+    1 <= n <= sys.maxsize and design distances 1 <= dx, dz <= n+1."""
     if not is_prime_power(q):
         raise ParameterRangeError(f"q must be a prime power >= 2, got {q}")
     if n < 1:
         raise ParameterRangeError(f"n must be >= 1, got {n}")
+    if n > sys.maxsize:
+        raise ParameterRangeError(f"n must be at most sys.maxsize = {sys.maxsize}: no sequence is longer")
     for name, d in (("dx", dx), ("dz", dz)):
         if not 1 <= d <= n + 1:
             raise ParameterRangeError(f"need 1 <= {name} <= n+1, got {d}")

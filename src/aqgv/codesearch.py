@@ -15,7 +15,7 @@ C1-dual: C2-dual \\ C1-dual is the disjoint union of L(y) + C1-dual over y
 in A-dual \\ {0}, the lift L(y) being y placed at C1's pivot columns.
 
 All enumerations are guarded; this module is for desk-scale verification,
-not scalability.
+not scalability.  Its GF(p) arithmetic and packed layout are all in fields.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain, combinations, product
-from operator import mul
 from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
@@ -37,7 +36,7 @@ from .errors import (
     InputShapeError,
     ParameterRangeError,
 )
-from .fields import GF, Packing, Subspace, Vec, dual_rows, symplectic_twist
+from .fields import GF, Packing, Subspace, Vec, combine, dual_rows, inverse, sub, symplectic_products
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
@@ -76,12 +75,11 @@ class IsotropicCode:
     c: Subspace
 
     def __post_init__(self) -> None:
-        if self.c.ambient_dim % 2:
+        if self.c.ambient_dim != 2 * self.n:
             raise InputShapeError("stabilizer space needs an even ambient dimension")
         q, basis = self.q, self.c.basis
         for i, u in enumerate(basis):
-            twisted = symplectic_twist(u, q)
-            if any(sum(map(mul, twisted, v)) % q for v in basis[i + 1:]):
+            if any(symplectic_products(u, basis[i + 1:], q)):
                 raise InputShapeError("generators are not symplectic self-orthogonal")
 
     @cached_property
@@ -212,16 +210,6 @@ def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
         yield Subspace(field, ambient_dim, rows)
 
 
-def _combine(coeffs: Sequence[int], rows: Sequence[Vec], p: int, n: int) -> Vec:
-    """The combination sum_i coeffs[i] * rows[i] in GF(p)^n."""
-    acc = [0] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            for j, x in enumerate(row):
-                acc[j] += c * x
-    return tuple(a % p for a in acc)
-
-
 def _walk_difference(packing: Packing, big: Subspace, small: Subspace) -> Iterator[list[int]]:
     """Every vector of big \\ small (assumes small <= big) once, packed, in
     lists of at most SPAN_CHUNK; never yields zero.
@@ -245,7 +233,7 @@ def _coefficient_indices(q: int, k1: int, pivots: Sequence[int], rows: list) -> 
     """Indices of GF(q)^k1 \\ A and of A-dual \\ {0}, for A with RREF rows and
     pivots; y has index sum_j y_j q^j, as in Packing.span."""
     coeffs = Packing(q, k1)
-    index = {v: i for i, v in enumerate(coeffs.span([1 << coeffs.width * j for j in range(k1)]))}
+    index = {v: i for i, v in enumerate(coeffs.span([coeffs.unit(j) for j in range(k1)]))}
     members = set(coeffs.span([coeffs.pack(row) for row in rows]))
     dual = coeffs.span([coeffs.pack(row) for row in dual_rows(rows, pivots, q, k1)])
     return [i for v, i in index.items() if v not in members], [index[v] for v in dual[1:]]
@@ -268,7 +256,7 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
 
     packing = Packing(q, n)
-    units = [1 << (packing.width * j) for j in range(n)]
+    units = [packing.unit(j) for j in range(n)]
     coefficient_spaces = [_coefficient_indices(q, k1, *a) for a in _rref_matrices(q, k1, k2)]
     per_x, per_z, total = Counter(), Counter(), 0
     for pivots, rows in _rref_matrices(q, n, k1):
@@ -312,10 +300,10 @@ def css_distances(pair: NestedPair) -> DistancePair:
 def _ball(syn: Packing, vecs: Packing, cols: list[list[int]], t: int) -> Iterator[tuple[int, int, int]]:
     """(vector, syndrome, next free coordinate) for each vector of weight <= t,
     packed by ``vecs`` and ``syn``.  The syndrome of v is sum_j v_j * cols[j];
-    each vector extends a lighter one, at the cost of one syndrome add."""
-    q = syn.p
+    each vector extends a lighter one by a nonzero multiple of (e_j, cols[j]),
+    at the cost of one syndrome add."""
     steps = [
-        [(c << vecs.width * j, syn.pack([c * x % q for x in col])) for c in range(1, q)]
+        list(zip(vecs.span([vecs.unit(j)])[1:], syn.span([syn.pack(col)])[1:]))
         for j, col in enumerate(cols)
     ]
     level = [(0, 0, 0)]
@@ -364,13 +352,12 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     undetectable = _capped_pow(q, n - k) * (_capped_pow(q, 2 * k) - 1)   # q^(n+k) - q^(n-k)
     _guard(undetectable, COSET_GUARD, "{} error vectors exceeds the guard of {}")
     packing = Packing(q, 2 * n)
-    half = n * packing.width
-    x_mask = (1 << half) - 1
+    x_half = next(packing.supports([packing.pack([1] * n)]))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx
     for chunk in _walk_difference(packing, code.stabilizer_dual, code.c):
         for support in packing.supports(chunk):
-            wx = (support & x_mask).bit_count()
-            wz = (support >> half).bit_count()
+            wx = (support & x_half).bit_count()
+            wz = support.bit_count() - wx
             if wz < least_wz[wx]:
                 least_wz[wx] = wz
     matrix = []
@@ -404,13 +391,8 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     rng = Random(seed)
     c1 = _random_full_rank(rng, field, k1, n)
     coeffs = _random_full_rank(rng, field, k2, k1)   # its basis spans the same rows as the draw
-    rows = [_combine(row, c1.basis, q, n) for row in coeffs.basis]
+    rows = [combine(row, c1.basis, q, n) for row in coeffs.basis]
     return NestedPair(c1=c1, c2=Subspace.span(field, n, rows))
-
-
-def _sub(a: Sequence[int], c: int, b: Sequence[int], p: int) -> list[int]:
-    """a - c*b in GF(p)^n."""
-    return [(x - c * y) % p for x, y in zip(a, b)]
 
 
 def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
@@ -448,15 +430,14 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     gens: list[Vec] = []
     for _ in range(n - k):
         while True:
-            v = _combine([rng.randrange(q) for _ in range(len(dual))], dual, q, m)
-            twisted = symplectic_twist(v, q)
-            f = [sum(map(mul, twisted, w)) % q for w in dual]
+            v = combine([rng.randrange(q) for _ in range(len(dual))], dual, q, m)
+            f = symplectic_products(v, dual, q)
             if any(f):
                 break
         gens.append(v)
         s = max(i for i, x in enumerate(f) if x)
-        inv = pow(f[s], q - 2, q)
-        dual = [_sub(w, x * inv, dual[s], q) if x else w
+        scaled = combine([inverse(f[s], q)], [dual[s]], q, m)   # f(scaled) = 1
+        dual = [sub(w, x, scaled, q) if x else w
                 for i, (w, x) in enumerate(zip(dual, f)) if i != s]
     return IsotropicCode(c=Subspace(field, m, gens))
 

@@ -1,4 +1,6 @@
-"""Exact linear algebra over prime fields GF(p).
+"""Exact linear algebra over prime fields GF(p), and the one home of GF(p)
+arithmetic and of the packed vector layout: other modules reduce nothing
+mod p and place no coordinate in a packed int, they call this module.
 
 Vectors in the API are plain tuples of residues in ``[0, p)``.  Building a
 subspace makes its rows canonical: it is held in reduced row-echelon form,
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import islice
+from operator import mul
 from typing import Iterator, Sequence
 
 from .errors import InputShapeError, UnsupportedFieldError
@@ -53,29 +55,50 @@ def symplectic_twist(v: Sequence[int], p: int) -> Vec:
     return tuple([(-x) % p for x in v[n:]] + list(v[:n]))
 
 
-def _rref(mat: list[list[int]], p: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form, computed in place; returns (nonzero rows,
-    pivot columns)."""
-    if not mat:
-        return (), ()
-    ncols = len(mat[0])
+def symplectic_products(v: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> list[int]:
+    """<v, w> = a.d - b.c mod p for v = (a|b) and each w = (c|d) in rows."""
+    twisted = symplectic_twist(v, p)
+    return [sum(map(mul, twisted, w)) % p for w in rows]
+
+
+def inverse(x: int, p: int) -> int:
+    """x^-1 in GF(p), for x in [1, p)."""
+    return pow(x, p - 2, p)
+
+
+def sub(a: Sequence[int], c: int, b: Sequence[int], p: int) -> list[int]:
+    """a - c*b in GF(p)^n."""
+    return [(x - c * y) % p for x, y in zip(a, b)]
+
+
+def combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], p: int, n: int) -> Vec:
+    """The combination sum_i coeffs[i] * rows[i] in GF(p)^n."""
+    acc = [0] * n
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * x for a, x in zip(acc, row)]
+    return tuple([a % p for a in acc])
+
+
+def _rref(mat: list[list[int]], p: int, ncols: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
+    """Reduced row echelon form of rows of length ncols, computed in place;
+    returns (nonzero rows, pivot columns)."""
     pivots: list[int] = []
     r = 0
     for col in range(ncols):
+        if r == len(mat):
+            break
         pr = next((i for i in range(r, len(mat)) if mat[i][col]), None)
         if pr is None:
             continue
         mat[r], mat[pr] = mat[pr], mat[r]
-        inv = pow(mat[r][col], p - 2, p)
+        inv = inverse(mat[r][col], p)
         mat[r] = [(inv * x) % p for x in mat[r]]
         for i in range(len(mat)):
             if i != r and mat[i][col]:
-                c = mat[i][col]
-                mat[i] = [(a - c * b) % p for a, b in zip(mat[i], mat[r])]
+                mat[i] = sub(mat[i], mat[i][col], mat[r], p)
         pivots.append(col)
         r += 1
-        if r == len(mat):
-            break
     return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
 
 
@@ -113,6 +136,10 @@ class Packing:
         self._wrap = (top - p) * ones
         self._top = top * ones
         self._nonzero = (top - 1) * ones
+
+    def unit(self, j: int) -> int:
+        """The j-th unit vector, packed."""
+        return 1 << self.width * j
 
     def pack(self, v: Sequence[int]) -> int:
         b = self.width
@@ -157,28 +184,18 @@ class Packing:
                 out.extend(block)
         return out
 
-    def _lazy_span(self, rows: Sequence[int]) -> Iterator[int]:
-        """span(rows) in the same order, lazily."""
-        if not rows:
-            yield 0
-            return
-        head = rows[0]
-        for x in self._lazy_span(rows[1:]):
-            yield x
-            for _ in range(self.p - 1):
-                x = self.add(x, head)
-                yield x
-
     def span_chunks(self, rows: Sequence[int], skip: int = 0) -> Iterator[list[int]]:
         """span(rows) after its first ``skip`` vectors, in lists of at most
         SPAN_CHUNK: the span of the leading rows is materialized once and
-        shifted by each combination of the remaining rows in turn."""
+        shifted by each combination of the remaining rows, listed up front:
+        callers walk at most codesearch.COSET_GUARD = 2^26 vectors, and when
+        rows remain the inner span has >= 41^2 (p = 41), so that is <= ~40k."""
         inner_rows = 0
         while inner_rows < len(rows) and self.p ** (inner_rows + 1) <= SPAN_CHUNK:
             inner_rows += 1
         inner = self.span(rows[:inner_rows])
         first, cut = divmod(skip, len(inner))
-        for offset in islice(self._lazy_span(rows[inner_rows:]), first, None):
+        for offset in self.span(rows[inner_rows:])[first:]:
             yield self.shifted(offset, inner[cut:]) if offset else inner[cut:]
             cut = 0
 
@@ -209,7 +226,7 @@ class Subspace:
                 raise InputShapeError(f"row length {len(row)} differs from ambient dimension {n}")
             if any(not isinstance(x, int) or not (0 <= x < p) for x in row):
                 raise InputShapeError(f"entries must be integer residues in [0, {p})")
-        basis, pivots = _rref(rows, p)
+        basis, pivots = _rref(rows, p, n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivot_cols", pivots)
 
@@ -223,16 +240,12 @@ class Subspace:
         return len(self.basis)
 
     def reduce(self, v: Sequence[int]) -> Vec:
-        """Residual of v after elimination against the basis; zero iff v is a member."""
+        """Residual of v after elimination against the basis, zero iff v is a
+        member: each RREF row is subtracted v[its pivot] times."""
         if len(v) != self.ambient_dim:
             raise InputShapeError("vector length differs from ambient dimension")
-        p = self.field.p
-        out = [x % p for x in v]
-        for row, j in zip(self.basis, self.pivot_cols):
-            c = out[j]
-            if c:
-                out = [(a - c * b) % p for a, b in zip(out, row)]
-        return tuple(out)
+        coeffs = [1] + [-v[j] for j in self.pivot_cols]
+        return combine(coeffs, [v, *self.basis], self.field.p, self.ambient_dim)
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))

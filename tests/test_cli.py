@@ -371,6 +371,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["distances", "--in", str(not_utf8)],
         ["distances", "--in", str(long_int)],
         ["distances", "--in", str(deep)],
+        # n past sys.maxsize: no sequence is that long, and range(1, n + 1) cannot be built
+        ["maxk", "stab", "--q", "2", "--n", "12157665459056928801", "--dx", "3", "--dz", "3"],
         ["distances", "--in", str(malformed)],
     ]
     for argv in bad:
@@ -379,6 +381,14 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert result.exit_code == 1 and result.status == "error", argv
         assert captured.err.strip() and captured.err.count("\n") == 1, argv
     assert captured.err == 'error: css code file needs "c1" as a list of integer rows\n'
+    # without the refusal these build q**n and never finish, so they run in a child under a timeout
+    for argv in (
+        "bound css --q 2 --n 12157665459056928801 --k1 7 --k2 5 --dx 3 --dz 3",
+        "best css --q 2 --n 12157665459056928801 --dx 3 --dz 3",
+    ):
+        proc = run_python("-m", "aqgv.cli", *argv.split(), timeout=20)
+        assert proc.returncode == 1, argv
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 # ---------------------------------------------------------------------------

@@ -34,7 +34,6 @@ from aqgv.codesearch import (
     _capped_pow,
     _check_distance_size,
     _coefficient_indices,
-    _combine,
     _walk_difference,
 )
 from aqgv.errors import (
@@ -43,7 +42,7 @@ from aqgv.errors import (
     ParameterRangeError,
     UnsupportedFieldError,
 )
-from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, dual_rows, weight
+from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, combine, dual_rows, weight
 from conftest import full_space, members, zero_space
 
 F2 = GF(2)
@@ -120,7 +119,7 @@ def per_pair_subspace_oracle(n, q, k1, k2):
     for c1 in iter_subspaces(field, n, k1):
         c1_dual = c1.dual()
         for coeff_space in iter_subspaces(field, k1, k2):
-            c2 = Subspace.span(field, n, [_combine(row, c1.basis, q, n) for row in coeff_space.basis])
+            c2 = Subspace.span(field, n, [combine(row, c1.basis, q, n) for row in coeff_space.basis])
             total += 1
             for tally, big, small in ((per_x, c1, c2), (per_z, c2.dual(), c1_dual)):
                 for chunk in _walk_difference(packing, big, small):
@@ -547,7 +546,7 @@ def rebuilt_dual_sampler(n, q, k, seed):
     for _ in range(n - k):
         dual = c.symplectic_dual()
         while True:
-            v = _combine([rng.randrange(q) for _ in range(dual.dim)], dual.basis, q, 2 * n)
+            v = combine([rng.randrange(q) for _ in range(dual.dim)], dual.basis, q, 2 * n)
             if not c.contains(v):
                 break
         c = Subspace.span(field, 2 * n, c.basis + (v,))

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aqgv import fields
 from aqgv.errors import InputShapeError, UnsupportedFieldError
-from aqgv.fields import GF, Packing, Subspace, weight
+from aqgv.fields import GF, Packing, Subspace, symplectic_products, weight
 from conftest import full_space, members, zero_space
 
 F2 = GF(2)
@@ -78,6 +78,7 @@ def test_packed_arithmetic_matches_tuples(case):
     packing = Packing(p, n)
     packed = [packing.pack(v) for v in vs]
     assert [packing.unpack(x) for x in packed] == vs
+    assert [packing.unit(j) for j in range(n)] == [packing.pack([0] * j + [1]) for j in range(n)]
     assert list(packing.weights(packed)) == [weight(v) for v in vs]
     u = vs[0]
     sums = [tuple((a + b) % p for a, b in zip(u, v)) for v in vs]
@@ -300,6 +301,26 @@ def test_symplectic_dual_brute_force():
                 }
                 assert set(members(d)) == expected
                 assert s.dim + d.dim == 2 * n
+
+
+@st.composite
+def symplectic_operands(draw):
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(0, 6))
+    return q, n, draw(vectors_of(q, 2 * n)), draw(st.lists(vectors_of(q, 2 * n), max_size=4))
+
+
+@PROPERTY
+@given(symplectic_operands())
+def test_symplectic_products_match_definition(case):
+    # <(a|b), (c|d)> = a.d - b.c mod q, straight from the definition
+    q, n, v, rows = case
+    a, b = v[:n], v[n:]
+    expected = [
+        (sum(x * y for x, y in zip(a, w[n:])) - sum(x * y for x, y in zip(b, w[:n]))) % q
+        for w in rows
+    ]
+    assert symplectic_products(v, rows, q) == expected
 
 
 def test_symplectic_dual_needs_even_ambient():

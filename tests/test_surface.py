@@ -6,9 +6,11 @@ Subspace methods by name; ``perfbench/tracing.py`` is loaded here and its
 hooks installed and removed on the live package, so deleting a name it
 patches fails here rather than in the benchmark.  The benchmark's reference
 code, which checks every benchmark output, has its own tests; they run here
-too, as the standalone script they are.
+too, as the standalone script they are.  And ``codesearch`` does no GF(p)
+arithmetic and reads no packed layout: those stay behind ``fields``.
 """
 
+import ast
 import importlib.util
 import subprocess
 import sys
@@ -96,3 +98,22 @@ def test_benchmark_reference_self_tests_pass():
     script = TRACING.parent / "test_reference.py"
     proc = subprocess.run([sys.executable, "-B", str(script)], capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_codesearch_leaves_field_arithmetic_and_packed_layout_to_fields():
+    # no reduction mod p, no modular inverse by pow, no bit offsets read off
+    # a Packing, and no symplectic product of its own
+    tree = ast.parse(Path(aqgv.codesearch.__file__).read_text(encoding="utf-8"))
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.BinOp, ast.AugAssign)) and isinstance(node.op, ast.Mod):
+            found.append(("%", node.lineno))
+        elif isinstance(node, ast.Call) and isinstance(node.func, ast.Name) and node.func.id == "pow":
+            found.append(("pow(", node.lineno))
+        elif isinstance(node, ast.Attribute) and node.attr == "width":
+            found.append((".width", node.lineno))
+        elif isinstance(node, ast.Name) and node.id in ("symplectic_twist", "mul"):
+            found.append((node.id, node.lineno))
+        elif isinstance(node, ast.alias) and node.name in ("symplectic_twist", "mul"):
+            found.append((node.name, node.lineno))
+    assert found == []
