@@ -14,9 +14,6 @@ from typing import Iterable, Sequence, TextIO
 
 from .errors import DomainError
 
-_BISECT_STEPS = 100  # interval shrinks to (1 - 1/q) * 2^-100, far below any stated tolerance
-
-
 def _check_q(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise DomainError(f"q must be an integer >= 2, got {q!r}")
@@ -43,12 +40,12 @@ def entropy_hq(delta: float, q: int) -> float:
         return 1.0
     lq = math.log(q)
     return (
-        delta * math.log(q - 1) - delta * math.log(delta) - (1 - delta) * math.log(1 - delta)
+        delta * math.log(q - 1) - delta * math.log(delta) - (1 - delta) * math.log1p(-delta)
     ) / lq
 
 
 def hq_inverse(y: float, q: int) -> float:
-    """The delta in [0, 1 - 1/q] with h_q(delta) = y, by bisection."""
+    """The delta in [0, 1 - 1/q] with h_q(delta) = y, bisected down to adjacent floats."""
     _check_q(q)
     if math.isnan(y) or not 0.0 <= y <= 1.0:
         raise DomainError(f"y must lie in [0, 1], got {y!r}")
@@ -58,13 +55,14 @@ def hq_inverse(y: float, q: int) -> float:
     if y == 1.0:
         return dmax
     lo, hi = 0.0, dmax
-    for _ in range(_BISECT_STEPS):
+    while True:
         mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
         if entropy_hq(mid, q) < y:
             lo = mid
         else:
             hi = mid
-    return (lo + hi) / 2
 
 
 def css_asymptotic_feasible(q: int, r1: float, r2: float, delta_x: float, delta_z: float) -> bool:
@@ -131,14 +129,14 @@ def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[Front
 
 
 def frontier_grid(q: int, num_points: int) -> list[float]:
-    """num_points evenly spaced delta_x values covering [0, 1 - 1/q]."""
+    """num_points evenly spaced delta_x values from 0 to exactly 1 - 1/q."""
     _check_q(q)
     if num_points < 1:
         raise DomainError(f"need at least one grid point, got {num_points}")
     dmax = 1.0 - 1.0 / q
     if num_points == 1:
         return [0.0]
-    return [dmax * i / (num_points - 1) for i in range(num_points)]
+    return [dmax * i / (num_points - 1) for i in range(num_points - 1)] + [dmax]
 
 
 def write_frontier_csv(points: Sequence[FrontierPoint], q: int, out: TextIO) -> None:

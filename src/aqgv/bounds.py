@@ -14,9 +14,10 @@ import sys
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cache
 
-from .errors import ParameterRangeError
+from .errors import EnumerationSizeError, ParameterRangeError
+
+SCAN_GUARD = 2**30  # n^2 * q.bit_length(): bit operations one best_css_params scan may spend
 
 
 def prime_power_base(q: int) -> int | None:
@@ -82,7 +83,6 @@ def is_prime_power(q: int) -> bool:
     return prime_power_base(q) is not None
 
 
-@cache
 def ball_sum(n: int, q: int, t: int) -> int:
     """Number of nonzero vectors in GF(q)^n of weight <= t:
     sum_{i=1}^{t} C(n,i) (q-1)^i.  t = 0 gives the empty sum 0.
@@ -193,18 +193,20 @@ class BoundReport:
         return fraction_decimal_str(self.lhs, digits)
 
 
-def _css_lhs_ints(q: int, n: int, k1: int, k2: int, dx: int, dz: int) -> tuple[tuple[int, int], int]:
-    """The CSS LHS as integers: addends (bit, phase) over one denominator."""
-    bit = (q**k1 - q**k2) * ball_sum(n, q, dx - 1)
-    phase = (q ** (n - k2) - q ** (n - k1)) * ball_sum(n, q, dz - 1)
+def css_lhs_ints(
+    q: int, n: int, k1: int, k2: int, bit_errors: int, phase_errors: int
+) -> tuple[tuple[int, int], int]:
+    """The CSS LHS as integers: addends (bit, phase) over one denominator,
+    each the share of nested pairs that miss one error times its count."""
+    bit = (q**k1 - q**k2) * bit_errors
+    phase = (q ** (n - k2) - q ** (n - k1)) * phase_errors
     return (bit, phase), q**n - 1
 
 
-def _stab_lhs_ints(q: int, n: int, k: int, dx: int, dz: int) -> tuple[tuple[int, int, int], int]:
-    """The stabilizer LHS as integers: factors (ratio, bit ball, phase
-    ball) whose product is the numerator, over the ratio's denominator."""
-    ratio = (q ** (2 * k) - 1) * q ** (n - k)
-    return (ratio, ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)), q ** (2 * n) - 1
+def stab_lhs_ints(q: int, n: int, k: int, patterns: int) -> tuple[int, int]:
+    """The stabilizer LHS as integers, numerator over denominator: the share
+    of stabilizer codes that miss one error times the error patterns."""
+    return (q ** (2 * k) - 1) * q ** (n - k) * patterns, q ** (2 * n) - 1
 
 
 def css_gv_lhs(query: CssBoundQuery) -> BoundReport:
@@ -215,7 +217,8 @@ def css_gv_lhs(query: CssBoundQuery) -> BoundReport:
 
     If lhs < 1, an [[n, k1-k2, dx, dz]]_q CSS code exists.
     """
-    addends, denom = _css_lhs_ints(query.q, query.n, query.k1, query.k2, query.dx, query.dz)
+    balls = (ball_sum(query.n, query.q, d - 1) for d in (query.dx, query.dz))
+    addends, denom = css_lhs_ints(query.q, query.n, query.k1, query.k2, *balls)
     bit_term, phase_term = (Fraction(a, denom) for a in addends)
     return BoundReport(lhs=bit_term + phase_term, terms=(bit_term, phase_term))
 
@@ -230,8 +233,9 @@ def stab_gv_lhs(query: StabBoundQuery) -> BoundReport:
     detect any one fixed error.  If lhs < 1, an [[n, k, dx, dz]]_q
     stabilizer code exists.  ``terms`` holds the three factors.
     """
-    (ratio, bit_ball, phase_ball), denom = _stab_lhs_ints(query.q, query.n, query.k, query.dx, query.dz)
-    terms = (Fraction(ratio, denom), Fraction(bit_ball), Fraction(phase_ball))
+    ratio, denom = stab_lhs_ints(query.q, query.n, query.k, 1)
+    balls = (ball_sum(query.n, query.q, d - 1) for d in (query.dx, query.dz))
+    terms = (Fraction(ratio, denom), *map(Fraction, balls))
     return BoundReport(lhs=terms[0] * terms[1] * terms[2], terms=terms)
 
 
@@ -244,10 +248,11 @@ def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:
     comparisons of numerator against denominator.
     """
     check_ranges(q, n, dx, dz)
+    patterns = ball_sum(n, q, dx - 1) * ball_sum(n, q, dz - 1)
 
     def infeasible(k: int) -> bool:
-        (ratio, bit_ball, phase_ball), denom = _stab_lhs_ints(q, n, k, dx, dz)
-        return ratio * bit_ball * phase_ball >= denom
+        numerator, denom = stab_lhs_ints(q, n, k, patterns)
+        return numerator >= denom
 
     return bisect_left(range(1, n + 1), True, key=infeasible) or None
 
@@ -262,13 +267,18 @@ def best_css_params(n: int, q: int, dx: int, dz: int) -> tuple[int, int] | None:
     A two-pointer scan thus needs one exact integer comparison of
     numerator against denominator per k1: is a net one more than the best
     so far feasible here?  The first k1 to reach a net is the smallest,
-    and its k2 the least.
+    and its k2 the least.  Each comparison costs about n * q.bit_length()
+    bit operations, so the scan refuses n times that above SCAN_GUARD.
     """
     check_ranges(q, n, dx, dz)
+    cost = n * n * q.bit_length()
+    if cost > SCAN_GUARD:
+        raise EnumerationSizeError(f"{cost} scan bit operations exceed the guard of {SCAN_GUARD}")
+    balls = ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)
     best: tuple[int, int] | None = None
     k2 = 0
     for k1 in range(1, n + 1):  # k1 - k2 is one more than the best net so far
-        addends, denom = _css_lhs_ints(q, n, k1, k2, dx, dz)
+        addends, denom = css_lhs_ints(q, n, k1, k2, *balls)
         if sum(addends) < denom:
             best = (k1, k2)
         else:

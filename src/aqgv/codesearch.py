@@ -30,7 +30,7 @@ from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
 
-from .bounds import CssBoundQuery, StabBoundQuery, check_ranges, gaussian_binomial
+from .bounds import CssBoundQuery, StabBoundQuery, check_ranges, css_lhs_ints, gaussian_binomial
 from .errors import (
     EnumerationSizeError,
     InputShapeError,
@@ -124,13 +124,10 @@ class EnumerationReport:
     per_error_z: Mapping[Vec, int]
 
     def expected_counts(self) -> tuple[int, int]:
-        """Per-error counts implied by the counting identities (exact)."""
-        denom = self.q**self.n - 1
-        x, x_rem = divmod((self.q**self.k1 - self.q**self.k2) * self.total_pairs, denom)
-        z, z_rem = divmod(
-            (self.q ** (self.n - self.k2) - self.q ** (self.n - self.k1)) * self.total_pairs,
-            denom,
-        )
+        """Per-error counts implied by the counting identities (exact): the
+        CSS LHS numerators over its denominator, at total_pairs errors each."""
+        addends, denom = css_lhs_ints(self.q, self.n, self.k1, self.k2, self.total_pairs, self.total_pairs)
+        (x, x_rem), (z, z_rem) = (divmod(a, denom) for a in addends)
         if x_rem or z_rem:
             return (-1, -1)  # identities cannot hold
         return (x, z)

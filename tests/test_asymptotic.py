@@ -1,3 +1,4 @@
+import decimal
 import io
 import math
 import random
@@ -62,6 +63,20 @@ def test_entropy_bounded_by_one():
             assert 0.0 <= entropy_hq(dmax * i / 100, q) <= 1.0
 
 
+def test_entropy_matches_decimal_at_small_delta():
+    # the (1-d) log(1-d) term is about -d, as large as the others: it must
+    # not round away at small d
+    for q in (2, 3, 5, 16):
+        for k in range(1, 301):
+            delta = 10.0**-k
+            with decimal.localcontext() as ctx:
+                ctx.prec = 60
+                d = decimal.Decimal(delta)
+                minus_log1m = sum(d**j / j for j in range(1, 80))  # -ln(1 - d) as a series, d <= 0.1
+                h = (d * decimal.Decimal(q - 1).ln() - d * d.ln() + (1 - d) * minus_log1m) / decimal.Decimal(q).ln()
+                assert abs(decimal.Decimal(entropy_hq(delta, q)) / h - 1) < decimal.Decimal("1e-14"), (q, k)
+
+
 # ---------------------------------------------------------------------------
 # inverse entropy
 # ---------------------------------------------------------------------------
@@ -94,6 +109,13 @@ def test_hq_inverse_forward_residual():
         for _ in range(200):
             y = rng.random()
             assert abs(entropy_hq(hq_inverse(y, q), q) - y) < 1e-10
+
+
+def test_hq_inverse_small_y_relative_residual():
+    for q in (2, 3, 5, 16):
+        for k in range(1, 301):
+            y = 10.0**-k
+            assert abs(entropy_hq(hq_inverse(y, q), q) / y - 1) < 1e-14, (q, k)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +240,20 @@ def test_frontier_grid():
     assert frontier_grid(3, 1) == [0.0]
     with pytest.raises(DomainError):
         frontier_grid(2, 0)
+
+
+def test_frontier_grid_ends_at_dmax():
+    # dmax * i / (N - 1) can round past dmax at i = N - 1 (q=5, N=4 gives
+    # 0.8000000000000002), which entropy_hq refuses
+    for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16):
+        dmax = 1 - 1 / q
+        for num_points in range(1, 201):
+            grid = frontier_grid(q, num_points)
+            assert len(grid) == num_points
+            assert all(0.0 <= d <= dmax for d in grid)
+            assert grid[:-1] == [dmax * i / (num_points - 1) for i in range(num_points - 1)]
+            assert grid[-1] == (dmax if num_points > 1 else 0.0)
+            stab_frontier(q, 0.9, grid)
 
 
 def test_frontier_csv_schema():

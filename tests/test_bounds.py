@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from aqgv.asymptotic import entropy_hq
 from aqgv.bounds import (
+    SCAN_GUARD,
     BoundReport,
     CssBoundQuery,
     StabBoundQuery,
@@ -23,7 +24,7 @@ from aqgv.bounds import (
     prime_power_base,
     stab_gv_lhs,
 )
-from aqgv.errors import ParameterRangeError
+from aqgv.errors import EnumerationSizeError, ParameterRangeError
 from aqgv.fields import GF, Subspace
 
 
@@ -295,6 +296,16 @@ def test_best_css_params():
     assert best_css_params(12, 2, 2, 2) == (7, 4)
     assert best_css_params(12, 2, 1, 1) == (12, 0)
     assert best_css_params(4, 2, 3, 3) is None
+
+
+def test_best_css_params_scan_guard():
+    # n^2 * q.bit_length() first passes 2^30 at n = 23171 for q = 2 (two bits)
+    assert 23170**2 * 2 <= SCAN_GUARD < 23171**2 * 2
+    message = f"^{23171**2 * 2} scan bit operations exceed the guard of {SCAN_GUARD}$"
+    with pytest.raises(EnumerationSizeError, match=message):
+        best_css_params(23171, 2, 3, 3)
+    with pytest.raises(EnumerationSizeError):
+        best_css_params(11000, 256, 3, 3)  # nine bits
 
 
 def test_best_css_params_agrees_with_full_scan():

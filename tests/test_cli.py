@@ -303,6 +303,9 @@ PINNED_TABLES = [
      "dx=6  dz_max=none\n"),
     ("frontier --q 2 --r 0.5 --points 8 --out frontier.csv", 0,
      "wrote 2 frontier points to frontier.csv\n"),
+    # the last grid point is dmax itself, not 0.8000000000000002
+    ("frontier --q 5 --r 0.5 --points 4 --out f.csv", 0,
+     "wrote 1 frontier points to f.csv\n"),
 ]
 
 
@@ -385,6 +388,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
     for argv in (
         "bound css --q 2 --n 12157665459056928801 --k1 7 --k2 5 --dx 3 --dz 3",
         "best css --q 2 --n 12157665459056928801 --dx 3 --dz 3",
+        # n^2 times the bits of q is past the scan guard: hours of exact comparisons
+        "best css --q 2 --n 1000000 --dx 3 --dz 3",
     ):
         proc = run_python("-m", "aqgv.cli", *argv.split(), timeout=20)
         assert proc.returncode == 1, argv

@@ -11,12 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from aqgv import fields
-from aqgv.bounds import CssBoundQuery, ball_sum, css_gv_lhs, gaussian_binomial
+from aqgv.bounds import CssBoundQuery, ball_sum, css_gv_lhs, gaussian_binomial, stab_lhs_ints
 from aqgv.codesearch import (
     COSET_GUARD,
     PAIR_GUARD,
     PROFILE_GUARD,
     DistancePair,
+    EnumerationReport,
     IsotropicCode,
     NestedPair,
     css_distances,
@@ -104,6 +105,32 @@ def test_enumeration_identities_exact(q, n, k1, k2):
     denom = q**n - 1
     assert Fraction((q**k1 - q**k2) * report.total_pairs, denom) == x
     assert Fraction((q ** (n - k2) - q ** (n - k1)) * report.total_pairs, denom) == z
+
+
+def expected_counts_oracle(q, n, k1, k2, total):
+    """expected_counts written out directly: total times the fraction of
+    pairs that miss one fixed error, or (-1, -1) if either is not whole."""
+    denom = q**n - 1
+    x, x_rem = divmod((q**k1 - q**k2) * total, denom)
+    z, z_rem = divmod((q ** (n - k2) - q ** (n - k1)) * total, denom)
+    return (-1, -1) if x_rem or z_rem else (x, z)
+
+
+@settings(max_examples=100, deadline=None)
+@given(q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)), n=st.integers(1, 25), scale=st.integers(1, 2**64))
+def test_expected_counts_match_direct_formula(q, n, scale):
+    inexact = 0
+    for k1 in range(n + 1):
+        for k2 in range(k1 + 1):
+            pairs = gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q)
+            # the true pair count and its multiples divide exactly; pairs + 1
+            # does not once n > 1 and k1 > k2
+            for total in (pairs, scale * pairs, pairs + 1, scale):
+                got = EnumerationReport(q, n, k1, k2, total, {}, {}).expected_counts()
+                assert got == expected_counts_oracle(q, n, k1, k2, total), (q, n, k1, k2, total)
+                inexact += got == (-1, -1)
+            assert EnumerationReport(q, n, k1, k2, pairs, {}, {}).expected_counts() != (-1, -1)
+    assert inexact or n == 1
 
 
 def per_pair_subspace_oracle(n, q, k1, k2):
@@ -194,6 +221,8 @@ def test_stabilizer_identities_exact(q, n, k, spaces, undetected):
             tally[e] += 1
     per_error = Fraction(total * (q ** (n + k) - q ** (n - k)), q ** (2 * n) - 1)
     assert set(tally.values()) == {per_error} == {undetected}
+    # the stabilizer bound's formula: the share of spaces that miss one error, times all spaces
+    assert Fraction(*stab_lhs_ints(q, n, k, total)) == per_error
 
 
 def test_enumeration_guards():
