@@ -14,6 +14,8 @@ from typing import Iterable, Sequence, TextIO
 
 from .errors import DomainError
 
+MAX_POINTS = 10**5  # frontier grid points; each costs one entropy inversion, about 50 us
+
 def _check_q(q: int) -> None:
     if not isinstance(q, int) or q < 2:
         raise DomainError(f"q must be an integer >= 2, got {q!r}")
@@ -131,8 +133,8 @@ def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[Front
 def frontier_grid(q: int, num_points: int) -> list[float]:
     """num_points evenly spaced delta_x values from 0 to exactly 1 - 1/q."""
     _check_q(q)
-    if num_points < 1:
-        raise DomainError(f"need at least one grid point, got {num_points}")
+    if not 1 <= num_points <= MAX_POINTS:
+        raise DomainError(f"need 1 to {MAX_POINTS} grid points, got {num_points}")
     dmax = 1.0 - 1.0 / q
     if num_points == 1:
         return [0.0]

@@ -17,7 +17,8 @@ from fractions import Fraction
 
 from .errors import EnumerationSizeError, ParameterRangeError
 
-SCAN_GUARD = 2**30  # n^2 * q.bit_length(): bit operations one best_css_params scan may spend
+SCAN_GUARD = 2**30  # n^2 * q.bit_length(): bit operations one bound evaluation or scan may spend
+MAX_DIGITS = 10**6  # decimal places fraction_decimal_str renders at most
 
 
 def prime_power_base(q: int) -> int | None:
@@ -85,18 +86,52 @@ def is_prime_power(q: int) -> bool:
 
 def ball_sum(n: int, q: int, t: int) -> int:
     """Number of nonzero vectors in GF(q)^n of weight <= t:
-    sum_{i=1}^{t} C(n,i) (q-1)^i.  t = 0 gives the empty sum 0.
-    Each term comes from the one before, by C(n,i) = C(n,i-1)(n-i+1)/i.
-    """
+    sum_{i=1}^{t} C(n,i) (q-1)^i.  t = 0 gives the empty sum 0."""
     if q < 2:
         raise ParameterRangeError(f"q must be >= 2, got {q}")
     if not 0 <= t <= n:
         raise ParameterRangeError(f"need 0 <= t <= n, got t={t}, n={n}")
+    return _capped_ball(n, q, t, math.inf)
+
+
+def _digits() -> int:
+    return sys.get_int_max_str_digits() or 4300   # 0 is no limit: keep messages short
+
+
+def _capped_pow(q: int, e: int) -> int:
+    return q ** min(e, 4 * _digits() + 1)
+
+
+def _capped_ball(n: int, q: int, t: int, bits: float | None = None) -> int:
+    """ball_sum's terms C(n, i) (q-1)^i, each from the one before by
+    C(n,i) = C(n,i-1)(n-i+1)/i, added until the sum passes 2^bits (by
+    default B = 4d, as in _guard)."""
+    bits = 4 * _digits() if bits is None else bits
     total, term = 0, 1
     for i in range(1, t + 1):
         term = term * (n - i + 1) * (q - 1) // i
         total += term
+        if total.bit_length() > bits:
+            break
     return total
+
+
+def _guard(cost: int, guard: int, message: str) -> None:
+    """Raise EnumerationSizeError(message) if ``cost`` exceeds ``guard``.
+
+    A cost is built with the _capped_* helpers: exact below 2^B, B = 4d for
+    the interpreter's int-to-str digit limit d, and at least 2^B past it, so
+    their sums and products decide a guard without building huge numbers.
+    As 2^B > 10^d, a cost the message shows in full is exact."""
+    if cost > guard:
+        d = _digits()
+        raise EnumerationSizeError(message.format(cost if cost < 10**d else f"10^{d} or more", guard))
+
+
+def _check_scan_size(q: int, n: int) -> None:
+    """One exact comparison of a bound costs about n * q.bit_length() bit
+    operations; a ball sum or a scan makes up to n of them."""
+    _guard(n * n * q.bit_length(), SCAN_GUARD, "{} scan bit operations exceed the guard of {}")
 
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
@@ -117,8 +152,8 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:
     """Exact decimal rendering of a fraction to ``digits`` places (half-even)."""
-    if digits < 1:
-        raise ParameterRangeError("digits must be >= 1")
+    if not 1 <= digits <= MAX_DIGITS:
+        raise ParameterRangeError(f"digits must be in [1, {MAX_DIGITS}], got {digits}")
     whole = decimal.Decimal(abs(fr.numerator) // fr.denominator)   # exact, of any length
     with decimal.localcontext() as ctx:
         ctx.prec = whole.adjusted() + 1 + digits + 10
@@ -128,13 +163,12 @@ def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:
 
 def check_ranges(q: int, n: int, dx: int, dz: int) -> None:
     """The ranges every bound and profile check shares: q a prime power,
-    1 <= n <= sys.maxsize and design distances 1 <= dx, dz <= n+1."""
+    n >= 1 and design distances 1 <= dx, dz <= n+1.  How large n may be is
+    a question of work, which the bounds decide with _check_scan_size."""
     if not is_prime_power(q):
         raise ParameterRangeError(f"q must be a prime power >= 2, got {q}")
     if n < 1:
         raise ParameterRangeError(f"n must be >= 1, got {n}")
-    if n > sys.maxsize:
-        raise ParameterRangeError(f"n must be at most sys.maxsize = {sys.maxsize}: no sequence is longer")
     for name, d in (("dx", dx), ("dz", dz)):
         if not 1 <= d <= n + 1:
             raise ParameterRangeError(f"need 1 <= {name} <= n+1, got {d}")
@@ -217,6 +251,7 @@ def css_gv_lhs(query: CssBoundQuery) -> BoundReport:
 
     If lhs < 1, an [[n, k1-k2, dx, dz]]_q CSS code exists.
     """
+    _check_scan_size(query.q, query.n)
     balls = (ball_sum(query.n, query.q, d - 1) for d in (query.dx, query.dz))
     addends, denom = css_lhs_ints(query.q, query.n, query.k1, query.k2, *balls)
     bit_term, phase_term = (Fraction(a, denom) for a in addends)
@@ -233,6 +268,7 @@ def stab_gv_lhs(query: StabBoundQuery) -> BoundReport:
     detect any one fixed error.  If lhs < 1, an [[n, k, dx, dz]]_q
     stabilizer code exists.  ``terms`` holds the three factors.
     """
+    _check_scan_size(query.q, query.n)
     ratio, denom = stab_lhs_ints(query.q, query.n, query.k, 1)
     balls = (ball_sum(query.n, query.q, d - 1) for d in (query.dx, query.dz))
     terms = (Fraction(ratio, denom), *map(Fraction, balls))
@@ -248,6 +284,7 @@ def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:
     comparisons of numerator against denominator.
     """
     check_ranges(q, n, dx, dz)
+    _check_scan_size(q, n)
     patterns = ball_sum(n, q, dx - 1) * ball_sum(n, q, dz - 1)
 
     def infeasible(k: int) -> bool:
@@ -271,9 +308,7 @@ def best_css_params(n: int, q: int, dx: int, dz: int) -> tuple[int, int] | None:
     bit operations, so the scan refuses n times that above SCAN_GUARD.
     """
     check_ranges(q, n, dx, dz)
-    cost = n * n * q.bit_length()
-    if cost > SCAN_GUARD:
-        raise EnumerationSizeError(f"{cost} scan bit operations exceed the guard of {SCAN_GUARD}")
+    _check_scan_size(q, n)
     balls = ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)
     best: tuple[int, int] | None = None
     k2 = 0

@@ -21,7 +21,6 @@ not scalability.  Its GF(p) arithmetic and packed layout are all in fields.
 from __future__ import annotations
 
 import json
-import sys
 from collections import Counter
 from dataclasses import dataclass
 from functools import cached_property
@@ -30,12 +29,18 @@ from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
 
-from .bounds import CssBoundQuery, StabBoundQuery, check_ranges, css_lhs_ints, gaussian_binomial
-from .errors import (
-    EnumerationSizeError,
-    InputShapeError,
-    ParameterRangeError,
+from .bounds import (
+    CssBoundQuery,
+    StabBoundQuery,
+    _capped_ball,
+    _capped_pow,
+    _digits,
+    _guard,
+    check_ranges,
+    css_lhs_ints,
+    gaussian_binomial,
 )
+from .errors import InputShapeError, ParameterRangeError
 from .fields import GF, Packing, Subspace, Vec, combine, dual_rows, inverse, sub, symplectic_products
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
@@ -140,36 +145,6 @@ class EnumerationReport:
         )
 
 
-def _digits() -> int:
-    return sys.get_int_max_str_digits() or 4300   # 0 is no limit: keep messages short
-
-
-def _capped_pow(q: int, e: int) -> int:
-    return q ** min(e, 4 * _digits() + 1)
-
-
-def _capped_ball(n: int, q: int, t: int) -> int:
-    total, term, bits = 0, 1, 4 * _digits()
-    for i in range(1, t + 1):   # add C(n, i) (q-1)^i until the sum passes 2^bits
-        term = term * (n - i + 1) * (q - 1) // i
-        total += term
-        if total >> bits:
-            break
-    return total
-
-
-def _guard(cost: int, guard: int, message: str) -> None:
-    """Raise EnumerationSizeError(message) if ``cost`` exceeds ``guard``.
-
-    A cost is built with the _capped_* helpers: exact below 2^B, B = 4d for
-    the interpreter's int-to-str digit limit d, and at least 2^B past it, so
-    their sums and products decide a guard without building huge numbers.
-    As 2^B > 10^d, a cost the message shows in full is exact."""
-    if cost > guard:
-        d = _digits()
-        raise EnumerationSizeError(message.format(cost if cost < 10**d else f"10^{d} or more", guard))
-
-
 def _check_distance_size(q: int, n: int, k1: int, k2: int) -> None:
     """css_distances walks C1 and C2-dual: q^k1 + q^(n-k2) codewords."""
     codewords = _capped_pow(q, k1) + _capped_pow(q, n - k2)
@@ -181,6 +156,11 @@ def _check_profile_size(q: int, n: int, dx: int, dz: int) -> None:
     size, of radius dx-1 and dz-1, multiplied."""
     patterns = (_capped_ball(n, q, dx - 1) + 1) * (_capped_ball(n, q, dz - 1) + 1)
     _guard(patterns, PROFILE_GUARD, "{} patterns exceeds the guard of {}")
+
+
+def _check_pair_dims(n: int, k1: int, k2: int) -> None:
+    if not (n >= 1 and 0 <= k2 <= k1 <= n):
+        raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
 
 
 def _rref_matrices(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
@@ -241,8 +221,7 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     tally, for each nonzero error vector, how many pairs fail to detect it
     as a bit error and as a phase error (the walk is in the module doc)."""
     GF(q)   # the field is checked first, before the dimensions
-    if not (n >= 1 and 0 <= k2 <= k1 <= n):
-        raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
+    _check_pair_dims(n, k1, k2)
     e = k1 * (n - k1) + k2 * (k1 - k2)   # there are at least q^e pairs
     pairs = (_capped_pow(q, e) if e > 4 * _digits()
              else gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q))
@@ -383,8 +362,7 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     the same way inside C1's coordinates.  Deterministic in ``seed``.
     """
     field = GF(q)
-    if not (n >= 1 and 0 <= k2 <= k1 <= n):
-        raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
+    _check_pair_dims(n, k1, k2)
     rng = Random(seed)
     c1 = _random_full_rank(rng, field, k1, n)
     coeffs = _random_full_rank(rng, field, k2, k1)   # its basis spans the same rows as the draw

@@ -6,6 +6,7 @@ import random
 import pytest
 
 from aqgv.asymptotic import (
+    MAX_POINTS,
     FrontierPoint,
     css_asymptotic_feasible,
     css_rate1_interval,
@@ -240,6 +241,9 @@ def test_frontier_grid():
     assert frontier_grid(3, 1) == [0.0]
     with pytest.raises(DomainError):
         frontier_grid(2, 0)
+    assert len(frontier_grid(2, MAX_POINTS)) == MAX_POINTS
+    with pytest.raises(DomainError, match=f"^need 1 to {MAX_POINTS} grid points, got {MAX_POINTS + 1}$"):
+        frontier_grid(2, MAX_POINTS + 1)
 
 
 def test_frontier_grid_ends_at_dmax():

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from aqgv.asymptotic import entropy_hq
 from aqgv.bounds import (
+    MAX_DIGITS,
     SCAN_GUARD,
     BoundReport,
     CssBoundQuery,
@@ -308,6 +309,11 @@ def test_best_css_params_scan_guard():
         best_css_params(11000, 256, 3, 3)  # nine bits
 
 
+def test_bound_guard_decides_a_huge_n_without_building_q_to_the_n():
+    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more scan bit operations exceed"):
+        css_gv_lhs(CssBoundQuery(q=2, n=10**2500, k1=1, k2=0, dx=3, dz=3))
+
+
 def test_best_css_params_agrees_with_full_scan():
     for q, n, dx, dz in ((2, 12, 2, 2), (2, 8, 2, 3), (3, 6, 2, 2)):
         candidates = [
@@ -439,3 +445,6 @@ def test_fraction_decimal_str():
     assert fraction_decimal_str(Fraction(1, 3), 10) == "0.3333333333"
     with pytest.raises(ParameterRangeError):
         fraction_decimal_str(Fraction(1, 3), 0)
+    assert fraction_decimal_str(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
+    with pytest.raises(ParameterRangeError, match=f"^digits must be in \\[1, {MAX_DIGITS}\\], got {MAX_DIGITS + 1}$"):
+        fraction_decimal_str(Fraction(1, 3), MAX_DIGITS + 1)

@@ -374,8 +374,11 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["distances", "--in", str(not_utf8)],
         ["distances", "--in", str(long_int)],
         ["distances", "--in", str(deep)],
-        # n past sys.maxsize: no sequence is that long, and range(1, n + 1) cannot be built
+        # n past sys.maxsize, where range(1, n + 1) cannot be built, is far past the scan guard
         ["maxk", "stab", "--q", "2", "--n", "12157665459056928801", "--dx", "3", "--dz", "3"],
+        # a Decimal context cannot hold that many digits
+        ["bound", "css", "--q", "2", "--n", "12", "--k1", "7", "--k2", "5", "--dx", "2", "--dz", "2",
+         "--digits", "10000000000000000000"],
         ["distances", "--in", str(malformed)],
     ]
     for argv in bad:
@@ -390,10 +393,28 @@ def test_input_errors_exit_1(tmp_path, capsys):
         "best css --q 2 --n 12157665459056928801 --dx 3 --dz 3",
         # n^2 times the bits of q is past the scan guard: hours of exact comparisons
         "best css --q 2 --n 1000000 --dx 3 --dz 3",
+        # the same guard on one evaluation: 10 to 30 s of exact arithmetic each
+        "bound css --q 2 --n 1000000 --k1 500000 --k2 100000 --dx 3 --dz 3",
+        "bound stab --q 2 --n 1000000 --k 100000 --dx 3 --dz 3",
+        "maxk stab --q 2 --n 1000000 --dx 3 --dz 3",
     ):
         proc = run_python("-m", "aqgv.cli", *argv.split(), timeout=20)
         assert proc.returncode == 1, argv
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+
+
+def test_bounds_answer_up_to_the_scan_guard(capsys):
+    # n^2 * q.bit_length() first passes the guard of 2^30 at n = 23171 for q = 2
+    commands = ("bound css --q 2 --n {} --k1 11585 --k2 2317 --dx 3 --dz 3",
+                "bound stab --q 2 --n {} --k 2317 --dx 3 --dz 3",
+                "maxk stab --q 2 --n {} --dx 3 --dz 3")
+    for command in commands:
+        assert run(command.format(23170).split()).exit_code == 0, command
+        assert capsys.readouterr().err == ""
+        assert run(command.format(23171).split()).exit_code == 1, command
+        assert capsys.readouterr().err == (
+            f"error: {23171**2 * 2} scan bit operations exceed the guard of {2**30}\n"
+        )
 
 
 # ---------------------------------------------------------------------------
