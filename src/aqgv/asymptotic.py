@@ -12,13 +12,14 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
+from .bounds import is_prime_power
 from .errors import DomainError
 
 MAX_POINTS = 10**5  # frontier grid points; each costs one entropy inversion, about 50 us
 
 def _check_q(q: int) -> None:
-    if not isinstance(q, int) or q < 2:
-        raise DomainError(f"q must be an integer >= 2, got {q!r}")
+    if not is_prime_power(q):
+        raise DomainError(f"q must be a prime power >= 2, got {q!r}")
 
 
 def _check_rate(name: str, r: float) -> None:
@@ -36,14 +37,18 @@ def entropy_hq(delta: float, q: int) -> float:
     dmax = 1.0 - 1.0 / q
     if math.isnan(delta) or not 0.0 <= delta <= dmax:
         raise DomainError(f"delta must lie in [0, {dmax}], got {delta!r}")
+    return _hq(delta, q)
+
+
+def _hq(delta: float, q: int) -> float:
+    """h_q(delta) with no checks: q is a checked prime power, delta in [0, 1 - 1/q]."""
     if delta == 0.0:
         return 0.0
-    if delta == dmax:
+    if delta == 1.0 - 1.0 / q:
         return 1.0
-    lq = math.log(q)
     return (
         delta * math.log(q - 1) - delta * math.log(delta) - (1 - delta) * math.log1p(-delta)
-    ) / lq
+    ) / math.log(q)
 
 
 def hq_inverse(y: float, q: int) -> float:
@@ -61,7 +66,7 @@ def hq_inverse(y: float, q: int) -> float:
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             return mid
-        if entropy_hq(mid, q) < y:
+        if _hq(mid, q) < y:   # q was checked once, above
             lo = mid
         else:
             hi = mid
@@ -121,6 +126,7 @@ def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[Front
     budget for delta_z is zero.
     """
     _check_rate("R", r)
+    _check_q(q)   # also for an empty grid
     points = []
     for dx in delta_x_grid:
         budget = 1.0 - r - entropy_hq(dx, q)

@@ -7,12 +7,16 @@ bit-error and phase-error balls on their syndromes, seeded random
 samplers, and the randomized witness search that turns the existence
 argument into actual codes.
 
-The pair enumeration visits every C2 <= C1 with no elimination per pair.
-C1 comes from its canonical RREF generator matrix G1, and C2 = A.G1 for a
-k2-subspace A of GF(q)^k1.  So C1 \\ C2 is {y.G1 : y not in A}.  And x is
-in C2-dual iff G1.x is in A-dual, where x -> G1.x is onto with kernel
-C1-dual: C2-dual \\ C1-dual is the disjoint union of L(y) + C1-dual over y
-in A-dual \\ {0}, the lift L(y) being y placed at C1's pivot columns.
+Both CSS difference sets are walked from rows at hand, with no elimination.
+With C1's RREF generator matrix G1 and C2 = A.G1 for a k2-subspace A of
+GF(q)^k1, C1 \\ C2 is {y.G1 : y not in A}: C2's rows extended by C1's rows
+at N, the columns where C1 has a pivot and C2 does not.  And x is in C2-dual
+iff G1.x is in A-dual, where x -> G1.x is onto with kernel C1-dual: C2-dual
+\\ C1-dual is the disjoint union of L(y) + C1-dual over y in A-dual \\ {0},
+the lift L(y) being y placed at C1's pivot columns.  Over A-dual's
+parity-check rows, L gives exactly C2's parity-check rows at N, which
+extend C1's parity-check rows to a basis of C2-dual.  The pair enumeration
+and css_distances both walk these sets.
 
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.  Its GF(p) arithmetic and packed layout are all in fields.
@@ -187,23 +191,12 @@ def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
         yield Subspace(field, ambient_dim, rows)
 
 
-def _walk_difference(packing: Packing, big: Subspace, small: Subspace) -> Iterator[list[int]]:
-    """Every vector of big \\ small (assumes small <= big) once, packed, in
-    lists of at most SPAN_CHUNK; never yields zero.
-
-    big's rows whose pivots small lacks extend small's basis to a basis of
-    big (leading positions of a subspace are its pivots, so the combined
-    rows have distinct leading positions).  With small's rows varying
-    fastest, the span walks coset by coset of small, and its first
-    q^dim(small) vectors are small itself.
-    """
-    small_pivots = set(small.pivot_cols)
-    rows = small.basis + tuple(
-        row for row, j in zip(big.basis, big.pivot_cols) if j not in small_pivots
-    )
-    return packing.span_chunks(
-        [packing.pack(row) for row in rows], skip=big.field.p**small.dim
-    )
+def _walk_difference(packing: Packing, small: Sequence[Vec], extension: Sequence[Vec]) -> Iterator[list[int]]:
+    """span(small + extension) \\ span(small) for independent rows, packed, in
+    lists of at most SPAN_CHUNK: small's rows vary fastest, so the walk goes
+    coset by coset and skips its first q^len(small) vectors, span(small)."""
+    rows = [packing.pack(row) for row in chain(small, extension)]
+    return packing.span_chunks(rows, skip=packing.p ** len(small))
 
 
 def _coefficient_indices(q: int, k1: int, pivots: Sequence[int], rows: list) -> tuple[list[int], list[int]]:
@@ -251,9 +244,9 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     )
 
 
-def _min_weight(packing: Packing, big: Subspace, small: Subspace) -> int | None:
+def _min_weight(packing: Packing, small: Sequence[Vec], extension: Sequence[Vec]) -> int | None:
     best = None
-    for chunk in _walk_difference(packing, big, small):
+    for chunk in _walk_difference(packing, small, extension):
         w = min(packing.weights(chunk))
         if best is None or w < best:
             best = w
@@ -264,12 +257,16 @@ def _min_weight(packing: Packing, big: Subspace, small: Subspace) -> int | None:
 
 def css_distances(pair: NestedPair) -> DistancePair:
     """Asymmetric distances of the CSS pair by a packed coset walk:
-    dx = min weight over C1 \\ C2, dz = min weight over C2-dual \\ C1-dual."""
-    q, n = pair.q, pair.n
-    _check_distance_size(q, n, pair.c1.dim, pair.c2.dim)
+    dx = min weight over C1 \\ C2, dz = min weight over C2-dual \\ C1-dual,
+    each walked from the rows the module doc gives."""
+    c1, c2, q, n = pair.c1, pair.c2, pair.q, pair.n
+    _check_distance_size(q, n, c1.dim, c2.dim)
     packing = Packing(q, n)
-    dx = _min_weight(packing, pair.c1, pair.c2)
-    dz = _min_weight(packing, pair.c2.dual(), pair.c1.dual())
+    free2 = [f for f in range(n) if f not in c2.pivot_cols]   # one parity-check row of C2 each
+    at_n1 = [row for row, j in zip(c1.basis, c1.pivot_cols) if j not in c2.pivot_cols]
+    at_n2 = [row for row, f in zip(dual_rows(c2.basis, c2.pivot_cols, q, n), free2) if f in c1.pivot_cols]
+    dx = _min_weight(packing, c2.basis, at_n1)
+    dz = _min_weight(packing, dual_rows(c1.basis, c1.pivot_cols, q, n), at_n2)
     return DistancePair(dx=dx, dz=dz)
 
 
@@ -330,7 +327,9 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     packing = Packing(q, 2 * n)
     x_half = next(packing.supports([packing.pack([1] * n)]))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx
-    for chunk in _walk_difference(packing, code.stabilizer_dual, code.c):
+    dual = code.stabilizer_dual
+    extension = [row for row, j in zip(dual.basis, dual.pivot_cols) if j not in code.c.pivot_cols]
+    for chunk in _walk_difference(packing, code.c.basis, extension):
         for support in packing.supports(chunk):
             wx = (support & x_half).bit_count()
             wz = support.bit_count() - wx

@@ -44,6 +44,25 @@ def test_entropy_domain_errors():
         entropy_hq(0.1, 1)
 
 
+def test_every_entry_point_refuses_a_q_that_is_not_a_prime_power():
+    # GF(6) does not exist; the asymptotic layer takes the bounds' q, prime powers only
+    calls = [
+        lambda q: entropy_hq(0.1, q),
+        lambda q: hq_inverse(0.5, q),
+        lambda q: css_asymptotic_feasible(q, 0.6, 0.3, 0.05, 0.05),
+        lambda q: stab_asymptotic_feasible(q, 0.3, 0.05, 0.05),
+        lambda q: css_rate1_interval(q, 0.3, 0.05, 0.05),
+        lambda q: stab_frontier(q, 0.3, []),
+        lambda q: frontier_grid(q, 5),
+    ]
+    for call in calls:
+        for q in (6, 10, 12, 1, 2.0, True):
+            with pytest.raises(DomainError, match=f"^q must be a prime power >= 2, got {q!r}$"):
+                call(q)
+        for q in (2, 4, 9, 251, 256):
+            call(q)
+
+
 def test_entropy_strictly_increasing():
     rng = random.Random(808)
     for q in (2, 3, 5, 16):

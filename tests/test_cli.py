@@ -369,6 +369,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["search", "css", "--q", huge_q, "--n", "12", "--k1", "7", "--k2", "5",
          "--dx", "2", "--dz", "2", "--trials", "5", "--seed", "1"],
         ["frontier", "--q", "2", "--r", "1.5", "--points", "8", "--out", "/tmp/x.csv"],
+        # GF(6) does not exist, so no frontier is written for it
+        ["frontier", "--q", "6", "--r", "0.3", "--points", "5", "--out", str(tmp_path / "f6.csv")],
         ["distances", "--in", "/nonexistent/code.json"],
         ["distances", "--in", str(huge_file)],
         ["distances", "--in", str(not_utf8)],
@@ -387,6 +389,7 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert result.exit_code == 1 and result.status == "error", argv
         assert captured.err.strip() and captured.err.count("\n") == 1, argv
     assert captured.err == 'error: css code file needs "c1" as a list of integer rows\n'
+    assert not (tmp_path / "f6.csv").exists()
     # without the refusal these build q**n and never finish, so they run in a child under a timeout
     for argv in (
         "bound css --q 2 --n 12157665459056928801 --k1 7 --k2 5 --dx 3 --dz 3",

@@ -133,10 +133,16 @@ def test_expected_counts_match_direct_formula(q, n, scale):
     assert inexact or n == 1
 
 
+def pivot_extension(big, small):
+    """big's rows at the pivots small lacks: for small <= big they extend
+    small's rows to a basis of big (the rows have distinct leading columns)."""
+    return [row for row, j in zip(big.basis, big.pivot_cols) if j not in small.pivot_cols]
+
+
 def per_pair_subspace_oracle(n, q, k1, k2):
     """(total pairs, per-error bit tally, per-error phase tally), the slow
     way: every C2 is spanned and reduced, and its dual taken, pair by pair;
-    both difference sets are walked with _walk_difference."""
+    both difference sets are walked with _walk_difference from pivot rows."""
     field = GF(q)
     packing = Packing(q, n)
     units = [1 << (packing.width * j) for j in range(n)]
@@ -149,7 +155,7 @@ def per_pair_subspace_oracle(n, q, k1, k2):
             c2 = Subspace.span(field, n, [combine(row, c1.basis, q, n) for row in coeff_space.basis])
             total += 1
             for tally, big, small in ((per_x, c1, c2), (per_z, c2.dual(), c1_dual)):
-                for chunk in _walk_difference(packing, big, small):
+                for chunk in _walk_difference(packing, small.basis, pivot_extension(big, small)):
                     for e in chunk:
                         tally[e] += 1
     unpack = packing.unpack
@@ -334,6 +340,41 @@ def test_distances_match_oracle_property(shape, chunk):
         assert css_distances(pair) == distance_oracle(pair)
 
 
+@PROPERTY
+@given(css_shape())
+def test_walk_rows_come_from_parity_checks_property(shape):
+    # The lemma's lift L(y) over A-dual's parity-check rows is exactly C2's
+    # parity-check rows at N (C1's pivots that C2 lacks); C1's parity-check
+    # rows extended by those span C2-dual, and C2's rows extended by C1's
+    # rows at N span C1: the rows css_distances walks.
+    n, q, k1, k2, _ = shape
+    pair = random_nested_pair(*shape)
+    c1, c2, field = pair.c1, pair.c2, GF(q)
+    a = Subspace(field, k1, [[row[j] for j in c1.pivot_cols] for row in c2.basis])
+    lifted = []
+    for y in dual_rows(a.basis, a.pivot_cols, q, k1):
+        x = [0] * n
+        for j, v in zip(c1.pivot_cols, y):
+            x[j] = v
+        lifted.append(x)
+    free2 = [f for f in range(n) if f not in c2.pivot_cols]
+    at_n = [row for row, f in zip(dual_rows(c2.basis, c2.pivot_cols, q, n), free2) if f in c1.pivot_cols]
+    assert lifted == at_n
+    z_rows = dual_rows(c1.basis, c1.pivot_cols, q, n) + at_n
+    assert len(z_rows) == n - k2 and Subspace.span(field, n, z_rows) == c2.dual()
+    x_rows = list(c2.basis) + pivot_extension(c1, c2)
+    assert len(x_rows) == k1 and Subspace.span(field, n, x_rows) == c1
+
+
+@pytest.mark.parametrize("q,n,k1,k2,seed", [(2, 8, 5, 2, 1), (3, 5, 3, 1, 2), (5, 3, 2, 1, 3), (2, 6, 6, 0, 4)])
+def test_distances_run_no_elimination(q, n, k1, k2, seed):
+    # the pair is built (and its oracle run) first; the walk itself needs no RREF
+    pair = random_nested_pair(n, q, k1, k2, seed)
+    expected = distance_oracle(pair)
+    with mock.patch.object(fields, "_rref", side_effect=AssertionError("css_distances ran an elimination")):
+        assert css_distances(pair) == expected
+
+
 def test_distances_walk_does_not_stop_before_the_minimum():
     # The walk visits (1,1,0) before (0,0,1); split into one-vector lists,
     # the early exit must still wait for weight 1.
@@ -349,7 +390,7 @@ def test_distances_when_small_space_exceeds_one_chunk():
     even = Subspace.span(F2, n, [[1] + [int(i == j) for i in range(1, n)] for j in range(1, n)])
     pair = NestedPair(c1=full_space(F2, n), c2=even)
     assert css_distances(pair) == DistancePair(dx=1, dz=n)
-    chunks = list(_walk_difference(Packing(2, n), pair.c1, pair.c2))
+    chunks = list(_walk_difference(Packing(2, n), pair.c2.basis, pivot_extension(pair.c1, pair.c2)))
     assert all(len(chunk) <= SPAN_CHUNK for chunk in chunks)
     odd = [v for chunk in chunks for v in chunk]
     assert len(odd) == len(set(odd)) == 2 ** (n - 1)

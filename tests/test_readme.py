@@ -7,6 +7,9 @@ shown output.  Each block runs in order in a fresh working directory, so
 a later command can read a file an earlier one wrote.  Every command must
 exit 0; a shown output must match stdout byte for byte, and an excerpt
 with ``...`` must match up to the ``...``.
+
+Every ```python block runs as a script, and what it prints must match the
+line pinned for it in PYTHON_OUTPUTS.
 """
 
 import re
@@ -60,3 +63,14 @@ def test_readme_cli_example(block, tmp_path, monkeypatch, capsys):
             assert out.startswith(shown.split("...")[0]), argv
         elif shown:
             assert out == shown, argv
+
+
+PYTHON_BLOCKS = re.findall(r"^```python\n(.*?)^```", README.read_text(), re.S | re.M)
+PYTHON_OUTPUTS = ["1 DistancePair(dx=2, dz=2)\n"]   # "Library use"
+
+
+def test_readme_python_blocks_print_their_pinned_lines(capsys):
+    assert len(PYTHON_BLOCKS) == len(PYTHON_OUTPUTS)
+    for block, shown in zip(PYTHON_BLOCKS, PYTHON_OUTPUTS):
+        exec(compile(block, str(README), "exec"), {"__name__": "readme"})
+        assert capsys.readouterr().out == shown
