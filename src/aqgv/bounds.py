@@ -19,6 +19,7 @@ from .errors import EnumerationSizeError, ParameterRangeError
 
 SCAN_GUARD = 2**30  # n^2 * q.bit_length(): bit operations one bound evaluation or scan may spend
 MAX_DIGITS = 10**6  # decimal places fraction_decimal_str renders at most
+PRIME_POWER_BITS = 1024  # most bits of a q with no prime factor below 1000 that prime_power_base tests
 
 
 def prime_power_base(q: int) -> int | None:
@@ -30,6 +31,9 @@ def prime_power_base(q: int) -> int | None:
     on the prime bases 2..41, which is exact below 3317044064679887385961981
     (Sorenson and Webster, 2015); a probable prime at or above that bound
     raises ParameterRangeError rather than give an uncertified answer.
+    Past trial division the cost grows with the cube of q's bits, a prime q
+    the worst case: about 60 ms at 1024 bits and 0.4 s at 2048 (2-core VM,
+    Python 3.11), so past PRIME_POWER_BITS q is refused as too large.
     """
     if not isinstance(q, int) or q < 2:
         return None
@@ -40,6 +44,8 @@ def prime_power_base(q: int) -> int | None:
             while q % d == 0:
                 q //= d
             return d if q == 1 else None
+    _guard(q.bit_length(), PRIME_POWER_BITS,
+           "q has {} bits and no prime factor below 1000, past the prime-power test's {} bits")
     for m in range(1, int(math.log(q, 1000)) + 1):
         r = _integer_root(q, m)
         if r**m == q and _miller_rabin(r):

@@ -27,7 +27,6 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain, combinations, product
 from pathlib import Path
 from random import Random
@@ -90,10 +89,6 @@ class IsotropicCode:
         for i, u in enumerate(basis):
             if any(symplectic_products(u, basis[i + 1:], q)):
                 raise InputShapeError("generators are not symplectic self-orthogonal")
-
-    @cached_property
-    def stabilizer_dual(self) -> Subspace:
-        return self.c.symplectic_dual()
 
     @property
     def n(self) -> int:
@@ -327,7 +322,7 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     packing = Packing(q, 2 * n)
     x_half = next(packing.supports([packing.pack([1] * n)]))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx
-    dual = code.stabilizer_dual
+    dual = code.c.symplectic_dual()
     extension = [row for row, j in zip(dual.basis, dual.pivot_cols) if j not in code.c.pivot_cols]
     for chunk in _walk_difference(packing, code.c.basis, extension):
         for support in packing.supports(chunk):

@@ -261,8 +261,8 @@ class Subspace:
         return Subspace.span(self.field, self.ambient_dim, rows)
 
     def symplectic_dual(self) -> "Subspace":
-        """Dual under <(a|b),(c|d)> = a.d - b.c on GF(p)^{2n}."""
+        """Dual under <(a|b),(c|d)> = a.d - b.c: as <u, twist(y)> = u.y, it is the twist of dual()."""
         if self.ambient_dim % 2:
             raise InputShapeError("symplectic dual needs an even ambient dimension")
-        twisted = [symplectic_twist(row, self.field.p) for row in self.basis]
-        return Subspace.span(self.field, self.ambient_dim, twisted).dual()
+        rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
+        return Subspace.span(self.field, self.ambient_dim, [symplectic_twist(y, self.field.p) for y in rows])

@@ -143,7 +143,7 @@ def test_criterion_06_css_implies_stab_region():
 def test_criterion_07_five_qubit_profiles(five_qubit):
     start = time.perf_counter()
     ok = (
-        five_qubit.stabilizer_dual.contains_space(five_qubit.c)
+        five_qubit.c.symplectic_dual().contains_space(five_qubit.c)
         and stab_detects_profile(five_qubit, 5, 1)
         and stab_detects_profile(five_qubit, 1, 5)
         and not stab_detects_profile(five_qubit, 6, 1)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from aqgv.asymptotic import entropy_hq
 from aqgv.bounds import (
     MAX_DIGITS,
+    PRIME_POWER_BITS,
     SCAN_GUARD,
     BoundReport,
     CssBoundQuery,
@@ -73,6 +74,18 @@ def test_prime_power_base_refuses_uncertified_probable_primes():
     for q in (2**127 - 1, (2**89 - 1) ** 2):
         with pytest.raises(ParameterRangeError, match="probable prime"):
             prime_power_base(q)
+
+
+def test_prime_power_test_refuses_long_q_without_small_factors():
+    # past trial division a q of at most PRIME_POWER_BITS is tested, a longer one refused
+    assert PRIME_POWER_BITS == 1024
+    assert prime_power_base(1009**102) == 1009   # 1018 bits
+    for q in (1009**103, 1009**1400, 10**4000 + 1):
+        with pytest.raises(EnumerationSizeError, match="no prime factor below 1000"):
+            prime_power_base(q)
+    # a prime factor below 1000 settles q of any length by trial division
+    assert prime_power_base(2**4423) == 2 and prime_power_base(3**3000) == 3
+    assert prime_power_base(2 * 1009**1400) is None
 
 
 # ---------------------------------------------------------------------------

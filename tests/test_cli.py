@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -371,6 +372,8 @@ def test_input_errors_exit_1(tmp_path, capsys):
         ["frontier", "--q", "2", "--r", "1.5", "--points", "8", "--out", "/tmp/x.csv"],
         # GF(6) does not exist, so no frontier is written for it
         ["frontier", "--q", "6", "--r", "0.3", "--points", "5", "--out", str(tmp_path / "f6.csv")],
+        # too long for the prime-power test, which would run for about 24 s
+        ["frontier", "--q", str(10**4000 + 1), "--r", "0.3", "--points", "5", "--out", str(tmp_path / "f6.csv")],
         ["distances", "--in", "/nonexistent/code.json"],
         ["distances", "--in", str(huge_file)],
         ["distances", "--in", str(not_utf8)],
@@ -404,6 +407,13 @@ def test_input_errors_exit_1(tmp_path, capsys):
         proc = run_python("-m", "aqgv.cli", *argv.split(), timeout=20)
         assert proc.returncode == 1, argv
         assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
+    # a 4001-digit q with no prime factor below 1000 is refused by its length,
+    # not run through the prime-power test (about 24 s), in a line that does not echo q
+    start = time.perf_counter()
+    proc = run_python("-m", "aqgv.cli", "bound", "css", "--q", str(10**4000 + 1),
+                      "--n", "2", "--k1", "1", "--k2", "0", "--dx", "1", "--dz", "1", timeout=20)
+    assert proc.returncode == 1 and time.perf_counter() - start < 2
+    assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200, proc.stderr[:200]
 
 
 def test_bounds_answer_up_to_the_scan_guard(capsys):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from aqgv import fields
 from aqgv.errors import InputShapeError, UnsupportedFieldError
-from aqgv.fields import GF, Packing, Subspace, symplectic_products, weight
+from aqgv.fields import GF, Packing, Subspace, symplectic_products, symplectic_twist, weight
 from conftest import full_space, members, zero_space
 
 F2 = GF(2)
@@ -301,6 +301,35 @@ def test_symplectic_dual_brute_force():
                 }
                 assert set(members(d)) == expected
                 assert s.dim + d.dim == 2 * n
+
+
+def two_elimination_symplectic_dual(s):
+    """The symplectic dual as the standard dual of S's twisted rows: an RREF
+    of those rows, then dual(), which eliminates again."""
+    twisted = [symplectic_twist(row, s.field.p) for row in s.basis]
+    return Subspace.span(s.field, s.ambient_dim, twisted).dual()
+
+
+@st.composite
+def even_subspaces(draw):
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    m = 2 * draw(st.integers(0, 8))
+    return Subspace.span(GF(p), m, draw(st.lists(vectors_of(p, m), max_size=m + 1)))
+
+
+@PROPERTY
+@given(even_subspaces())
+def test_symplectic_dual_matches_two_elimination_oracle(s):
+    # for odd p the twist's sign matters: (b|a) in place of (-b|a) spans another space
+    assert s.symplectic_dual() == two_elimination_symplectic_dual(s)
+
+
+def test_symplectic_dual_runs_one_elimination():
+    s = Subspace.span(F3, 8, [[1, 2, 0, 1, 0, 0, 2, 1], [0, 1, 1, 0, 2, 0, 0, 1]])
+    with mock.patch.object(fields, "_rref", wraps=fields._rref) as rref:
+        d = s.symplectic_dual()
+    assert rref.call_count == 1
+    assert d.dim == 6 and d == two_elimination_symplectic_dual(s)
 
 
 @st.composite
