@@ -1,11 +1,11 @@
 """Constructive counterpart of the counting bounds.
 
 Exhaustive enumeration of nested code pairs with per-error undetectable
-tallies, asymmetric distances and stabilizer profile matrices from one
-packed-vector coset walk, single stabilizer profile checks that join the
-bit-error and phase-error balls on their syndromes, seeded random
-samplers, and the randomized witness search that turns the existence
-argument into actual codes.
+tallies, exact asymmetric distances in rising weight, stabilizer profile
+matrices from one packed-vector coset walk, single stabilizer profile
+checks that join the bit-error and phase-error balls on their syndromes,
+seeded random samplers, and the randomized witness search that turns the
+existence argument into actual codes.
 
 Both CSS difference sets are walked from rows at hand, with no elimination.
 With C1's RREF generator matrix G1 and C2 = A.G1 for a k2-subspace A of
@@ -16,7 +16,9 @@ iff G1.x is in A-dual, where x -> G1.x is onto with kernel C1-dual: C2-dual
 the lift L(y) being y placed at C1's pivot columns.  Over A-dual's
 parity-check rows, L gives exactly C2's parity-check rows at N, which
 extend C1's parity-check rows to a basis of C2-dual.  The pair enumeration
-and css_distances both walk these sets.
+walks these sets.  css_distances reads the same rows as membership tests:
+x in C1 is in C2 iff C2's parity-check rows at N vanish on it, and z in
+C2-dual is in C1-dual iff C1's rows at N do.
 
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.  Its GF(p) arithmetic and packed layout are all in fields.
@@ -145,7 +147,7 @@ class EnumerationReport:
 
 
 def _check_distance_size(q: int, n: int, k1: int, k2: int) -> None:
-    """css_distances walks C1 and C2-dual: q^k1 + q^(n-k2) codewords."""
+    """css_distances visits at most q^k1 + q^(n-k2) codewords, of C1 and C2-dual."""
     codewords = _capped_pow(q, k1) + _capped_pow(q, n - k2)
     _guard(codewords, COSET_GUARD, "{} codewords exceeds the guard of {}")
 
@@ -239,30 +241,50 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     )
 
 
-def _min_weight(packing: Packing, small: Sequence[Vec], extension: Sequence[Vec]) -> int | None:
-    best = None
-    for chunk in _walk_difference(packing, small, extension):
-        w = min(packing.weights(chunk))
-        if best is None or w < best:
-            best = w
-            if best == 1:
+def _min_weight_failing(q: int, n: int, rows: Sequence[Sequence[int]], checks: Sequence[Sequence[int]]) -> int | None:
+    """Least weight over span(rows) \\ {x : checks.x = 0}, or None when no
+    vector of the span fails a check.
+
+    The rows must be systematic, an identity on an information set, so a
+    combination of i rows weighs at least i.  Combinations are walked by
+    their number i of nonzero coefficients (Packing.levels), and the walk
+    stops as soon as the best weight found is <= i: no later vector can
+    beat it (Brouwer's bound, with one information set).  Each row is
+    packed with its syndrome under ``checks`` appended, so one packed add
+    gives a vector and its syndrome.  No list it builds holds more than
+    max(fields.SPAN_CHUNK, q - 1) vectors."""
+    if not checks:
+        return None
+    m = len(checks)
+    packing = Packing(q, n + m)
+    columns = [[check[j] for check in checks] for j in range(n)]
+    packed = [packing.pack([*row, *combine(row, columns, q, m)]) for row in rows]
+    body, tail = packing.supports([packing.pack([1] * n + [0] * m), packing.pack([0] * n + [1] * m)])
+    best = n + 1   # heavier than any vector
+    for i, level in enumerate(packing.levels(packed), 1):
+        if best <= i:
+            break
+        for chunk in level:
+            failing = filter(tail.__and__, packing.supports(chunk))
+            best = min(best, min(map(int.bit_count, map(body.__and__, failing)), default=best))
+            if best <= i:
                 break
-    return best
+    return best if best <= n else None
 
 
 def css_distances(pair: NestedPair) -> DistancePair:
-    """Asymmetric distances of the CSS pair by a packed coset walk:
-    dx = min weight over C1 \\ C2, dz = min weight over C2-dual \\ C1-dual,
-    each walked from the rows the module doc gives."""
+    """Asymmetric distances of the CSS pair: dx = min weight over C1 \\ C2
+    from C1's RREF rows, dz = min weight over C2-dual \\ C1-dual from C2's
+    parity-check rows, each in rising weight with the membership checks of
+    the module doc and no elimination."""
     c1, c2, q, n = pair.c1, pair.c2, pair.q, pair.n
     _check_distance_size(q, n, c1.dim, c2.dim)
-    packing = Packing(q, n)
     free2 = [f for f in range(n) if f not in c2.pivot_cols]   # one parity-check row of C2 each
+    c2_parity = dual_rows(c2.basis, c2.pivot_cols, q, n)      # systematic on free2
     at_n1 = [row for row, j in zip(c1.basis, c1.pivot_cols) if j not in c2.pivot_cols]
-    at_n2 = [row for row, f in zip(dual_rows(c2.basis, c2.pivot_cols, q, n), free2) if f in c1.pivot_cols]
-    dx = _min_weight(packing, c2.basis, at_n1)
-    dz = _min_weight(packing, dual_rows(c1.basis, c1.pivot_cols, q, n), at_n2)
-    return DistancePair(dx=dx, dz=dz)
+    at_n2 = [row for row, f in zip(c2_parity, free2) if f in c1.pivot_cols]
+    return DistancePair(dx=_min_weight_failing(q, n, c1.basis, at_n2),
+                        dz=_min_weight_failing(q, n, c2_parity, at_n1))
 
 
 def _ball(syn: Packing, vecs: Packing, cols: list[list[int]], t: int) -> Iterator[tuple[int, int, int]]:

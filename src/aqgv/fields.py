@@ -184,20 +184,82 @@ class Packing:
                 out.extend(block)
         return out
 
+    def _rows_per_chunk(self) -> int:
+        """The most rows whose span fits in one list of SPAN_CHUNK vectors."""
+        rows = 0
+        while self.p ** (rows + 1) <= SPAN_CHUNK:
+            rows += 1
+        return rows
+
     def span_chunks(self, rows: Sequence[int], skip: int = 0) -> Iterator[list[int]]:
         """span(rows) after its first ``skip`` vectors, in lists of at most
         SPAN_CHUNK: the span of the leading rows is materialized once and
         shifted by each combination of the remaining rows, listed up front:
         callers walk at most codesearch.COSET_GUARD = 2^26 vectors, and when
         rows remain the inner span has >= 41^2 (p = 41), so that is <= ~40k."""
-        inner_rows = 0
-        while inner_rows < len(rows) and self.p ** (inner_rows + 1) <= SPAN_CHUNK:
-            inner_rows += 1
+        inner_rows = min(len(rows), self._rows_per_chunk())
         inner = self.span(rows[:inner_rows])
         first, cut = divmod(skip, len(inner))
         for offset in self.span(rows[inner_rows:])[first:]:
             yield self.shifted(offset, inner[cut:]) if offset else inner[cut:]
             cut = 0
+
+    def levels(self, rows: Sequence[int]) -> Iterator[Iterator[list[int]]]:
+        """For i = 1, ..., len(rows), the combinations of ``rows`` with exactly
+        i nonzero coefficients, in lists of at most max(SPAN_CHUNK, p - 1)
+        vectors; nothing of a level is built before its first list is asked for.
+
+        The rows are cut into blocks whose spans fit in SPAN_CHUNK, as in
+        span_chunks (one row at least), and each block keeps its own levels.
+        Level i of all rows joins level w of the first block with level i - w
+        of the other blocks: one vector of the shorter list shifts the whole
+        longer list, so each list is at most as long as one of its sides and
+        each joined vector costs one packed add."""
+        size = max(1, self._rows_per_chunk())
+        blocks = [_BlockLevels(self, rows[start:start + size]) for start in range(0, len(rows), size)]
+        return (self._joined_level(blocks, i) for i in range(1, len(rows) + 1))
+
+    def _joined_level(self, blocks: list[_BlockLevels], i: int) -> Iterator[list[int]]:
+        head, rest = blocks[0], blocks[1:]
+        if not rest:
+            yield head.level(i)
+            return
+        rest_rows = sum(len(block.rows) for block in rest)
+        for w in range(max(0, i - rest_rows), min(i, len(head.rows)) + 1):
+            inner = head.level(w)
+            for outer in self._joined_level(rest, i - w):
+                short, long = sorted((inner, outer), key=len)
+                for v in short:
+                    yield self.shifted(v, long) if v else long
+
+
+class _BlockLevels:
+    """The levels of one block of rows, each built once, on first use.
+
+    Level w is ordered by the last row each vector uses, so the vectors of
+    level w - 1 that use no row from j on are a prefix of it; level w's
+    vectors that end in row j are that prefix shifted by each nonzero
+    multiple of row j, one packed add per vector."""
+
+    def __init__(self, packing: Packing, rows: Sequence[int]):
+        self.packing = packing
+        self.rows = rows
+        self._levels = [[0]]
+        self._ends = [1] * len(rows)   # per row j, the last level's vectors that use no row >= j
+
+    def level(self, w: int) -> list[int]:
+        shifted, multiples = self.packing.shifted, range(self.packing.p - 1)
+        while len(self._levels) <= w:
+            prev, level, ends = self._levels[-1], [], []
+            for row, end in zip(self.rows, self._ends):
+                ends.append(len(level))
+                block = prev[:end]
+                for _ in multiples:
+                    block = shifted(row, block)
+                    level.extend(block)
+            self._levels.append(level)
+            self._ends = ends
+        return self._levels[w]
 
 
 @dataclass(frozen=True)

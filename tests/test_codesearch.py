@@ -403,6 +403,109 @@ def test_distances_guard():
         css_distances(pair)
 
 
+def _min_weight(packing, small, extension):
+    """Least weight over span(small + extension) \\ span(small), by the coset walk."""
+    best = None
+    for chunk in _walk_difference(packing, small, extension):
+        w = min(packing.weights(chunk))
+        if best is None or w < best:
+            best = w
+            if best == 1:
+                break
+    return best
+
+
+def walk_oracle(pair):
+    """Both distances by walking every vector of C1 \\ C2 and C2-dual \\ C1-dual."""
+    packing = Packing(pair.q, pair.n)
+    c1_dual, c2_dual = pair.c1.dual(), pair.c2.dual()
+    return DistancePair(dx=_min_weight(packing, pair.c2.basis, pivot_extension(pair.c1, pair.c2)),
+                        dz=_min_weight(packing, c1_dual.basis, pivot_extension(c2_dual, c1_dual)))
+
+
+@st.composite
+def walk_shape(draw):
+    # lengths past css_shape's, which distance_oracle filters whole spaces for
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(*{2: (9, 16), 3: (6, 10), 5: (4, 7)}[q]))
+    k1 = draw(st.integers(0, n))
+    k2 = draw(st.integers(0, k1))
+    return n, q, k1, k2, draw(st.integers(0, 2**32))
+
+
+@settings(PROPERTY, max_examples=150)
+@given(walk_shape(), CHUNKS)
+def test_distances_match_walk_oracle_property(shape, chunk):
+    pair = random_nested_pair(*shape)
+    expected = walk_oracle(pair)
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        assert css_distances(pair) == expected
+
+
+@pytest.mark.parametrize("q,n,k1,k2,seed", [(2, 12, 7, 3, 1), (3, 8, 5, 2, 2), (5, 5, 3, 1, 3), (2, 6, 6, 0, 4)])
+def test_css_distances_run_no_coset_walk(q, n, k1, k2, seed):
+    pair = random_nested_pair(n, q, k1, k2, seed)
+    expected = walk_oracle(pair)
+    with mock.patch.object(fields.Packing, "span_chunks", side_effect=AssertionError("css_distances walked a coset")):
+        assert css_distances(pair) == expected
+
+
+def test_css_distances_stop_at_the_information_set_bound():
+    # At the witness workload's median set the walk visits q^k1 + q^(n-k2)
+    # minus q^k2 + q^(n-k1) vectors, over 6,500; rising weight stops at the
+    # distances, within a tenth of q^k1.
+    pair = random_nested_pair(12, 3, 8, 7, derive_trial_seed(1, 1))
+    expected = walk_oracle(pair)
+    shifted, built = Packing.shifted, []
+
+    def counted(self, r, vs):
+        out = shifted(self, r, vs)
+        built.append(len(out))
+        return out
+
+    with mock.patch.object(Packing, "shifted", counted):
+        assert css_distances(pair) == expected
+    assert sum(built) <= 3**8 // 10
+
+
+@pytest.mark.parametrize("c1_rows,c2_rows,expected", [
+    # dx: C1's rows weigh 3; only their sum, at level 2, weighs 2
+    ([[1, 0, 1, 1], [0, 1, 1, 1]], [], DistancePair(dx=2, dz=1)),
+    # dz: C2-dual's systematic rows 1110 and 1101 weigh 3; their sum weighs 2
+    ([[int(i == j) for j in range(4)] for i in range(4)], [[1, 0, 1, 1], [0, 1, 1, 1]], DistancePair(dx=1, dz=2)),
+])
+def test_distances_stop_rule_waits_for_its_bound(c1_rows, c2_rows, expected):
+    pair = NestedPair(c1=Subspace(F2, 4, c1_rows), c2=Subspace(F2, 4, c2_rows))
+    assert css_distances(pair) == expected == distance_oracle(pair)
+
+
+@pytest.mark.parametrize("q,n,k1,k2,seed", [(2, 20, 12, 2, 1), (3, 10, 5, 1, 1)])
+def test_distances_hold_no_list_beyond_the_chunk_bound(q, n, k1, k2, seed):
+    # every list of packed vectors css_distances builds is an input or output of
+    # Packing.shifted, or a list Packing.levels hands out
+    pair = random_nested_pair(n, q, k1, k2, seed)
+    expected = walk_oracle(pair)
+    shifted, levels, lengths = Packing.shifted, Packing.levels, []
+
+    def recorded_shifted(self, r, vs):
+        out = shifted(self, r, vs)
+        lengths.extend((len(vs), len(out)))
+        return out
+
+    def record(chunk):
+        lengths.append(len(chunk))
+        return chunk
+
+    def recorded_levels(self, rows):
+        return (map(record, level) for level in levels(self, rows))
+
+    with mock.patch.object(fields, "SPAN_CHUNK", 27), \
+            mock.patch.object(Packing, "shifted", recorded_shifted), \
+            mock.patch.object(Packing, "levels", recorded_levels):
+        assert css_distances(pair) == expected
+    assert max(lengths) <= max(27, q - 1)
+
+
 def test_nested_pair_rejects_non_nested():
     with pytest.raises(InputShapeError):
         NestedPair(

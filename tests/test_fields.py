@@ -123,6 +123,23 @@ def test_packed_span_and_chunks_match_tuple_combinations(case):
     assert list(members(space)) == tuple_span(space.basis, p, n)
 
 
+@PROPERTY
+@given(span_case())
+def test_packed_levels_match_tuple_combinations_by_coefficient_count(case):
+    p, n, rows, _, _, chunk = case
+    packing = Packing(p, n)
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        levels = [list(level) for level in packing.levels([packing.pack(row) for row in rows])]
+    assert len(levels) == len(rows)
+    assert all(len(c) <= max(chunk, p - 1) for level in levels for c in level)
+    for i, level in enumerate(levels, 1):
+        expected = [
+            tuple(sum(c * row[j] for c, row in zip(coeffs, rows)) % p for j in range(n))
+            for coeffs in product(range(p), repeat=len(rows)) if sum(map(bool, coeffs)) == i
+        ]
+        assert sorted(packing.unpack(x) for c in level for x in c) == sorted(expected)
+
+
 def test_vectors_beyond_one_chunk_each_once_in_order():
     space = full_space(F2, 17)   # 2^17 members, two chunks
     vecs = list(members(space))
