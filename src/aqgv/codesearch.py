@@ -29,7 +29,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, product
+from itertools import chain, combinations, islice, product
 from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
@@ -46,13 +46,14 @@ from .bounds import (
     gaussian_binomial,
 )
 from .errors import InputShapeError, ParameterRangeError
-from .fields import GF, Packing, Subspace, Vec, combine, dual_rows, inverse, sub, symplectic_products
+from .fields import GF, Packing, Subspace, SyndromePacking, Vec, combine, dual_rows, inverse, sub, symplectic_products
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
 ERROR_TABLE_GUARD = 10**6   # nonzero error vectors tallied at once
 PROFILE_GUARD = 10**7       # (ex, ez) patterns checked by one profile call
-COSET_GUARD = 2**26         # vectors one distance or profile-matrix walk visits
+COSET_GUARD = 2**26         # vectors one distance or profile-matrix walk visits, or
+                            # row entries one stabilizer draw updates
 
 
 @dataclass(frozen=True)
@@ -159,6 +160,11 @@ def _check_profile_size(q: int, n: int, dx: int, dz: int) -> None:
     _guard(patterns, PROFILE_GUARD, "{} patterns exceeds the guard of {}")
 
 
+def _check_draw_size(n: int, k: int) -> None:
+    """random_isotropic_code's n - k steps each update up to (2n)^2 row entries."""
+    _guard((n - k) * (2 * n) ** 2, COSET_GUARD, "{} row-entry updates exceeds the guard of {}")
+
+
 def _check_pair_dims(n: int, k1: int, k2: int) -> None:
     if not (n >= 1 and 0 <= k2 <= k1 <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
@@ -249,24 +255,19 @@ def _min_weight_failing(q: int, n: int, rows: Sequence[Sequence[int]], checks: S
     combination of i rows weighs at least i.  Combinations are walked by
     their number i of nonzero coefficients (Packing.levels), and the walk
     stops as soon as the best weight found is <= i: no later vector can
-    beat it (Brouwer's bound, with one information set).  Each row is
-    packed with its syndrome under ``checks`` appended, so one packed add
-    gives a vector and its syndrome.  No list it builds holds more than
-    max(fields.SPAN_CHUNK, q - 1) vectors."""
+    beat it (Brouwer's bound, with one information set).  No list it builds
+    holds more than max(fields.SPAN_CHUNK, q - 1) vectors."""
     if not checks:
         return None
-    m = len(checks)
-    packing = Packing(q, n + m)
-    columns = [[check[j] for check in checks] for j in range(n)]
-    packed = [packing.pack([*row, *combine(row, columns, q, m)]) for row in rows]
-    body, tail = packing.supports([packing.pack([1] * n + [0] * m), packing.pack([0] * n + [1] * m)])
+    packing = SyndromePacking(q, n, checks)
+    vector, syndrome = packing.vector, packing.syndrome
     best = n + 1   # heavier than any vector
-    for i, level in enumerate(packing.levels(packed), 1):
+    for i, level in enumerate(packing.levels(packing.rows(rows)), 1):
         if best <= i:
             break
         for chunk in level:
-            failing = filter(tail.__and__, packing.supports(chunk))
-            best = min(best, min(map(int.bit_count, map(body.__and__, failing)), default=best))
+            failing = packing.supports(map(vector, filter(syndrome, chunk)))
+            best = min(best, min(map(int.bit_count, failing), default=best))
             if best <= i:
                 break
     return best if best <= n else None
@@ -287,23 +288,6 @@ def css_distances(pair: NestedPair) -> DistancePair:
                         dz=_min_weight_failing(q, n, c2_parity, at_n1))
 
 
-def _ball(syn: Packing, vecs: Packing, cols: list[list[int]], t: int) -> Iterator[tuple[int, int, int]]:
-    """(vector, syndrome, next free coordinate) for each vector of weight <= t,
-    packed by ``vecs`` and ``syn``.  The syndrome of v is sum_j v_j * cols[j];
-    each vector extends a lighter one by a nonzero multiple of (e_j, cols[j]),
-    at the cost of one syndrome add."""
-    steps = [
-        list(zip(vecs.span([vecs.unit(j)])[1:], syn.span([syn.pack(col)])[1:]))
-        for j, col in enumerate(cols)
-    ]
-    level = [(0, 0, 0)]
-    for w in range(t + 1):
-        if w:
-            level = [(v + u, syn.add(s, d), j + 1) for v, s, start in level
-                     for j in range(start, len(cols)) for u, d in steps[j]]
-        yield from level
-
-
 def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     """Whether the code qualifies as [[n, k, dx, dz]]: every error (ex|ez)
     with bit weight <= dx-1 and phase weight <= dz-1 (not both parts zero)
@@ -311,21 +295,24 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
 
     A generator (a|b) has symplectic product a.ez - b.ex with (ex|ez), so
     (ex|ez) is in S-dual exactly when its syndromes (b.ex) and (a.ez) agree.
-    The bit ball is joined on syndrome with the phase ball, and only the
-    colliding pairs are tested for membership in S: the work is the two
-    ball sizes plus the collisions.  The guard stays on the product of the
-    ball sizes, as with k = 0 S-dual is S and every pair can collide."""
+    The balls are {0} and the first levels of a SyndromePacking's unit rows,
+    checked by b for bit errors and by a for phase errors; they are joined on
+    syndrome, and only colliding pairs are tested for membership in S, so the
+    work is the two ball sizes plus the collisions.  The guard stays on the
+    product of the ball sizes: with k = 0 S-dual is S and every pair collides."""
     n, q = code.n, code.q
     check_ranges(q, n, dx, dz)
     _check_profile_size(q, n, dx, dz)
     rows = code.c.basis
-    syn, vecs = Packing(q, len(rows)), Packing(q, n)
+    phase = SyndromePacking(q, n, [row[:n] for row in rows])
+    bit = SyndromePacking(q, n, [row[n:] for row in rows])
+    vector, syndrome, unpack = phase.vector, phase.syndrome, Packing(q, n).unpack   # bit's split is the same
     phase_by_syndrome: dict[int, list[int]] = {}
-    for ez, s, _ in _ball(syn, vecs, [[row[j] for row in rows] for j in range(n)], dz - 1):
-        phase_by_syndrome.setdefault(s, []).append(ez)
-    for ex, s, _ in _ball(syn, vecs, [[row[n + j] for row in rows] for j in range(n)], dx - 1):
-        for ez in phase_by_syndrome.get(s, ()):
-            if (ex or ez) and not code.c.contains(vecs.unpack(ex) + vecs.unpack(ez)):
+    for ez in chain.from_iterable(chain([[0]], *islice(phase.levels(phase.units()), dz - 1))):
+        phase_by_syndrome.setdefault(syndrome(ez), []).append(ez)
+    for ex in chain.from_iterable(chain([[0]], *islice(bit.levels(bit.units()), dx - 1))):
+        for ez in phase_by_syndrome.get(syndrome(ex), ()):
+            if (ex or ez) and not code.c.contains(unpack(vector(ex)) + unpack(vector(ez))):
                 return False
     return True
 
@@ -415,6 +402,7 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     field = GF(q)
     if not (n >= 1 and 0 <= k <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k <= n, got {(n, k)}")
+    _check_draw_size(n, k)
     rng = Random(seed)
     m = 2 * n
     dual = [[int(i == j) for j in range(m)] for i in range(m)] if k < n else []

@@ -1,6 +1,6 @@
 """Exact linear algebra over prime fields GF(p), and the one home of GF(p)
-arithmetic and of the packed vector layout: other modules reduce nothing
-mod p and place no coordinate in a packed int, they call this module.
+arithmetic and of the packed layouts, of vectors and of (vector | syndrome)
+rows: other modules reduce nothing mod p and place no coordinate in a packed int.
 
 Vectors in the API are plain tuples of residues in ``[0, p)``.  Building a
 subspace makes its rows canonical: it is held in reduced row-echelon form,
@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -150,14 +151,8 @@ class Packing:
         mask = (1 << b) - 1
         return tuple((x >> (b * j)) & mask for j in range(self.n))
 
-    def add(self, a: int, r: int) -> int:
-        if self.p == 2:
-            return a ^ r
-        s = a + r
-        return s - (((s + self._wrap) & self._top) >> (self.width - 1)) * self.p
-
     def shifted(self, r: int, vs: Sequence[int]) -> list[int]:
-        """[add(r, v) for v in vs]."""
+        """[r + v for v in vs], each sum taken in GF(p)^n."""
         if self.p == 2:
             return list(map(r.__xor__, vs))
         wrap, top, shift, p = self._wrap, self._top, self.width - 1, self.p
@@ -169,9 +164,6 @@ class Packing:
         if self.p == 2:
             return iter(vs)
         return map(self._top.__and__, map(self._nonzero.__add__, vs))
-
-    def weights(self, vs: Sequence[int]) -> Iterator[int]:
-        return map(int.bit_count, self.supports(vs))
 
     def span(self, rows: Sequence[int]) -> list[int]:
         """All p^len(rows) combinations, rows[0] varying fastest; each
@@ -260,6 +252,33 @@ class _BlockLevels:
             self._levels.append(level)
             self._ends = ends
         return self._levels[w]
+
+
+class SyndromePacking(Packing):
+    """GF(p)^(n+m) as (vector | syndrome) rows: v in GF(p)^n packed as
+    Packing(p, n) packs it, then checks.v for m check rows of length n.  The
+    syndrome is linear, so one packed add gives a vector and its syndrome.
+    ``vector`` and ``syndrome`` take the two parts off a packed row."""
+
+    def __init__(self, p: int, n: int, checks: Sequence[Sequence[int]]):
+        super().__init__(p, n + len(checks))
+        self._checks = checks
+        self._shifts = [self.width * j for j in range(self.n)]
+        cut = self.width * n
+        self.vector = ((1 << cut) - 1).__and__
+        self.syndrome = cut.__rrshift__
+
+    def rows(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        """Each row of GF(p)^n, packed with its syndrome appended."""
+        p, checks, shifts = self.p, self._checks, self._shifts
+        return [sum(x << s for x, s in zip(chain(row, [sum(map(mul, row, c)) % p for c in checks]), shifts) if x)
+                for row in rows]
+
+    def units(self) -> list[int]:
+        """e_j with column j of the checks appended, for j < n, packed."""
+        n = self.n - len(self._checks)
+        return [self.unit(j) + sum(c[j] << s for c, s in zip(self._checks, self._shifts[n:]) if c[j])
+                for j in range(n)]
 
 
 @dataclass(frozen=True)

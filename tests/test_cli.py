@@ -414,6 +414,12 @@ def test_input_errors_exit_1(tmp_path, capsys):
                       "--n", "2", "--k1", "1", "--k2", "0", "--dx", "1", "--dz", "1", timeout=20)
     assert proc.returncode == 1 and time.perf_counter() - start < 2
     assert len(proc.stderr.splitlines()) == 1 and len(proc.stderr) < 200, proc.stderr[:200]
+    # a [[480, 1]] draw makes 479 updates of (2n)^2 row entries, about a minute, past the draw guard
+    start = time.perf_counter()
+    proc = run_python("-m", "aqgv.cli", *"search stab --q 2 --n 480 --k 1 --dx 1 --dz 1 --trials 1 --seed 1".split(),
+                      timeout=20)
+    assert proc.returncode == 1 and time.perf_counter() - start < 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: "), proc.stderr
 
 
 def test_bounds_answer_up_to_the_scan_guard(capsys):

@@ -34,6 +34,7 @@ from aqgv.codesearch import (
     _capped_ball,
     _capped_pow,
     _check_distance_size,
+    _check_draw_size,
     _coefficient_indices,
     _walk_difference,
 )
@@ -407,7 +408,7 @@ def _min_weight(packing, small, extension):
     """Least weight over span(small + extension) \\ span(small), by the coset walk."""
     best = None
     for chunk in _walk_difference(packing, small, extension):
-        w = min(packing.weights(chunk))
+        w = min(map(int.bit_count, packing.supports(chunk)))
         if best is None or w < best:
             best = w
             if best == 1:
@@ -629,13 +630,32 @@ def test_profile_matrix_matches_per_cell_property(shape, chunk):
 
 
 @PROPERTY
-@given(stab_shape())
-def test_profile_join_matches_ball_oracle_property(shape):
+@given(stab_shape(), CHUNKS)
+def test_profile_join_matches_ball_oracle_property(shape, chunk):
     code = random_isotropic_code(*shape)
     cells = range(1, code.n + 2)
-    for dx in cells:
-        for dz in cells:
-            assert stab_detects_profile(code, dx, dz) == ball_profile_oracle(code, dx, dz), (dx, dz)
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        for dx in cells:
+            for dz in cells:
+                assert stab_detects_profile(code, dx, dz) == ball_profile_oracle(code, dx, dz), (dx, dz)
+
+
+def test_profile_check_walks_packed_levels():
+    # both balls come from Packing.levels over the unit rows, one call each
+    code = random_isotropic_code(6, 3, 2, seed=5)
+    with mock.patch.object(Packing, "levels", autospec=True, side_effect=Packing.levels) as levels:
+        assert stab_detects_profile(code, 2, 2) == ball_profile_oracle(code, 2, 2)
+    assert levels.call_count == 2
+
+
+def test_stabilizer_draw_guard_counts_row_updates():
+    # n - k steps of (2n)^2 row-entry updates: at k = 1, n = 256 is the last n within COSET_GUARD
+    assert 255 * 512**2 <= COSET_GUARD < 256 * 514**2
+    _check_draw_size(256, 1)
+    with pytest.raises(EnumerationSizeError):
+        _check_draw_size(257, 1)
+    with pytest.raises(EnumerationSizeError):
+        random_isotropic_code(257, 2, 1, seed=0)   # refused before a row is built
 
 
 def test_isotropic_code_rejects_non_isotropic():

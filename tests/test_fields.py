@@ -8,7 +8,16 @@ from hypothesis import strategies as st
 
 from aqgv import fields
 from aqgv.errors import InputShapeError, UnsupportedFieldError
-from aqgv.fields import GF, Packing, Subspace, symplectic_products, symplectic_twist, weight
+from aqgv.fields import (
+    GF,
+    Packing,
+    Subspace,
+    SyndromePacking,
+    combine,
+    symplectic_products,
+    symplectic_twist,
+    weight,
+)
 from conftest import full_space, members, zero_space
 
 F2 = GF(2)
@@ -79,11 +88,33 @@ def test_packed_arithmetic_matches_tuples(case):
     packed = [packing.pack(v) for v in vs]
     assert [packing.unpack(x) for x in packed] == vs
     assert [packing.unit(j) for j in range(n)] == [packing.pack([0] * j + [1]) for j in range(n)]
-    assert list(packing.weights(packed)) == [weight(v) for v in vs]
+    assert [s.bit_count() for s in packing.supports(packed)] == [weight(v) for v in vs]
     u = vs[0]
     sums = [tuple((a + b) % p for a, b in zip(u, v)) for v in vs]
-    assert [packing.unpack(packing.add(packed[0], x)) for x in packed] == sums
     assert [packing.unpack(x) for x in packing.shifted(packed[0], packed)] == sums
+
+
+@st.composite
+def syndrome_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 251]))
+    n = draw(st.integers(0, 8))
+    checks = draw(st.lists(vectors_of(p, n), max_size=4))
+    return p, n, checks, draw(st.lists(vectors_of(p, n), max_size=4))
+
+
+@PROPERTY
+@given(syndrome_case())
+def test_syndrome_packing_appends_each_syndrome(case):
+    p, n, checks, rows = case
+    m = len(checks)
+    packing = SyndromePacking(p, n, checks)
+    full, vectors, syndromes = Packing(p, n + m), Packing(p, n), Packing(p, m)
+    columns = [[check[j] for check in checks] for j in range(n)]
+    packed = packing.rows(rows)
+    assert packed == [full.pack([*row, *combine(row, columns, p, m)]) for row in rows]
+    assert packing.units() == [full.pack([int(i == j) for i in range(n)] + column) for j, column in enumerate(columns)]
+    assert [packing.vector(x) for x in packed] == [vectors.pack(row) for row in rows]
+    assert [packing.syndrome(x) for x in packed] == [syndromes.pack(combine(row, columns, p, m)) for row in rows]
 
 
 def tuple_span(rows, p, n):
