@@ -38,7 +38,7 @@ from .codesearch import (
     stab_detects_profile,
     write_code_file,
 )
-from .fields import GF, Subspace, weight
+from .fields import GF, Subspace
 
 __version__ = "0.1.0"
 
@@ -74,6 +74,5 @@ __all__ = [
     "stab_detects_profile",
     "stab_frontier",
     "stab_gv_lhs",
-    "weight",
     "write_code_file",
 ]

@@ -21,7 +21,9 @@ x in C1 is in C2 iff C2's parity-check rows at N vanish on it, and z in
 C2-dual is in C1-dual iff C1's rows at N do.
 
 All enumerations are guarded; this module is for desk-scale verification,
-not scalability.  Its GF(p) arithmetic and packed layout are all in fields.
+not scalability.  Its GF(p) arithmetic and packed layout are all in fields:
+every walk packs its rows, or the unit vectors, with fields.Packing, whose
+rows carry their syndromes under the check rows it was given, if any.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ from .bounds import (
     gaussian_binomial,
 )
 from .errors import InputShapeError, ParameterRangeError
-from .fields import GF, Packing, Subspace, SyndromePacking, Vec, combine, dual_rows, inverse, sub, symplectic_products
+from .fields import GF, Packing, Subspace, Vec, combine, dual_rows, inverse, sub, symplectic_products
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
@@ -194,21 +196,13 @@ def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
         yield Subspace(field, ambient_dim, rows)
 
 
-def _walk_difference(packing: Packing, small: Sequence[Vec], extension: Sequence[Vec]) -> Iterator[list[int]]:
-    """span(small + extension) \\ span(small) for independent rows, packed, in
-    lists of at most SPAN_CHUNK: small's rows vary fastest, so the walk goes
-    coset by coset and skips its first q^len(small) vectors, span(small)."""
-    rows = [packing.pack(row) for row in chain(small, extension)]
-    return packing.span_chunks(rows, skip=packing.p ** len(small))
-
-
 def _coefficient_indices(q: int, k1: int, pivots: Sequence[int], rows: list) -> tuple[list[int], list[int]]:
     """Indices of GF(q)^k1 \\ A and of A-dual \\ {0}, for A with RREF rows and
     pivots; y has index sum_j y_j q^j, as in Packing.span."""
     coeffs = Packing(q, k1)
-    index = {v: i for i, v in enumerate(coeffs.span([coeffs.unit(j) for j in range(k1)]))}
-    members = set(coeffs.span([coeffs.pack(row) for row in rows]))
-    dual = coeffs.span([coeffs.pack(row) for row in dual_rows(rows, pivots, q, k1)])
+    index = {v: i for i, v in enumerate(coeffs.span(coeffs.units()))}
+    members = set(coeffs.span(coeffs.rows(rows)))
+    dual = coeffs.span(coeffs.rows(dual_rows(rows, pivots, q, k1)))
     return [i for v, i in index.items() if v not in members], [index[v] for v in dual[1:]]
 
 
@@ -228,12 +222,12 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
 
     packing = Packing(q, n)
-    units = [packing.unit(j) for j in range(n)]
+    units = packing.units()
     coefficient_spaces = [_coefficient_indices(q, k1, *a) for a in _rref_matrices(q, k1, k2)]
     per_x, per_z, total = Counter(), Counter(), 0
     for pivots, rows in _rref_matrices(q, n, k1):
-        span1 = packing.span([packing.pack(row) for row in rows])
-        c1_dual = packing.span([packing.pack(row) for row in dual_rows(rows, pivots, q, n)])
+        span1 = packing.span(packing.rows(rows))
+        c1_dual = packing.span(packing.rows(dual_rows(rows, pivots, q, n)))
         lift = packing.span([units[j] for j in pivots])
         for outside, dual_nonzero in coefficient_spaces:
             total += 1
@@ -259,7 +253,7 @@ def _min_weight_failing(q: int, n: int, rows: Sequence[Sequence[int]], checks: S
     holds more than max(fields.SPAN_CHUNK, q - 1) vectors."""
     if not checks:
         return None
-    packing = SyndromePacking(q, n, checks)
+    packing = Packing(q, n, checks)
     vector, syndrome = packing.vector, packing.syndrome
     best = n + 1   # heavier than any vector
     for i, level in enumerate(packing.levels(packing.rows(rows)), 1):
@@ -295,7 +289,7 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
 
     A generator (a|b) has symplectic product a.ez - b.ex with (ex|ez), so
     (ex|ez) is in S-dual exactly when its syndromes (b.ex) and (a.ez) agree.
-    The balls are {0} and the first levels of a SyndromePacking's unit rows,
+    The balls are {0} and the first levels of the unit rows of a Packing,
     checked by b for bit errors and by a for phase errors; they are joined on
     syndrome, and only colliding pairs are tested for membership in S, so the
     work is the two ball sizes plus the collisions.  The guard stays on the
@@ -304,15 +298,15 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     check_ranges(q, n, dx, dz)
     _check_profile_size(q, n, dx, dz)
     rows = code.c.basis
-    phase = SyndromePacking(q, n, [row[:n] for row in rows])
-    bit = SyndromePacking(q, n, [row[n:] for row in rows])
-    vector, syndrome, unpack = phase.vector, phase.syndrome, Packing(q, n).unpack   # bit's split is the same
+    phase = Packing(q, n, [row[:n] for row in rows])
+    bit = Packing(q, n, [row[n:] for row in rows])
+    syndrome, unpack = phase.syndrome, phase.unpack   # bit's split is the same
     phase_by_syndrome: dict[int, list[int]] = {}
     for ez in chain.from_iterable(chain([[0]], *islice(phase.levels(phase.units()), dz - 1))):
         phase_by_syndrome.setdefault(syndrome(ez), []).append(ez)
     for ex in chain.from_iterable(chain([[0]], *islice(bit.levels(bit.units()), dx - 1))):
         for ez in phase_by_syndrome.get(syndrome(ex), ()):
-            if (ex or ez) and not code.c.contains(unpack(vector(ex)) + unpack(vector(ez))):
+            if (ex or ez) and not code.c.contains(unpack(ex) + unpack(ez)):
                 return False
     return True
 
@@ -329,11 +323,12 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     undetectable = _capped_pow(q, n - k) * (_capped_pow(q, 2 * k) - 1)   # q^(n+k) - q^(n-k)
     _guard(undetectable, COSET_GUARD, "{} error vectors exceeds the guard of {}")
     packing = Packing(q, 2 * n)
-    x_half = next(packing.supports([packing.pack([1] * n)]))   # the support bits of ex
+    x_half = sum(packing.supports(packing.units()[:n]))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx
     dual = code.c.symplectic_dual()
     extension = [row for row, j in zip(dual.basis, dual.pivot_cols) if j not in code.c.pivot_cols]
-    for chunk in _walk_difference(packing, code.c.basis, extension):
+    rows = packing.rows([*code.c.basis, *extension])   # S's rows vary fastest: skip span(S)
+    for chunk in packing.span_chunks(rows, skip=q ** code.c.dim):
         for support in packing.supports(chunk):
             wx = (support & x_half).bit_count()
             wz = support.bit_count() - wx

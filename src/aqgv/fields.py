@@ -1,6 +1,6 @@
 """Exact linear algebra over prime fields GF(p), and the one home of GF(p)
-arithmetic and of the packed layouts, of vectors and of (vector | syndrome)
-rows: other modules reduce nothing mod p and place no coordinate in a packed int.
+arithmetic and of the packed layout of (vector | syndrome) rows: other
+modules reduce nothing mod p and place no coordinate in a packed int.
 
 Vectors in the API are plain tuples of residues in ``[0, p)``.  Building a
 subspace makes its rows canonical: it is held in reduced row-echelon form,
@@ -9,15 +9,15 @@ keys.  Everything is immutable and pure; sizes are desk scale (ambient
 dimension up to a few dozen).
 
 Walks over whole spans do not use tuples: :class:`Packing` packs each
-vector into one Python int, a fixed-width bit field per coordinate, so that
-adding two vectors or taking a weight is a handful of big-int operations.
+vector into one Python int, a fixed-width bit field per coordinate, with
+its syndrome under any check rows appended, so that adding two vectors or
+taking a weight is a handful of big-int operations.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import chain
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -117,8 +117,12 @@ def dual_rows(basis: Sequence[Sequence[int]], pivots: Sequence[int], p: int, n: 
 
 
 class Packing:
-    """GF(p)^n with each vector packed into one int: coordinate j sits in
-    bits [j*width, (j+1)*width).
+    """GF(p)^n with each vector packed into one int, its syndrome under m >= 0
+    check rows of length n appended: coordinate j sits in bits
+    [j*width, (j+1)*width), and check i's entry of the syndrome in field
+    n + i.  The syndrome is linear, so one packed add gives a vector and its
+    syndrome; with no checks a row is the plain packed vector.  ``vector``
+    and ``syndrome`` take the two parts off a packed row.
 
     For p = 2 the width is 1, addition is XOR and the weight is a popcount.
     For odd p the width b = (p-1).bit_length() + 1 leaves each field a spare
@@ -128,31 +132,44 @@ class Packing:
     adding M - 1 sets it exactly where a residue is nonzero.
     """
 
-    def __init__(self, p: int, n: int):
+    def __init__(self, p: int, n: int, checks: Sequence[Sequence[int]] = ()):
         self.p = p
         self.n = n
         self.width = b = 1 if p == 2 else (p - 1).bit_length() + 1
-        ones = sum(1 << (b * j) for j in range(n))   # the low bit of every field
+        self._units = [1 << (b * j) for j in range(n)]
+        self._checks = list(zip(checks, range(b * n, b * (n + len(checks)), b)))   # (check, its shift)
+        ones = sum(1 << (b * j) for j in range(n + len(checks)))   # the low bit of every field
         top = 1 << (b - 1)
         self._wrap = (top - p) * ones
         self._top = top * ones
         self._nonzero = (top - 1) * ones
+        cut = b * n
+        self.vector = ((1 << cut) - 1).__and__
+        self.syndrome = cut.__rrshift__
 
-    def unit(self, j: int) -> int:
-        """The j-th unit vector, packed."""
-        return 1 << self.width * j
+    def rows(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        """Each row of GF(p)^n, packed with its syndrome appended."""
+        units, p = self._units, self.p
+        packed = [sum(map(mul, row, units)) for row in rows]   # row . (e_0, ..., e_{n-1})
+        for check, s in self._checks:
+            packed = [v + ((sum(map(mul, row, check)) % p) << s) for v, row in zip(packed, rows)]
+        return packed
 
-    def pack(self, v: Sequence[int]) -> int:
-        b = self.width
-        return sum(x << (b * j) for j, x in enumerate(v))
+    def units(self) -> list[int]:
+        """e_j with column j of the checks appended, for j < n, packed."""
+        units = list(self._units)
+        for check, s in self._checks:
+            units = [u + (c << s) for u, c in zip(units, check)]
+        return units
 
     def unpack(self, x: int) -> Vec:
+        """The vector part of a packed row, as a tuple."""
         b = self.width
         mask = (1 << b) - 1
         return tuple((x >> (b * j)) & mask for j in range(self.n))
 
     def shifted(self, r: int, vs: Sequence[int]) -> list[int]:
-        """[r + v for v in vs], each sum taken in GF(p)^n."""
+        """[r + v for v in vs], each sum taken field by field in GF(p)."""
         if self.p == 2:
             return list(map(r.__xor__, vs))
         wrap, top, shift, p = self._wrap, self._top, self.width - 1, self.p
@@ -160,7 +177,8 @@ class Packing:
 
     def supports(self, vs: Sequence[int]) -> Iterator[int]:
         """For each packed vector, an int with one set bit per nonzero
-        coordinate (the field's top bit); its popcount is the weight."""
+        coordinate (the field's top bit); its popcount is the weight.  A
+        syndrome's entries count too, so take ``vector`` of a row first."""
         if self.p == 2:
             return iter(vs)
         return map(self._top.__and__, map(self._nonzero.__add__, vs))
@@ -252,33 +270,6 @@ class _BlockLevels:
             self._levels.append(level)
             self._ends = ends
         return self._levels[w]
-
-
-class SyndromePacking(Packing):
-    """GF(p)^(n+m) as (vector | syndrome) rows: v in GF(p)^n packed as
-    Packing(p, n) packs it, then checks.v for m check rows of length n.  The
-    syndrome is linear, so one packed add gives a vector and its syndrome.
-    ``vector`` and ``syndrome`` take the two parts off a packed row."""
-
-    def __init__(self, p: int, n: int, checks: Sequence[Sequence[int]]):
-        super().__init__(p, n + len(checks))
-        self._checks = checks
-        self._shifts = [self.width * j for j in range(self.n)]
-        cut = self.width * n
-        self.vector = ((1 << cut) - 1).__and__
-        self.syndrome = cut.__rrshift__
-
-    def rows(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        """Each row of GF(p)^n, packed with its syndrome appended."""
-        p, checks, shifts = self.p, self._checks, self._shifts
-        return [sum(x << s for x, s in zip(chain(row, [sum(map(mul, row, c)) % p for c in checks]), shifts) if x)
-                for row in rows]
-
-    def units(self) -> list[int]:
-        """e_j with column j of the checks appended, for j < n, packed."""
-        n = self.n - len(self._checks)
-        return [self.unit(j) + sum(c[j] << s for c, s in zip(self._checks, self._shifts[n:]) if c[j])
-                for j in range(n)]
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,6 @@ from aqgv.codesearch import (
     _check_distance_size,
     _check_draw_size,
     _coefficient_indices,
-    _walk_difference,
 )
 from aqgv.errors import (
     EnumerationSizeError,
@@ -143,7 +142,8 @@ def pivot_extension(big, small):
 def per_pair_subspace_oracle(n, q, k1, k2):
     """(total pairs, per-error bit tally, per-error phase tally), the slow
     way: every C2 is spanned and reduced, and its dual taken, pair by pair;
-    both difference sets are walked with _walk_difference from pivot rows."""
+    both difference sets are walked from pivot rows, small's rows varying
+    fastest so that skipping its span leaves the difference."""
     field = GF(q)
     packing = Packing(q, n)
     units = [1 << (packing.width * j) for j in range(n)]
@@ -156,7 +156,8 @@ def per_pair_subspace_oracle(n, q, k1, k2):
             c2 = Subspace.span(field, n, [combine(row, c1.basis, q, n) for row in coeff_space.basis])
             total += 1
             for tally, big, small in ((per_x, c1, c2), (per_z, c2.dual(), c1_dual)):
-                for chunk in _walk_difference(packing, small.basis, pivot_extension(big, small)):
+                rows = packing.rows([*small.basis, *pivot_extension(big, small)])
+                for chunk in packing.span_chunks(rows, skip=q ** small.dim):
                     for e in chunk:
                         tally[e] += 1
     unpack = packing.unpack
@@ -194,8 +195,8 @@ def test_pair_difference_sets_from_c1_spans_and_coefficient_indices(q, n, k1, k2
     a = Subspace(GF(q), k1, [[row[j] for j in c1.pivot_cols] for row in c2.basis])
     outside, a_dual_nonzero = _coefficient_indices(q, k1, a.pivot_cols, [list(row) for row in a.basis])
     packing = Packing(q, n)
-    span1 = packing.span([packing.pack(row) for row in c1.basis])
-    c1_dual = packing.span([packing.pack(row) for row in dual_rows(c1.basis, c1.pivot_cols, q, n)])
+    span1 = packing.span(packing.rows(c1.basis))
+    c1_dual = packing.span(packing.rows(dual_rows(c1.basis, c1.pivot_cols, q, n)))
     lift = packing.span([1 << packing.width * j for j in c1.pivot_cols])
     assert sorted(packing.unpack(span1[i]) for i in outside) == sorted(set(members(c1)) - set(members(c2)))
     assert {packing.unpack(x) for x in c1_dual} == set(members(c1.dual()))
@@ -391,7 +392,9 @@ def test_distances_when_small_space_exceeds_one_chunk():
     even = Subspace.span(F2, n, [[1] + [int(i == j) for i in range(1, n)] for j in range(1, n)])
     pair = NestedPair(c1=full_space(F2, n), c2=even)
     assert css_distances(pair) == DistancePair(dx=1, dz=n)
-    chunks = list(_walk_difference(Packing(2, n), pair.c2.basis, pivot_extension(pair.c1, pair.c2)))
+    packing = Packing(2, n)
+    rows = packing.rows([*pair.c2.basis, *pivot_extension(pair.c1, pair.c2)])
+    chunks = list(packing.span_chunks(rows, skip=2 ** pair.c2.dim))
     assert all(len(chunk) <= SPAN_CHUNK for chunk in chunks)
     odd = [v for chunk in chunks for v in chunk]
     assert len(odd) == len(set(odd)) == 2 ** (n - 1)
@@ -407,7 +410,7 @@ def test_distances_guard():
 def _min_weight(packing, small, extension):
     """Least weight over span(small + extension) \\ span(small), by the coset walk."""
     best = None
-    for chunk in _walk_difference(packing, small, extension):
+    for chunk in packing.span_chunks(packing.rows([*small, *extension]), skip=packing.p ** len(small)):
         w = min(map(int.bit_count, packing.supports(chunk)))
         if best is None or w < best:
             best = w

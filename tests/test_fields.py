@@ -12,7 +12,6 @@ from aqgv.fields import (
     GF,
     Packing,
     Subspace,
-    SyndromePacking,
     combine,
     symplectic_products,
     symplectic_twist,
@@ -85,9 +84,8 @@ def packed_operands(draw):
 def test_packed_arithmetic_matches_tuples(case):
     p, n, vs = case
     packing = Packing(p, n)
-    packed = [packing.pack(v) for v in vs]
+    packed = packing.rows(vs)
     assert [packing.unpack(x) for x in packed] == vs
-    assert [packing.unit(j) for j in range(n)] == [packing.pack([0] * j + [1]) for j in range(n)]
     assert [s.bit_count() for s in packing.supports(packed)] == [weight(v) for v in vs]
     u = vs[0]
     sums = [tuple((a + b) % p for a, b in zip(u, v)) for v in vs]
@@ -107,14 +105,21 @@ def syndrome_case(draw):
 def test_syndrome_packing_appends_each_syndrome(case):
     p, n, checks, rows = case
     m = len(checks)
-    packing = SyndromePacking(p, n, checks)
-    full, vectors, syndromes = Packing(p, n + m), Packing(p, n), Packing(p, m)
+    packing, plain = Packing(p, n, checks), Packing(p, n)
+
+    def pack(v):   # sum of x_j * 2^(width*j)
+        return sum(x << (packing.width * j) for j, x in enumerate(v))
+
+    identity = [[int(i == j) for i in range(n)] for j in range(n)]
+    assert plain.rows(rows) == [pack(row) for row in rows]
+    assert plain.units() == [pack(e) for e in identity]
     columns = [[check[j] for check in checks] for j in range(n)]
     packed = packing.rows(rows)
-    assert packed == [full.pack([*row, *combine(row, columns, p, m)]) for row in rows]
-    assert packing.units() == [full.pack([int(i == j) for i in range(n)] + column) for j, column in enumerate(columns)]
-    assert [packing.vector(x) for x in packed] == [vectors.pack(row) for row in rows]
-    assert [packing.syndrome(x) for x in packed] == [syndromes.pack(combine(row, columns, p, m)) for row in rows]
+    assert packed == [pack([*row, *combine(row, columns, p, m)]) for row in rows]
+    assert packing.units() == [pack(e + column) for e, column in zip(identity, columns)]
+    assert [packing.vector(x) for x in packed] == [pack(row) for row in rows]
+    assert [packing.syndrome(x) for x in packed] == [pack(combine(row, columns, p, m)) for row in rows]
+    assert [packing.unpack(x) for x in packed] == [tuple(row) for row in rows]
 
 
 def tuple_span(rows, p, n):
@@ -144,7 +149,7 @@ def span_case(draw):
 def test_packed_span_and_chunks_match_tuple_combinations(case):
     p, n, rows, expected, skip, chunk = case
     packing = Packing(p, n)
-    packed = [packing.pack(row) for row in rows]
+    packed = packing.rows(rows)
     assert [packing.unpack(x) for x in packing.span(packed)] == expected
     with mock.patch.object(fields, "SPAN_CHUNK", chunk):
         chunks = list(packing.span_chunks(packed, skip=skip))
@@ -160,7 +165,7 @@ def test_packed_levels_match_tuple_combinations_by_coefficient_count(case):
     p, n, rows, _, _, chunk = case
     packing = Packing(p, n)
     with mock.patch.object(fields, "SPAN_CHUNK", chunk):
-        levels = [list(level) for level in packing.levels([packing.pack(row) for row in rows])]
+        levels = [list(level) for level in packing.levels(packing.rows(rows))]
     assert len(levels) == len(rows)
     assert all(len(c) <= max(chunk, p - 1) for level in levels for c in level)
     for i, level in enumerate(levels, 1):

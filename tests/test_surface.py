@@ -53,7 +53,6 @@ PUBLIC_NAMES = [
     "stab_detects_profile",
     "stab_frontier",
     "stab_gv_lhs",
-    "weight",
     "write_code_file",
 ]
 
