@@ -5,7 +5,9 @@ bound is feasible or not, unless --assert-feasible asks for exit 2 on a
 negative verdict.  Usage and input errors exit 1 with one diagnostic line
 on stderr.
 
-Each handler returns (status, payload, rows) and prints nothing.  ``run``
+Each subcommand is declared once, by one ``command`` call in
+``_build_parser``, and the parser's ``handler`` default dispatches it.  Each
+handler returns (status, payload, rows) and prints nothing.  ``run``
 alone prints the result, the payload as one sorted-key JSON object with
 --json and the rows as a two-column table otherwise, and sets the exit
 code.  frontier, which has neither, prints its one sentence itself.
@@ -19,7 +21,6 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator
 
 from . import asymptotic, bounds, codesearch
 from .errors import (
@@ -81,87 +82,67 @@ def _pick(payload: dict, *keys: str) -> list[tuple[str, object]]:
     return [(key, payload[key]) for key in keys]
 
 
-def _add_json(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="emit one JSON object on stdout")
-
-
-def _add_bound_flags(parser: argparse.ArgumentParser) -> None:
-    _add_json(parser)
-    parser.add_argument("--digits", type=int, default=6, help="decimal places (default 6)")
-    parser.add_argument(
-        "--assert-feasible",
-        action="store_true",
-        help="exit 2 if the verdict is infeasible",
-    )
-
-
 _DIMENSIONS = {"css": ("k1", "k2"), "stab": ("k",)}  # family -> its dimension flags
 
+_BOUNDS = {  # family -> its query class, its bound and the joiner of its terms
+    "css": (bounds.CssBoundQuery, bounds.css_gv_lhs, " + "),
+    "stab": (bounds.StabBoundQuery, bounds.stab_gv_lhs, " * "),
+}
 
-def _family_parsers(parser: argparse.ArgumentParser, *flags: str) -> Iterator[_Parser]:
-    """One subparser per family, each requiring --q, --n, the family's
-    dimension flags and then ``flags``, all integers."""
-    sub = parser.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    for family, dims in _DIMENSIONS.items():
-        family_parser = sub.add_parser(family)
-        for flag in ("q", "n", *dims, *flags):
-            family_parser.add_argument(f"--{flag}", type=int, required=True)
-        yield family_parser
+_JSON = ("--json", {"action": "store_true", "help": "emit one JSON object on stdout"})
 
 
 def _build_parser() -> _Parser:
     parser = _Parser(prog="aqgv", description="GV-type existence bounds for asymmetric quantum codes")
-    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
+    commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
-    bound = sub.add_parser("bound", help="evaluate a finite-length bound exactly")
-    for family_parser in _family_parsers(bound, "dx", "dz"):
-        _add_bound_flags(family_parser)
+    def command(name, handler, help, families, ints, *options):
+        """One leaf parser per family, or the command's own without families,
+        requiring the integer flags ``ints`` ("dims": the family's dimension
+        flags) and then taking ``options``, each a (flag, keywords) pair."""
+        leaves = {None: commands.add_parser(name, help=help)}
+        if families:
+            sub = leaves[None].add_subparsers(dest="family", required=True, parser_class=_Parser)
+            leaves = {family: sub.add_parser(family) for family in families}
+        for family, leaf in leaves.items():
+            leaf.set_defaults(handler=handler)
+            for flag in ints:
+                for each in _DIMENSIONS[family] if flag == "dims" else (flag,):
+                    leaf.add_argument(f"--{each}", type=int, required=True)
+            for flag, keywords in options:
+                leaf.add_argument(flag, **keywords)
 
-    maxk = sub.add_parser("maxk", help="largest feasible k")
-    msub = maxk.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    maxk_stab = msub.add_parser("stab")
-    for flag in ("--q", "--n", "--dx", "--dz"):
-        maxk_stab.add_argument(flag, type=int, required=True)
-    _add_json(maxk_stab)
-
-    best = sub.add_parser("best", help="feasible (k1, k2) maximizing k1 - k2")
-    bestsub = best.add_subparsers(dest="family", required=True, parser_class=_Parser)
-    best_css = bestsub.add_parser("css")
-    for flag in ("--q", "--n", "--dx", "--dz"):
-        best_css.add_argument(flag, type=int, required=True)
-    _add_json(best_css)
-
-    frontier = sub.add_parser("frontier", help="trace the asymptotic delta_z frontier to CSV")
-    frontier.add_argument("--q", type=int, required=True)
-    frontier.add_argument("--r", type=float, required=True)
-    frontier.add_argument("--points", type=int, required=True)
-    frontier.add_argument("--out", required=True)
-
-    lemma = sub.add_parser("lemma", help="verify the pair-counting identities by enumeration")
-    for flag in ("--q", "--n", "--k1", "--k2"):
-        lemma.add_argument(flag, type=int, required=True)
-    _add_json(lemma)
-
-    search = sub.add_parser("search", help="randomized witness search with verification")
-    for family_parser in _family_parsers(search, "dx", "dz", "trials", "seed"):
-        family_parser.add_argument("--out", help="write the witness code file here")
-        _add_json(family_parser)
-
-    distances = sub.add_parser("distances", help="verified distances / profile of a code file")
-    distances.add_argument("--in", dest="infile", required=True)
-    _add_json(distances)
-
+    command("bound", _cmd_bound, "evaluate a finite-length bound exactly", ("css", "stab"),
+            ("q", "n", "dims", "dx", "dz"),
+            _JSON,
+            ("--digits", {"type": int, "default": 6, "help": "decimal places (default 6)"}),
+            ("--assert-feasible", {"action": "store_true", "help": "exit 2 if the verdict is infeasible"}))
+    command("maxk", _cmd_maxk, "largest feasible k", ("stab",),
+            ("q", "n", "dx", "dz"), _JSON)
+    command("best", _cmd_best, "feasible (k1, k2) maximizing k1 - k2", ("css",),
+            ("q", "n", "dx", "dz"), _JSON)
+    command("frontier", _cmd_frontier, "trace the asymptotic delta_z frontier to CSV", (),
+            ("q",),
+            ("--r", {"type": float, "required": True}),
+            ("--points", {"type": int, "required": True}),
+            ("--out", {"required": True}))
+    command("lemma", _cmd_lemma, "verify the pair-counting identities by enumeration", (),
+            ("q", "n", "k1", "k2"), _JSON)
+    command("search", _cmd_search, "randomized witness search with verification", ("css", "stab"),
+            ("q", "n", "dims", "dx", "dz", "trials", "seed"),
+            ("--out", {"help": "write the witness code file here"}),
+            _JSON)
+    command("distances", _cmd_distances, "verified distances / profile of a code file", (),
+            (),
+            ("--in", {"dest": "infile", "required": True}),
+            _JSON)
     return parser
 
 
 def _cmd_bound(args) -> _Outcome:
     params = {dim: getattr(args, dim) for dim in _DIMENSIONS[args.family]}
-    if args.family == "css":
-        report = bounds.css_gv_lhs(bounds.CssBoundQuery(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
-        term_join = " + "
-    else:
-        report = bounds.stab_gv_lhs(bounds.StabBoundQuery(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
-        term_join = " * "
+    query, bound, term_join = _BOUNDS[args.family]
+    report = bound(query(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
     payload = {
         "q": args.q,
         "n": args.n,
@@ -308,22 +289,11 @@ def _cmd_distances(args) -> _Outcome:
     return "ok", payload, rows
 
 
-_HANDLERS = {
-    "bound": _cmd_bound,
-    "maxk": _cmd_maxk,
-    "best": _cmd_best,
-    "frontier": _cmd_frontier,
-    "lemma": _cmd_lemma,
-    "search": _cmd_search,
-    "distances": _cmd_distances,
-}
-
-
 def run(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, print the result, and return it."""
     try:
         args = _build_parser().parse_args(argv)
-        status, payload, rows = _HANDLERS[args.command](args)
+        status, payload, rows = args.handler(args)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult("error", {}, 1)

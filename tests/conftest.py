@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import settings
 
 from aqgv.codesearch import IsotropicCode, NestedPair
 from aqgv.fields import GF, Packing, Subspace
@@ -19,6 +20,10 @@ HAMMING_7_4_ROWS = (
     (0, 0, 1, 0, 1, 1, 0),
     (0, 0, 0, 1, 1, 1, 1),
 )
+
+# Every property test draws the same examples on every run, however slow.
+settings.register_profile("aqgv", derandomize=True, deadline=None)
+settings.load_profile("aqgv")
 
 
 def zero_space(field: GF, n: int) -> Subspace:

@@ -113,7 +113,6 @@ def test_ball_sum_full_radius_counts_all_nonzero():
             assert ball_sum(n, q, n) == q**n - 1
 
 
-@settings(derandomize=True, deadline=None)
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 60), st.data())
 def test_ball_sum_matches_binomial_sum_property(q, n, data):
     t = data.draw(st.integers(0, n))
@@ -355,7 +354,7 @@ def scan_rows(draw):
     return q, n, draw(distance), draw(distance)
 
 
-@settings(derandomize=True, deadline=None, max_examples=200)
+@settings(max_examples=200)
 @given(scan_rows())
 @example((2, 30, 1, 1))
 @example((9, 30, 31, 2))

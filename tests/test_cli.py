@@ -321,6 +321,37 @@ def test_table_output_is_pinned(argv, exit_code, stdout, tmp_path, monkeypatch, 
 
 
 # ---------------------------------------------------------------------------
+# usage lines: each leaf's flags, their order and which are required
+# ---------------------------------------------------------------------------
+
+LEAF_USAGES = {
+    "bound css": "usage: aqgv bound css [-h] --q Q --n N --k1 K1 --k2 K2 --dx DX --dz DZ\n"
+                 "                      [--json] [--digits DIGITS] [--assert-feasible]\n",
+    "bound stab": "usage: aqgv bound stab [-h] --q Q --n N --k K --dx DX --dz DZ [--json]\n"
+                  "                       [--digits DIGITS] [--assert-feasible]\n",
+    "maxk stab": "usage: aqgv maxk stab [-h] --q Q --n N --dx DX --dz DZ [--json]\n",
+    "best css": "usage: aqgv best css [-h] --q Q --n N --dx DX --dz DZ [--json]\n",
+    "frontier": "usage: aqgv frontier [-h] --q Q --r R --points POINTS --out OUT\n",
+    "lemma": "usage: aqgv lemma [-h] --q Q --n N --k1 K1 --k2 K2 [--json]\n",
+    "search css": "usage: aqgv search css [-h] --q Q --n N --k1 K1 --k2 K2 --dx DX --dz DZ\n"
+                  "                       --trials TRIALS --seed SEED [--out OUT] [--json]\n",
+    "search stab": "usage: aqgv search stab [-h] --q Q --n N --k K --dx DX --dz DZ --trials TRIALS\n"
+                   "                        --seed SEED [--out OUT] [--json]\n",
+    "distances": "usage: aqgv distances [-h] --in INFILE [--json]\n",
+}
+
+
+@pytest.mark.parametrize("leaf", LEAF_USAGES)
+def test_leaf_usage_is_pinned(leaf, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage at the terminal width
+    with pytest.raises(SystemExit) as exit_info:
+        run([*leaf.split(), "--help"])
+    captured = capsys.readouterr()
+    assert exit_info.value.code == 0 and captured.err == ""
+    assert captured.out.split("\n\n")[0] + "\n" == LEAF_USAGES[leaf]
+
+
+# ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
 

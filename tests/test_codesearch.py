@@ -48,7 +48,6 @@ from conftest import full_space, members, zero_space
 
 F2 = GF(2)
 F3 = GF(3)
-PROPERTY = settings(derandomize=True, deadline=None)
 # Walk list sizes for the property tests: small ones make the walks span
 # many lists, as large codes do at the real SPAN_CHUNK.
 CHUNKS = st.sampled_from([1, 4, 27, SPAN_CHUNK])
@@ -116,7 +115,7 @@ def expected_counts_oracle(q, n, k1, k2, total):
     return (-1, -1) if x_rem or z_rem else (x, z)
 
 
-@settings(PROPERTY, max_examples=100)
+@settings(max_examples=100)
 @given(q=st.sampled_from((2, 3, 4, 5, 7, 8, 9)), n=st.integers(1, 25), scale=st.integers(1, 2**64))
 def test_expected_counts_match_direct_formula(q, n, scale):
     inexact = 0
@@ -172,7 +171,7 @@ def lemma_dims(draw):
     return q, n, k1, draw(st.integers(0, k1))
 
 
-@settings(PROPERTY, max_examples=60)
+@settings(max_examples=60)
 @given(lemma_dims())
 def test_enumeration_matches_per_pair_subspace_oracle(dims):
     q, n, k1, k2 = dims
@@ -248,7 +247,6 @@ def test_enumeration_guards():
         enumerate_nested_pairs(3, 2, 1, 2)
 
 
-@PROPERTY
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 40), st.data(), st.integers(1, 16))
 def test_guarded_costs_are_exact_below_their_cap(q, n, data, digits):
     k = data.draw(st.integers(0, n))
@@ -334,7 +332,6 @@ def css_shape(draw):
     return n, q, k1, k2, draw(st.integers(0, 2**32))
 
 
-@PROPERTY
 @given(css_shape(), CHUNKS)
 def test_distances_match_oracle_property(shape, chunk):
     pair = random_nested_pair(*shape)
@@ -342,7 +339,6 @@ def test_distances_match_oracle_property(shape, chunk):
         assert css_distances(pair) == distance_oracle(pair)
 
 
-@PROPERTY
 @given(css_shape())
 def test_walk_rows_come_from_parity_checks_property(shape):
     # The lemma's lift L(y) over A-dual's parity-check rows is exactly C2's
@@ -437,7 +433,7 @@ def walk_shape(draw):
     return n, q, k1, k2, draw(st.integers(0, 2**32))
 
 
-@settings(PROPERTY, max_examples=150)
+@settings(max_examples=150)
 @given(walk_shape(), CHUNKS)
 def test_distances_match_walk_oracle_property(shape, chunk):
     pair = random_nested_pair(*shape)
@@ -620,7 +616,6 @@ def stab_shape(draw):
     return n, q, draw(st.integers(0, n)), draw(st.integers(0, 2**32))
 
 
-@PROPERTY
 @given(stab_shape(), CHUNKS)
 def test_profile_matrix_matches_per_cell_property(shape, chunk):
     code = random_isotropic_code(*shape)
@@ -632,7 +627,6 @@ def test_profile_matrix_matches_per_cell_property(shape, chunk):
     ]
 
 
-@PROPERTY
 @given(stab_shape(), CHUNKS)
 def test_profile_join_matches_ball_oracle_property(shape, chunk):
     code = random_isotropic_code(*shape)
@@ -759,7 +753,6 @@ def rebuilt_dual_sampler(n, q, k, seed):
     return IsotropicCode(c=c)
 
 
-@PROPERTY
 @given(st.sampled_from([2, 3, 5]), st.integers(1, 8), st.data(), st.integers(0, 2**64))
 def test_sampler_matches_rebuilt_dual_oracle_property(q, n, data, seed):
     k = data.draw(st.integers(0, n))

@@ -3,7 +3,7 @@ from itertools import product
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given
 from hypothesis import strategies as st
 
 from aqgv import fields
@@ -65,8 +65,6 @@ def test_weight_examples():
 # packed vectors: tuple arithmetic is the oracle
 # ---------------------------------------------------------------------------
 
-PROPERTY = settings(derandomize=True, deadline=None)
-
 
 def vectors_of(p, n):
     return st.lists(st.integers(0, p - 1), min_size=n, max_size=n).map(tuple)
@@ -79,7 +77,6 @@ def packed_operands(draw):
     return p, n, draw(st.lists(vectors_of(p, n), min_size=2, max_size=4))
 
 
-@PROPERTY
 @given(packed_operands())
 def test_packed_arithmetic_matches_tuples(case):
     p, n, vs = case
@@ -100,7 +97,6 @@ def syndrome_case(draw):
     return p, n, checks, draw(st.lists(vectors_of(p, n), max_size=4))
 
 
-@PROPERTY
 @given(syndrome_case())
 def test_syndrome_packing_appends_each_syndrome(case):
     p, n, checks, rows = case
@@ -144,7 +140,6 @@ def span_case(draw):
     return p, n, rows, expected, skip, chunk
 
 
-@PROPERTY
 @given(span_case())
 def test_packed_span_and_chunks_match_tuple_combinations(case):
     p, n, rows, expected, skip, chunk = case
@@ -159,7 +154,6 @@ def test_packed_span_and_chunks_match_tuple_combinations(case):
     assert list(members(space)) == tuple_span(space.basis, p, n)
 
 
-@PROPERTY
 @given(span_case())
 def test_packed_levels_match_tuple_combinations_by_coefficient_count(case):
     p, n, rows, _, _, chunk = case
@@ -261,7 +255,6 @@ def raw_rows(draw):
     return p, n, drawn, draw(st.permutations(rows))
 
 
-@PROPERTY
 @given(raw_rows())
 def test_constructor_makes_any_rows_canonical(case):
     p, n, drawn, rows = case
@@ -370,7 +363,6 @@ def even_subspaces(draw):
     return Subspace.span(GF(p), m, draw(st.lists(vectors_of(p, m), max_size=m + 1)))
 
 
-@PROPERTY
 @given(even_subspaces())
 def test_symplectic_dual_matches_two_elimination_oracle(s):
     # for odd p the twist's sign matters: (b|a) in place of (-b|a) spans another space
@@ -392,7 +384,6 @@ def symplectic_operands(draw):
     return q, n, draw(vectors_of(q, 2 * n)), draw(st.lists(vectors_of(q, 2 * n), max_size=4))
 
 
-@PROPERTY
 @given(symplectic_operands())
 def test_symplectic_products_match_definition(case):
     # <(a|b), (c|d)> = a.d - b.c mod q, straight from the definition
