@@ -53,9 +53,10 @@ from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesear
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
 ERROR_TABLE_GUARD = 10**6   # nonzero error vectors tallied at once
-PROFILE_GUARD = 10**7       # (ex, ez) patterns checked by one profile call
-COSET_GUARD = 2**26         # vectors one distance or profile-matrix walk visits, or
-                            # row entries one stabilizer draw updates
+PROFILE_GUARD = 10**7       # vectors or row entries one kernel holds at once: a profile
+                            # check's phase ball, a distance check's parity-check rows
+COSET_GUARD = 2**26         # vectors (and collisions) one walk builds as it goes, or
+                            # row entries one draw updates
 
 
 @dataclass(frozen=True)
@@ -149,22 +150,10 @@ class EnumerationReport:
         )
 
 
-def _check_distance_size(q: int, n: int, k1: int, k2: int) -> None:
-    """css_distances visits at most q^k1 + q^(n-k2) codewords, of C1 and C2-dual."""
-    codewords = _capped_pow(q, k1) + _capped_pow(q, n - k2)
-    _guard(codewords, COSET_GUARD, "{} codewords exceeds the guard of {}")
-
-
-def _check_profile_size(q: int, n: int, dx: int, dz: int) -> None:
-    """stab_detects_profile's (ex, ez) patterns: one more than each ball
-    size, of radius dx-1 and dz-1, multiplied."""
-    patterns = (_capped_ball(n, q, dx - 1) + 1) * (_capped_ball(n, q, dz - 1) + 1)
-    _guard(patterns, PROFILE_GUARD, "{} patterns exceeds the guard of {}")
-
-
-def _check_draw_size(n: int, k: int) -> None:
-    """random_isotropic_code's n - k steps each update up to (2n)^2 row entries."""
-    _guard((n - k) * (2 * n) ** 2, COSET_GUARD, "{} row-entry updates exceeds the guard of {}")
+def _check_draw_size(updates: int) -> None:
+    """A sampler's row-entry updates: (n - k)(2n)^2 for random_isotropic_code,
+    k1 n^2 for random_nested_pair."""
+    _guard(updates, COSET_GUARD, "{} row-entry updates exceeds the guard of {}")
 
 
 def _check_pair_dims(n: int, k1: int, k2: int) -> None:
@@ -250,16 +239,18 @@ def _min_weight_failing(q: int, n: int, rows: Sequence[Sequence[int]], checks: S
     their number i of nonzero coefficients (Packing.levels), and the walk
     stops as soon as the best weight found is <= i: no later vector can
     beat it (Brouwer's bound, with one information set).  No list it builds
-    holds more than max(fields.SPAN_CHUNK, q - 1) vectors."""
+    holds more than max(fields.SPAN_CHUNK, q - 1) vectors; past COSET_GUARD built, it refuses."""
     if not checks:
         return None
     packing = Packing(q, n, checks)
     vector, syndrome = packing.vector, packing.syndrome
-    best = n + 1   # heavier than any vector
+    best, walked = n + 1, 0   # heavier than any vector; vectors built
     for i, level in enumerate(packing.levels(packing.rows(rows)), 1):
         if best <= i:
             break
         for chunk in level:
+            walked += len(chunk)
+            _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
             failing = packing.supports(map(vector, filter(syndrome, chunk)))
             best = min(best, min(map(int.bit_count, failing), default=best))
             if best <= i:
@@ -273,7 +264,7 @@ def css_distances(pair: NestedPair) -> DistancePair:
     parity-check rows, each in rising weight with the membership checks of
     the module doc and no elimination."""
     c1, c2, q, n = pair.c1, pair.c2, pair.q, pair.n
-    _check_distance_size(q, n, c1.dim, c2.dim)
+    _guard((n - c2.dim) * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
     free2 = [f for f in range(n) if f not in c2.pivot_cols]   # one parity-check row of C2 each
     c2_parity = dual_rows(c2.basis, c2.pivot_cols, q, n)      # systematic on free2
     at_n1 = [row for row, j in zip(c1.basis, c1.pivot_cols) if j not in c2.pivot_cols]
@@ -291,12 +282,13 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     (ex|ez) is in S-dual exactly when its syndromes (b.ex) and (a.ez) agree.
     The balls are {0} and the first levels of the unit rows of a Packing,
     checked by b for bit errors and by a for phase errors; they are joined on
-    syndrome, and only colliding pairs are tested for membership in S, so the
-    work is the two ball sizes plus the collisions.  The guard stays on the
-    product of the ball sizes: with k = 0 S-dual is S and every pair collides."""
+    syndrome, and only collisions (pairs whose sum lies in S-dual) are tested
+    for membership in S.  The phase ball, held in a dict, is guarded by
+    PROFILE_GUARD up front; the bit ball and the collisions are counted
+    against COSET_GUARD as they are walked."""
     n, q = code.n, code.q
     check_ranges(q, n, dx, dz)
-    _check_profile_size(q, n, dx, dz)
+    _guard(_capped_ball(n, q, dz - 1) + 1, PROFILE_GUARD, "{} phase errors exceeds the guard of {}")
     rows = code.c.basis
     phase = Packing(q, n, [row[:n] for row in rows])
     bit = Packing(q, n, [row[n:] for row in rows])
@@ -304,10 +296,18 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     phase_by_syndrome: dict[int, list[int]] = {}
     for ez in chain.from_iterable(chain([[0]], *islice(phase.levels(phase.units()), dz - 1))):
         phase_by_syndrome.setdefault(syndrome(ez), []).append(ez)
-    for ex in chain.from_iterable(chain([[0]], *islice(bit.levels(bit.units()), dx - 1))):
-        for ez in phase_by_syndrome.get(syndrome(ex), ()):
-            if (ex or ez) and not code.c.contains(unpack(ex) + unpack(ez)):
-                return False
+    walked, message = 0, "{} bit errors and collisions exceeds the guard of {}"
+    for chunk in chain([[0]], *islice(bit.levels(bit.units()), dx - 1)):
+        walked += len(chunk)
+        _guard(walked, COSET_GUARD, message)
+        for ex in chunk:
+            collisions = phase_by_syndrome.get(syndrome(ex))
+            if collisions:
+                walked += len(collisions)
+                _guard(walked, COSET_GUARD, message)
+                for ez in collisions:
+                    if (ex or ez) and not code.c.contains(unpack(ex) + unpack(ez)):
+                        return False
     return True
 
 
@@ -361,6 +361,7 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     """
     field = GF(q)
     _check_pair_dims(n, k1, k2)
+    _check_draw_size(k1 * n**2)
     rng = Random(seed)
     c1 = _random_full_rank(rng, field, k1, n)
     coeffs = _random_full_rank(rng, field, k2, k1)   # its basis spans the same rows as the draw
@@ -397,7 +398,7 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     field = GF(q)
     if not (n >= 1 and 0 <= k <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k <= n, got {(n, k)}")
-    _check_draw_size(n, k)
+    _check_draw_size((n - k) * (2 * n) ** 2)
     rng = Random(seed)
     m = 2 * n
     dual = [[int(i == j) for j in range(m)] for i in range(m)] if k < n else []
@@ -464,12 +465,10 @@ def gv_witness_search(
         if k1 is None or k2 is None:
             raise ParameterRangeError("css search needs k1 and k2")
         CssBoundQuery(q=q, n=n, k1=k1, k2=k2, dx=dx, dz=dz)
-        _check_distance_size(q, n, k1, k2)   # the check's guard, before any draw
     elif kind == "stab":
         if k is None:
             raise ParameterRangeError("stab search needs k")
         StabBoundQuery(q=q, n=n, k=k, dx=dx, dz=dz)
-        _check_profile_size(q, n, dx, dz)
     else:
         raise ParameterRangeError(f"kind must be 'css' or 'stab', got {kind!r}")
     if trials < 1:

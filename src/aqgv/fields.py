@@ -205,8 +205,8 @@ class Packing:
         """span(rows) after its first ``skip`` vectors, in lists of at most
         SPAN_CHUNK: the span of the leading rows is materialized once and
         shifted by each combination of the remaining rows, listed up front:
-        callers walk at most codesearch.COSET_GUARD = 2^26 vectors, and when
-        rows remain the inner span has >= 41^2 (p = 41), so that is <= ~40k."""
+        the one caller, stab_profile_matrix, walks <= codesearch.COSET_GUARD =
+        2^26 vectors; when rows remain the inner span is >= 41^2, so <= ~40k offsets."""
         inner_rows = min(len(rows), self._rows_per_chunk())
         inner = self.span(rows[:inner_rows])
         first, cut = divmod(skip, len(inner))

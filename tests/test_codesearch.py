@@ -33,7 +33,6 @@ from aqgv.codesearch import (
     write_code_file,
     _capped_ball,
     _capped_pow,
-    _check_distance_size,
     _check_draw_size,
     _coefficient_indices,
 )
@@ -257,11 +256,11 @@ def test_guarded_costs_are_exact_below_their_cap(q, n, data, digits):
 
 
 def test_guard_message_shows_a_cost_in_full_up_to_the_digit_limit():
-    codewords = 1 + 2**27   # nine digits, over COSET_GUARD
-    for digits, shown in ((9, str(codewords)), (8, "10^8 or more")):
+    updates = 1 + 2**27   # nine digits, over COSET_GUARD
+    for digits, shown in ((9, str(updates)), (8, "10^8 or more")):
         with mock.patch("sys.get_int_max_str_digits", return_value=digits), \
-                pytest.raises(EnumerationSizeError, match=f"^{re.escape(shown)} codewords exceeds"):
-            _check_distance_size(2, 27, 0, 0)
+                pytest.raises(EnumerationSizeError, match=f"^{re.escape(shown)} row-entry updates exceeds"):
+            _check_draw_size(updates)
 
 
 def test_guards_decide_huge_costs_without_building_them():
@@ -270,12 +269,14 @@ def test_guards_decide_huge_costs_without_building_them():
         enumerate_nested_pairs(10**8, 2, 1, 0)
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceed the tally"):
         enumerate_nested_pairs(10**8, 3, 10**8, 10**8)
-    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more codewords exceeds"):
-        css_distances(NestedPair(c1=zero_space(F3, 10**8), c2=zero_space(F3, 10**8)))
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceeds"):
         stab_profile_matrix(IsotropicCode(c=zero_space(F3, 2 * 10**8)))
-    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more patterns exceeds"):
+    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more phase errors exceeds"):
         stab_detects_profile(IsotropicCode(c=zero_space(F3, 2 * 10**8)), 10**8, 10**8)
+    # C2's 10^8 parity-check rows of 10^8 entries each are refused before one is built
+    with pytest.raises(EnumerationSizeError, match=f"^{10**16} parity-check entries exceeds the guard of {PROFILE_GUARD}$"), \
+            mock.patch("aqgv.codesearch.dual_rows", side_effect=AssertionError("built a row")):
+        css_distances(NestedPair(c1=zero_space(F3, 10**8), c2=zero_space(F3, 10**8)))
 
 
 # ---------------------------------------------------------------------------
@@ -398,9 +399,34 @@ def test_distances_when_small_space_exceeds_one_chunk():
 
 
 def test_distances_guard():
-    pair = NestedPair(c1=full_space(F2, 30), c2=zero_space(F2, 30))
-    with pytest.raises(EnumerationSizeError):
+    # full/zero needs level 1 only: 2^30 codewords, but a walk of 60 vectors
+    assert css_distances(NestedPair(c1=full_space(F2, 30), c2=zero_space(F2, 30))) == DistancePair(dx=1, dz=1)
+    # a [60, 30] code certifies its dx only past level 4, 31,930 vectors in
+    pair = random_nested_pair(60, 2, 30, 0, 1)
+    with mock.patch("aqgv.codesearch.COSET_GUARD", 10**4), \
+            pytest.raises(EnumerationSizeError, match="walked vectors exceeds the guard of 10000$"):
         css_distances(pair)
+
+
+def test_distance_walk_stops_at_the_first_list_past_its_guard():
+    pair = random_nested_pair(60, 2, 30, 0, 1)
+    levels, lengths = Packing.levels, []
+
+    def record(chunk):
+        lengths.append(len(chunk))
+        return chunk
+
+    def recorded_levels(self, rows):
+        return (map(record, level) for level in levels(self, rows))
+
+    with mock.patch.object(fields, "SPAN_CHUNK", 27), \
+            mock.patch.object(Packing, "levels", recorded_levels), \
+            mock.patch("aqgv.codesearch.COSET_GUARD", 1000), \
+            pytest.raises(EnumerationSizeError) as refused:
+        css_distances(pair)
+    walked = sum(lengths)
+    assert sum(lengths[:-1]) <= 1000 < walked
+    assert str(refused.value) == f"{walked} walked vectors exceeds the guard of 1000"
 
 
 def _min_weight(packing, small, extension):
@@ -440,6 +466,17 @@ def test_distances_match_walk_oracle_property(shape, chunk):
     expected = walk_oracle(pair)
     with mock.patch.object(fields, "SPAN_CHUNK", chunk):
         assert css_distances(pair) == expected
+
+
+@settings(max_examples=60)
+@given(walk_shape())
+def test_distance_guard_never_refuses_within_the_old_prediction(shape):
+    # each walk builds at most its difference set, so every pair the old
+    # guard on q^k1 + q^(n-k2) codewords let through still gets its distances
+    n, q, k1, k2, _ = shape
+    pair = random_nested_pair(*shape)
+    with mock.patch("aqgv.codesearch.COSET_GUARD", q**k1 + q ** (n - k2)):
+        assert css_distances(pair) == walk_oracle(pair)
 
 
 @pytest.mark.parametrize("q,n,k1,k2,seed", [(2, 12, 7, 3, 1), (3, 8, 5, 2, 2), (5, 5, 3, 1, 3), (2, 6, 6, 0, 4)])
@@ -580,8 +617,15 @@ def test_profile_guard_and_ranges(five_qubit):
     with pytest.raises(ParameterRangeError):
         stab_detects_profile(five_qubit, 7, 1)
     big = IsotropicCode(c=zero_space(F2, 60))
-    with pytest.raises(EnumerationSizeError):
+    with pytest.raises(EnumerationSizeError, match=f"^{2**30} phase errors exceeds the guard of {PROFILE_GUARD}$"):
         stab_detects_profile(big, 31, 31)
+    # S = every Z error (k = 0): no pattern fails, each phase error collides
+    # with ex = 0, and each bit error with ez = 0 only
+    all_z = IsotropicCode(c=Subspace(F2, 16, [[0] * 8 + [int(i == j) for i in range(8)] for j in range(8)]))
+    for dx, dz, walked in ((1, 9, 1 + 2**8), (4, 1, 1 + 1 + 8 + 28 + 56)):
+        with mock.patch("aqgv.codesearch.COSET_GUARD", 50), \
+                pytest.raises(EnumerationSizeError, match=f"^{walked} bit errors and collisions exceeds the guard of 50$"):
+            stab_detects_profile(all_z, dx, dz)
     # [[14, 14]]: 2^28 - 1 undetectable errors to walk
     assert 2**28 - 1 > COSET_GUARD
     with pytest.raises(EnumerationSizeError):
@@ -637,6 +681,18 @@ def test_profile_join_matches_ball_oracle_property(shape, chunk):
                 assert stab_detects_profile(code, dx, dz) == ball_profile_oracle(code, dx, dz), (dx, dz)
 
 
+@given(stab_shape())
+def test_profile_guards_never_refuse_within_the_old_prediction(shape):
+    # the phase ball holds Bz + 1 errors; the bit ball's Bx + 1 errors each
+    # collide with at most Bz + 1 of them
+    code = random_isotropic_code(*shape)
+    for dx, dz in product(range(1, code.n + 2), repeat=2):
+        bx, bz = (ball_sum(code.n, code.q, d - 1) for d in (dx, dz))
+        with mock.patch("aqgv.codesearch.PROFILE_GUARD", (bx + 1) * (bz + 1)), \
+                mock.patch("aqgv.codesearch.COSET_GUARD", (bx + 1) * (bz + 2)):
+            assert stab_detects_profile(code, dx, dz) == ball_profile_oracle(code, dx, dz), (dx, dz)
+
+
 def test_profile_check_walks_packed_levels():
     # both balls come from Packing.levels over the unit rows, one call each
     code = random_isotropic_code(6, 3, 2, seed=5)
@@ -645,13 +701,16 @@ def test_profile_check_walks_packed_levels():
     assert levels.call_count == 2
 
 
+class PassedTheGuard(Exception):
+    pass
+
+
 def test_stabilizer_draw_guard_counts_row_updates():
     # n - k steps of (2n)^2 row-entry updates: at k = 1, n = 256 is the last n within COSET_GUARD
     assert 255 * 512**2 <= COSET_GUARD < 256 * 514**2
-    _check_draw_size(256, 1)
-    with pytest.raises(EnumerationSizeError):
-        _check_draw_size(257, 1)
-    with pytest.raises(EnumerationSizeError):
+    with mock.patch("aqgv.codesearch.Random", side_effect=PassedTheGuard), pytest.raises(PassedTheGuard):
+        random_isotropic_code(256, 2, 1, seed=0)   # the rng is made just after the guard
+    with pytest.raises(EnumerationSizeError, match=f"^{256 * 514**2} row-entry updates exceeds"):
         random_isotropic_code(257, 2, 1, seed=0)   # refused before a row is built
 
 
@@ -840,21 +899,14 @@ def test_witness_search_argument_validation():
         gv_witness_search("css", q=2, n=4, dx=6, dz=2, trials=5, seed=0, k1=2, k2=1)
 
 
-def test_witness_search_applies_its_checks_guard_before_drawing():
-    # the same error as the check's own, before any code is sampled
-    with pytest.raises(EnumerationSizeError) as check:
-        css_distances(NestedPair(c1=full_space(F2, 30), c2=zero_space(F2, 30)))
-    with pytest.raises(EnumerationSizeError) as search, \
-            mock.patch("aqgv.codesearch.random_nested_pair", side_effect=AssertionError("drew")):
-        gv_witness_search("css", q=2, n=30, k1=30, k2=0, dx=1, dz=1, trials=1, seed=0)
-    assert str(search.value) == str(check.value) == f"{2**30 + 2**30} codewords exceeds the guard of {COSET_GUARD}"
-
-    with pytest.raises(EnumerationSizeError) as check:
-        stab_detects_profile(IsotropicCode(c=zero_space(F2, 60)), 31, 31)
-    with pytest.raises(EnumerationSizeError) as search, \
-            mock.patch("aqgv.codesearch.random_isotropic_code", side_effect=AssertionError("drew")):
-        gv_witness_search("stab", q=2, n=30, k=30, dx=31, dz=31, trials=1, seed=0)
-    assert str(search.value) == str(check.value) == f"{2**60} patterns exceeds the guard of {PROFILE_GUARD}"
+def test_oversize_css_search_is_refused_by_its_draw_guard():
+    # a search draws before it checks; the sampler refuses before it builds a row
+    with pytest.raises(EnumerationSizeError) as refused, \
+            mock.patch("aqgv.codesearch._random_full_rank", side_effect=AssertionError("built a row")):
+        gv_witness_search("css", q=2, n=1000, k1=500, k2=0, dx=2, dz=2, trials=1, seed=0)
+    assert str(refused.value) == f"{500 * 1000**2} row-entry updates exceeds the guard of {COSET_GUARD}"
+    with pytest.raises(EnumerationSizeError, match=f"^{800 * 1600**2} row-entry updates exceeds"):
+        random_nested_pair(1600, 2, 800, 0, 1)   # k1 n^2
 
 
 def test_witness_search_success_rate_tracks_bound():

@@ -18,6 +18,7 @@ from pathlib import Path
 
 import pytest
 
+from aqgv import best_css_params, gv_witness_search, max_k_stab
 from aqgv.cli import run
 
 README = Path(__file__).resolve().parent.parent / "README.md"
@@ -74,3 +75,28 @@ def test_readme_python_blocks_print_their_pinned_lines(capsys):
     for block, shown in zip(PYTHON_BLOCKS, PYTHON_OUTPUTS):
         exec(compile(block, str(README), "exec"), {"__name__": "readme"})
         assert capsys.readouterr().out == shown
+
+
+# "Witnesses at the bound's best parameters": kind, n, d, parameters, seed, trial, checked (dx, dz)
+WITNESS_ROWS = re.findall(r"^\| (css|stab) \| (\d+) \| (\d+) \| ([^|]+?) \| *(\d*) *\| *(\w*) *\| *([^|]*?) *\|$",
+                          README.read_text(), re.M)
+
+
+def test_readme_has_one_witness_row_per_target_cell():
+    assert [(kind, int(n), int(d)) for kind, n, d, *_ in WITNESS_ROWS] == [
+        (kind, n, d) for kind in ("css", "stab") for n in (40, 60, 80, 100) for d in (3, 4, 5, 6)]
+
+
+@pytest.mark.parametrize("row", [row for row in WITNESS_ROWS if row[1] == "40"], ids=lambda row: "-".join(row[:3]))
+def test_readme_witness_rows_at_n40_rerun(row):
+    kind, n, d, params, seed, trial, checked = row
+    n, d = int(n), int(d)
+    best = best_css_params(n, 2, d, d) if kind == "css" else max_k_stab(n, 2, d, d)
+    if best is None:
+        assert (params, seed, trial, checked) == ("none feasible", "", "", "")
+        return
+    kwargs = dict(zip(("k1", "k2"), best)) if kind == "css" else {"k": best}
+    assert params == ", ".join(f"{key} = {value}" for key, value in kwargs.items())
+    hit = gv_witness_search(kind, q=2, n=n, dx=d, dz=d, trials=20, seed=int(seed), **kwargs)
+    assert hit is not None and hit.trial_index == int(trial)
+    assert checked == f"({hit.distances.dx}, {hit.distances.dz})"
