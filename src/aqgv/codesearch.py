@@ -1,11 +1,11 @@
 """Constructive counterpart of the counting bounds.
 
 Exhaustive enumeration of nested code pairs with per-error undetectable
-tallies, exact asymmetric distances in rising weight, stabilizer profile
-matrices from one packed-vector coset walk, single stabilizer profile
-checks that join the bit-error and phase-error balls on their syndromes,
-seeded random samplers, and the randomized witness search that turns the
-existence argument into actual codes.
+tallies, exact asymmetric distances and stabilizer profile matrices from
+one rising-weight walk, single stabilizer profile checks that join the
+bit-error and phase-error balls on their syndromes, seeded random
+samplers, and the randomized witness search that turns the existence
+argument into actual codes.
 
 Both CSS difference sets are walked from rows at hand, with no elimination.
 With C1's RREF generator matrix G1 and C2 = A.G1 for a k2-subspace A of
@@ -18,7 +18,8 @@ parity-check rows, L gives exactly C2's parity-check rows at N, which
 extend C1's parity-check rows to a basis of C2-dual.  The pair enumeration
 walks these sets.  css_distances reads the same rows as membership tests:
 x in C1 is in C2 iff C2's parity-check rows at N vanish on it, and z in
-C2-dual is in C1-dual iff C1's rows at N do.
+C2-dual is in C1-dual iff C1's rows at N do; stab_profile_matrix reads the
+nested pair S <= S-dual the same way.
 
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.  Its GF(p) arithmetic and packed layout are all in fields:
@@ -31,7 +32,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from itertools import chain, combinations, islice, product
+from itertools import accumulate, chain, combinations, islice, product
 from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
@@ -230,28 +231,34 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     )
 
 
-def _min_weight_failing(q: int, n: int, rows: Sequence[Sequence[int]], checks: Sequence[Sequence[int]]) -> int | None:
-    """Least weight over span(rows) \\ {x : checks.x = 0}, or None when no
-    vector of the span fails a check.
+def _failing_levels(q: int, n: int, rows: Sequence[Sequence[int]], checks: Sequence[Sequence[int]]) -> Iterator[Iterator[list[int]]]:
+    """Level i = 1, 2, ... of ``rows`` (Packing.levels: i nonzero coefficients),
+    list by list, as the supports of its vectors that fail a check (none
+    without checks).  Systematic rows, an identity on an information set,
+    make a level-i vector weigh at least i.  Nothing of a level is built
+    before its first list is asked for; past COSET_GUARD built, the walk refuses."""
+    packing, walked = Packing(q, n, checks), 0   # walked: vectors built
 
-    The rows must be systematic, an identity on an information set, so a
-    combination of i rows weighs at least i.  Combinations are walked by
-    their number i of nonzero coefficients (Packing.levels), and the walk
-    stops as soon as the best weight found is <= i: no later vector can
-    beat it (Brouwer's bound, with one information set).  No list it builds
-    holds more than max(fields.SPAN_CHUNK, q - 1) vectors; past COSET_GUARD built, it refuses."""
-    if not checks:
-        return None
-    packing = Packing(q, n, checks)
-    vector, syndrome = packing.vector, packing.syndrome
-    best, walked = n + 1, 0   # heavier than any vector; vectors built
-    for i, level in enumerate(packing.levels(packing.rows(rows)), 1):
-        if best <= i:
-            break
+    def failing(level: Iterator[list[int]]) -> Iterator[list[int]]:
+        nonlocal walked
         for chunk in level:
             walked += len(chunk)
             _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
-            failing = packing.supports(map(vector, filter(syndrome, chunk)))
+            yield packing.failing(chunk)
+
+    return map(failing, packing.levels(packing.rows(rows)) if checks else ())
+
+
+def _min_weight_failing(q: int, n: int, rows: Sequence[Sequence[int]], checks: Sequence[Sequence[int]]) -> int | None:
+    """Least weight over span(rows) \\ {x : checks.x = 0}, or None when no
+    vector of the span fails a check.  The walk stops once the best weight
+    found is <= i: no vector of level i or later can beat it (Brouwer's
+    bound, with one information set)."""
+    best = n + 1   # heavier than any vector
+    for i, level in enumerate(_failing_levels(q, n, rows, checks), 1):
+        if best <= i:
+            break
+        for failing in level:
             best = min(best, min(map(int.bit_count, failing), default=best))
             if best <= i:
                 break
@@ -283,12 +290,15 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     The balls are {0} and the first levels of the unit rows of a Packing,
     checked by b for bit errors and by a for phase errors; they are joined on
     syndrome, and only collisions (pairs whose sum lies in S-dual) are tested
-    for membership in S.  The phase ball, held in a dict, is guarded by
-    PROFILE_GUARD up front; the bit ball and the collisions are counted
-    against COSET_GUARD as they are walked."""
+    for membership in S.  The phase ball, held in a dict, and the unit rows
+    are guarded by PROFILE_GUARD up front; the bit ball and the collisions
+    are counted against COSET_GUARD as they are walked."""
     n, q = code.n, code.q
     check_ranges(q, n, dx, dz)
+    if dx == dz == 1:
+        return True   # both balls hold only 0
     _guard(_capped_ball(n, q, dz - 1) + 1, PROFILE_GUARD, "{} phase errors exceeds the guard of {}")
+    _guard(n * (2 * n - code.k), PROFILE_GUARD, "{} unit-row entries exceeds the guard of {}")
     rows = code.c.basis
     phase = Packing(q, n, [row[:n] for row in rows])
     bit = Packing(q, n, [row[n:] for row in rows])
@@ -313,33 +323,34 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
 
 def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     """Boolean matrix M[dx-1][dz-1] = detects-profile(dx, dz) over the full
-    range 1..n+1, from one walk over the undetectable errors S-dual \\ S.
+    range 1..n+1, from one rising-weight walk over the undetectable errors
+    S-dual \\ S: S <= S-dual is a nested pair in GF(q)^{2n}, walked as
+    css_distances walks C1 \\ C2, from S-dual's RREF rows with S's
+    parity-check rows at N (S-dual's pivots that S lacks) as the checks.
 
     The walk keeps, for each bit weight wx, the least phase weight of an
     undetectable (ex|ez) with wt(ex) = wx.  The profile (dx, dz) fails
-    exactly when some wx <= dx-1 has that least weight <= dz-1, so each row
-    of the matrix is read off a prefix minimum."""
-    n, q, k = code.n, code.q, code.k
-    undetectable = _capped_pow(q, n - k) * (_capped_pow(q, 2 * k) - 1)   # q^(n+k) - q^(n-k)
-    _guard(undetectable, COSET_GUARD, "{} error vectors exceeds the guard of {}")
-    packing = Packing(q, 2 * n)
-    x_half = sum(packing.supports(packing.units()[:n]))   # the support bits of ex
+    exactly when some wx <= dx-1 has that least weight <= dz-1, so row wx
+    of the matrix is read off a prefix minimum, its cap.  An error of level
+    i or later weighs wx + wz >= i, so the walk stops once wx + cap <= i for
+    every wx whose cap is above 0: no such error lowers a cap."""
+    n, q, k, s = code.n, code.q, code.k, code.c
+    _guard((n + k) * 2 * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
+    dual = s.symplectic_dual()
+    free = [f for f in range(2 * n) if f not in s.pivot_cols]   # one parity-check row of S each
+    at_n = [row for row, f in zip(dual_rows(s.basis, s.pivot_cols, q, 2 * n), free) if f in dual.pivot_cols]
+    half = Packing(q, n)
+    x_half = sum(half.supports(half.units()))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx
-    dual = code.c.symplectic_dual()
-    extension = [row for row, j in zip(dual.basis, dual.pivot_cols) if j not in code.c.pivot_cols]
-    rows = packing.rows([*code.c.basis, *extension])   # S's rows vary fastest: skip span(S)
-    for chunk in packing.span_chunks(rows, skip=q ** code.c.dim):
-        for support in packing.supports(chunk):
+    for i, level in enumerate(_failing_levels(q, 2 * n, dual.basis, at_n), 1):
+        if all(wx + cap <= i for wx, cap in enumerate(accumulate(least_wz, min)) if cap):
+            break
+        for support in chain.from_iterable(level):
             wx = (support & x_half).bit_count()
             wz = support.bit_count() - wx
             if wz < least_wz[wx]:
                 least_wz[wx] = wz
-    matrix = []
-    dz_cap = n + 1
-    for wx in range(n + 1):   # row dx = wx + 1
-        dz_cap = min(dz_cap, least_wz[wx])
-        matrix.append([dz <= dz_cap for dz in range(1, n + 2)])
-    return matrix
+    return [[dz <= cap for dz in range(1, n + 2)] for cap in accumulate(least_wz, min)]
 
 
 def _random_full_rank(rng: Random, field: GF, nrows: int, ncols: int) -> Subspace:

@@ -24,7 +24,7 @@ from typing import Iterator, Sequence
 from .errors import InputShapeError, UnsupportedFieldError
 
 MAX_PRIME = 251
-SPAN_CHUNK = 1 << 16   # packed vectors a span walk materializes in one list
+SPAN_CHUNK = 1 << 16   # packed vectors one list of Packing.levels holds (or p - 1)
 
 Vec = tuple[int, ...]
 
@@ -143,8 +143,9 @@ class Packing:
         self._wrap = (top - p) * ones
         self._top = top * ones
         self._nonzero = (top - 1) * ones
-        cut = b * n
-        self.vector = ((1 << cut) - 1).__and__
+        self._cut = cut = b * n
+        self._mask = (1 << cut) - 1
+        self.vector = self._mask.__and__
         self.syndrome = cut.__rrshift__
 
     def rows(self, rows: Sequence[Sequence[int]]) -> list[int]:
@@ -183,6 +184,12 @@ class Packing:
             return iter(vs)
         return map(self._top.__and__, map(self._nonzero.__add__, vs))
 
+    def failing(self, rows: Sequence[int]) -> list[int]:
+        """``supports`` of the vector parts of the rows with a nonzero syndrome."""
+        mask, cut = self._mask, self._cut
+        failing = [v & mask for v in rows if v >> cut]
+        return failing if self.p == 2 else list(self.supports(failing))
+
     def span(self, rows: Sequence[int]) -> list[int]:
         """All p^len(rows) combinations, rows[0] varying fastest; each
         vector costs one packed addition."""
@@ -194,38 +201,20 @@ class Packing:
                 out.extend(block)
         return out
 
-    def _rows_per_chunk(self) -> int:
-        """The most rows whose span fits in one list of SPAN_CHUNK vectors."""
-        rows = 0
-        while self.p ** (rows + 1) <= SPAN_CHUNK:
-            rows += 1
-        return rows
-
-    def span_chunks(self, rows: Sequence[int], skip: int = 0) -> Iterator[list[int]]:
-        """span(rows) after its first ``skip`` vectors, in lists of at most
-        SPAN_CHUNK: the span of the leading rows is materialized once and
-        shifted by each combination of the remaining rows, listed up front:
-        the one caller, stab_profile_matrix, walks <= codesearch.COSET_GUARD =
-        2^26 vectors; when rows remain the inner span is >= 41^2, so <= ~40k offsets."""
-        inner_rows = min(len(rows), self._rows_per_chunk())
-        inner = self.span(rows[:inner_rows])
-        first, cut = divmod(skip, len(inner))
-        for offset in self.span(rows[inner_rows:])[first:]:
-            yield self.shifted(offset, inner[cut:]) if offset else inner[cut:]
-            cut = 0
-
     def levels(self, rows: Sequence[int]) -> Iterator[Iterator[list[int]]]:
         """For i = 1, ..., len(rows), the combinations of ``rows`` with exactly
         i nonzero coefficients, in lists of at most max(SPAN_CHUNK, p - 1)
         vectors; nothing of a level is built before its first list is asked for.
 
-        The rows are cut into blocks whose spans fit in SPAN_CHUNK, as in
-        span_chunks (one row at least), and each block keeps its own levels.
-        Level i of all rows joins level w of the first block with level i - w
-        of the other blocks: one vector of the shorter list shifts the whole
-        longer list, so each list is at most as long as one of its sides and
-        each joined vector costs one packed add."""
-        size = max(1, self._rows_per_chunk())
+        The rows are cut into blocks whose spans fit in SPAN_CHUNK (one row
+        at least), and each block keeps its own levels.  Level i of all rows
+        joins level w of the first block with level i - w of the other
+        blocks: one vector of the shorter list shifts the whole longer list,
+        so each list is at most as long as one of its sides and each joined
+        vector costs one packed add."""
+        size = 1   # rows per block
+        while self.p ** (size + 1) <= SPAN_CHUNK:
+            size += 1
         blocks = [_BlockLevels(self, rows[start:start + size]) for start in range(0, len(rows), size)]
         return (self._joined_level(blocks, i) for i in range(1, len(rows) + 1))
 

@@ -38,8 +38,7 @@ def members(space: Subspace):
     """All q^dim member vectors of space as tuples, zero included, the
     first basis row varying fastest."""
     packing = Packing(space.field.p, space.ambient_dim)
-    for chunk in packing.span_chunks(packing.rows(space.basis)):
-        yield from map(packing.unpack, chunk)
+    yield from map(packing.unpack, packing.span(packing.rows(space.basis)))
 
 
 @pytest.fixture(scope="session")

@@ -559,6 +559,19 @@ def test_stab_search_at_k_equal_n_builds_no_dual():
     assert proc.stdout.startswith("found        yes\n")
 
 
+def test_stab_profile_check_at_k_equal_n_refuses_its_unit_rows_at_once():
+    # each packing's n unit rows would hold n (2n - k) entries, about
+    # n^2 / 2 bits: past 1 GiB at this n, so the guard must come first
+    argv = "search stab --q 2 --n 100000 --k 100000 --dx 2 --dz 2 --trials 1 --seed 1".split()
+    capped = ("import resource, runpy, sys; "
+              "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+              f"sys.argv = ['aqgv', *{argv!r}]; "
+              "runpy.run_module('aqgv.cli', run_name='__main__')")
+    proc = run_python("-c", capped, timeout=30)
+    assert proc.returncode == 1
+    assert proc.stderr == f"error: {10**10} unit-row entries exceeds the guard of 10000000\n"
+
+
 def test_bound_with_a_ball_of_radius_near_n_answers_at_once():
     argv = "bound css --q 2 --n 20000 --k1 20000 --k2 0 --dx 20000 --dz 2".split()
     proc = run_python("-m", "aqgv.cli", *argv, timeout=20)

@@ -3,7 +3,7 @@ import math
 import random
 import re
 from fractions import Fraction
-from itertools import chain, combinations, product
+from itertools import accumulate, chain, combinations, product
 from unittest import mock
 
 import pytest
@@ -145,7 +145,7 @@ def per_pair_subspace_oracle(n, q, k1, k2):
     field = GF(q)
     packing = Packing(q, n)
     units = [1 << (packing.width * j) for j in range(n)]
-    per_x = dict.fromkeys(chain.from_iterable(packing.span_chunks(units, skip=1)), 0)
+    per_x = dict.fromkeys(packing.span(units)[1:], 0)
     per_z = dict.fromkeys(per_x, 0)
     total = 0
     for c1 in iter_subspaces(field, n, k1):
@@ -155,9 +155,8 @@ def per_pair_subspace_oracle(n, q, k1, k2):
             total += 1
             for tally, big, small in ((per_x, c1, c2), (per_z, c2.dual(), c1_dual)):
                 rows = packing.rows([*small.basis, *pivot_extension(big, small)])
-                for chunk in packing.span_chunks(rows, skip=q ** small.dim):
-                    for e in chunk:
-                        tally[e] += 1
+                for e in packing.span(rows)[q ** small.dim:]:
+                    tally[e] += 1
     unpack = packing.unpack
     return (total, {unpack(e): c for e, c in per_x.items()}, {unpack(e): c for e, c in per_z.items()})
 
@@ -269,7 +268,10 @@ def test_guards_decide_huge_costs_without_building_them():
         enumerate_nested_pairs(10**8, 2, 1, 0)
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceed the tally"):
         enumerate_nested_pairs(10**8, 3, 10**8, 10**8)
-    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceeds"):
+    # S's 2 * 10^8 parity-check rows of 2 * 10^8 entries each, refused before S-dual is built
+    with pytest.raises(EnumerationSizeError, match=f"^{4 * 10**16} parity-check entries exceeds the guard of {PROFILE_GUARD}$"), \
+            mock.patch("aqgv.codesearch.dual_rows", side_effect=AssertionError("built a row")), \
+            mock.patch.object(Subspace, "symplectic_dual", side_effect=AssertionError("built S-dual")):
         stab_profile_matrix(IsotropicCode(c=zero_space(F3, 2 * 10**8)))
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more phase errors exceeds"):
         stab_detects_profile(IsotropicCode(c=zero_space(F3, 2 * 10**8)), 10**8, 10**8)
@@ -391,9 +393,7 @@ def test_distances_when_small_space_exceeds_one_chunk():
     assert css_distances(pair) == DistancePair(dx=1, dz=n)
     packing = Packing(2, n)
     rows = packing.rows([*pair.c2.basis, *pivot_extension(pair.c1, pair.c2)])
-    chunks = list(packing.span_chunks(rows, skip=2 ** pair.c2.dim))
-    assert all(len(chunk) <= SPAN_CHUNK for chunk in chunks)
-    odd = [v for chunk in chunks for v in chunk]
+    odd = packing.span(rows)[2 ** pair.c2.dim:]
     assert len(odd) == len(set(odd)) == 2 ** (n - 1)
     assert all(v.bit_count() % 2 for v in odd)
 
@@ -430,15 +430,10 @@ def test_distance_walk_stops_at_the_first_list_past_its_guard():
 
 
 def _min_weight(packing, small, extension):
-    """Least weight over span(small + extension) \\ span(small), by the coset walk."""
-    best = None
-    for chunk in packing.span_chunks(packing.rows([*small, *extension]), skip=packing.p ** len(small)):
-        w = min(map(int.bit_count, packing.supports(chunk)))
-        if best is None or w < best:
-            best = w
-            if best == 1:
-                break
-    return best
+    """Least weight over span(small + extension) \\ span(small), by the coset
+    walk: small's rows vary fastest, so its span comes first."""
+    coset = packing.span(packing.rows([*small, *extension]))[packing.p ** len(small):]
+    return min(map(int.bit_count, packing.supports(coset)), default=None)
 
 
 def walk_oracle(pair):
@@ -483,7 +478,7 @@ def test_distance_guard_never_refuses_within_the_old_prediction(shape):
 def test_css_distances_run_no_coset_walk(q, n, k1, k2, seed):
     pair = random_nested_pair(n, q, k1, k2, seed)
     expected = walk_oracle(pair)
-    with mock.patch.object(fields.Packing, "span_chunks", side_effect=AssertionError("css_distances walked a coset")):
+    with mock.patch.object(fields.Packing, "span", side_effect=AssertionError("css_distances walked a coset")):
         assert css_distances(pair) == expected
 
 
@@ -626,10 +621,11 @@ def test_profile_guard_and_ranges(five_qubit):
         with mock.patch("aqgv.codesearch.COSET_GUARD", 50), \
                 pytest.raises(EnumerationSizeError, match=f"^{walked} bit errors and collisions exceeds the guard of 50$"):
             stab_detects_profile(all_z, dx, dz)
-    # [[14, 14]]: 2^28 - 1 undetectable errors to walk
+    # [[14, 14]]: of its 2^28 - 1 undetectable errors, the walk needs level 1
+    # only: the unit errors give cap 1 at wx = 0 and cap 0 past it
     assert 2**28 - 1 > COSET_GUARD
-    with pytest.raises(EnumerationSizeError):
-        stab_profile_matrix(IsotropicCode(c=zero_space(F2, 28)))
+    matrix = stab_profile_matrix(IsotropicCode(c=zero_space(F2, 28)))
+    assert matrix == [[dx == dz == 1 for dz in range(1, 16)] for dx in range(1, 16)]
 
 
 def test_profile_matrix_runs_one_elimination():
@@ -671,6 +667,53 @@ def test_profile_matrix_matches_per_cell_property(shape, chunk):
     ]
 
 
+def coset_walk_matrix(code):
+    """The profile matrix from every undetectable error, the slow way: the
+    least wz per wx over members(S-dual) - members(S), read as prefix minima."""
+    n = code.n
+    least_wz = [n + 1] * (n + 1)
+    for e in set(members(code.c.symplectic_dual())) - set(members(code.c)):
+        wx = weight(e[:n])
+        least_wz[wx] = min(least_wz[wx], weight(e[n:]))
+    return [[dz <= cap for dz in range(1, n + 2)] for cap in accumulate(least_wz, min)]
+
+
+@st.composite
+def stab_walk_shape(draw):
+    # lengths past stab_shape's, which checks every cell against the balls
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, {2: 6, 3: 4, 5: 3}[q]))
+    return n, q, draw(st.integers(0, n)), draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=150)
+@given(stab_walk_shape(), CHUNKS)
+def test_profile_matrix_matches_coset_walk_oracle_property(shape, chunk):
+    code = random_isotropic_code(*shape)
+    expected = coset_walk_matrix(code)
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        assert stab_profile_matrix(code) == expected
+
+
+def test_profile_matrix_stops_once_no_error_lowers_a_cap():
+    # [[16, 8]]_2 has 2^24 - 2^8 undetectable errors; rising weight settles
+    # every cap within 20,000 walked vectors
+    with mock.patch("aqgv.codesearch.COSET_GUARD", 20_000):
+        for seed in range(30):
+            matrix = stab_profile_matrix(random_isotropic_code(16, 2, 8, seed))
+            assert len(matrix) == 17 and matrix[0][0] and not matrix[-1][-1]
+
+
+def test_profile_check_guards_its_unit_rows():
+    # k = n: each of the two packings would hold n unit rows of 2n - k = n
+    # entries; (1, 1) needs neither, as both balls hold only 0
+    code = IsotropicCode(c=zero_space(F2, 2 * 10**4))
+    with mock.patch("aqgv.codesearch.Packing", side_effect=AssertionError("packed")):
+        assert stab_detects_profile(code, 1, 1)
+        with pytest.raises(EnumerationSizeError, match=f"^{10**8} unit-row entries exceeds the guard of {PROFILE_GUARD}$"):
+            stab_detects_profile(code, 2, 2)
+
+
 @given(stab_shape(), CHUNKS)
 def test_profile_join_matches_ball_oracle_property(shape, chunk):
     code = random_isotropic_code(*shape)
@@ -684,11 +727,13 @@ def test_profile_join_matches_ball_oracle_property(shape, chunk):
 @given(stab_shape())
 def test_profile_guards_never_refuse_within_the_old_prediction(shape):
     # the phase ball holds Bz + 1 errors; the bit ball's Bx + 1 errors each
-    # collide with at most Bz + 1 of them
+    # collide with at most Bz + 1 of them.  The two packings' unit rows hold
+    # n (2n - k) entries, a cost the old prediction did not count.
     code = random_isotropic_code(*shape)
     for dx, dz in product(range(1, code.n + 2), repeat=2):
         bx, bz = (ball_sum(code.n, code.q, d - 1) for d in (dx, dz))
-        with mock.patch("aqgv.codesearch.PROFILE_GUARD", (bx + 1) * (bz + 1)), \
+        held = max((bx + 1) * (bz + 1), code.n * (2 * code.n - code.k))
+        with mock.patch("aqgv.codesearch.PROFILE_GUARD", held), \
                 mock.patch("aqgv.codesearch.COSET_GUARD", (bx + 1) * (bz + 2)):
             assert stab_detects_profile(code, dx, dz) == ball_profile_oracle(code, dx, dz), (dx, dz)
 

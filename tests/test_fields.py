@@ -134,29 +134,22 @@ def span_case(draw):
     p = draw(st.sampled_from([2, 3, 5]))
     n = draw(st.integers(1, 6))
     rows = draw(st.lists(vectors_of(p, n), max_size=3 if p == 5 else 4))
-    expected = tuple_span(rows, p, n)
-    skip = draw(st.integers(0, len(expected)))
     chunk = draw(st.sampled_from([1, p, p * p, 1 << 16]))
-    return p, n, rows, expected, skip, chunk
+    return p, n, rows, chunk
 
 
 @given(span_case())
-def test_packed_span_and_chunks_match_tuple_combinations(case):
-    p, n, rows, expected, skip, chunk = case
+def test_packed_span_and_members_match_tuple_combinations(case):
+    p, n, rows, _ = case
     packing = Packing(p, n)
-    packed = packing.rows(rows)
-    assert [packing.unpack(x) for x in packing.span(packed)] == expected
-    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
-        chunks = list(packing.span_chunks(packed, skip=skip))
-    assert all(len(c) <= chunk for c in chunks)
-    assert [packing.unpack(x) for c in chunks for x in c] == expected[skip:]
+    assert [packing.unpack(x) for x in packing.span(packing.rows(rows))] == tuple_span(rows, p, n)
     space = Subspace.span(GF(p), n, rows)
     assert list(members(space)) == tuple_span(space.basis, p, n)
 
 
 @given(span_case())
 def test_packed_levels_match_tuple_combinations_by_coefficient_count(case):
-    p, n, rows, _, _, chunk = case
+    p, n, rows, chunk = case
     packing = Packing(p, n)
     with mock.patch.object(fields, "SPAN_CHUNK", chunk):
         levels = [list(level) for level in packing.levels(packing.rows(rows))]
@@ -168,14 +161,6 @@ def test_packed_levels_match_tuple_combinations_by_coefficient_count(case):
             for coeffs in product(range(p), repeat=len(rows)) if sum(map(bool, coeffs)) == i
         ]
         assert sorted(packing.unpack(x) for c in level for x in c) == sorted(expected)
-
-
-def test_vectors_beyond_one_chunk_each_once_in_order():
-    space = full_space(F2, 17)   # 2^17 members, two chunks
-    vecs = list(members(space))
-    assert len(vecs) == 2**17 == len(set(vecs))
-    assert vecs[:3] == [(0,) * 17, (1,) + (0,) * 16, (0, 1) + (0,) * 15]
-    assert vecs[2**16] == (0,) * 16 + (1,)
 
 
 # ---------------------------------------------------------------------------
