@@ -6,11 +6,15 @@ negative verdict.  Usage and input errors exit 1 with one diagnostic line
 on stderr.
 
 Each subcommand is declared once, by one ``command`` call in
-``_build_parser``, and the parser's ``handler`` default dispatches it.  Each
-handler returns (status, payload, rows) and prints nothing.  ``run``
-alone prints the result, the payload as one sorted-key JSON object with
---json and the rows as a two-column table otherwise, and sets the exit
-code.  frontier, which has neither, prints its one sentence itself.
+``_build_parser``, and the parser's ``handler`` default dispatches it.  Its
+integer flags are declared once too, in that call: in declaration order
+they are its library call's keyword arguments, its payload's echo and
+bound's query line.  ``run`` gathers them into ``flags`` and passes them
+to the handler, which returns (status, result, rows) and prints nothing.
+``run`` alone prints, and sets the exit code: with --json the payload,
+``flags`` overridden by ``result``, as one sorted-key JSON object, and
+otherwise the rows as a two-column table.  frontier, which has neither,
+prints its one sentence itself.
 """
 
 from __future__ import annotations
@@ -58,7 +62,7 @@ _ERRORS = (
     OSError,
 )
 
-_Outcome = tuple[str, dict, list[tuple[str, object]]]  # (status, payload, rows)
+_Outcome = tuple[str, dict, list[tuple[str, object]]]  # (status, result, rows)
 
 
 def _frac_str(fr: Fraction) -> str:
@@ -99,16 +103,17 @@ def _build_parser() -> _Parser:
     def command(name, handler, help, families, ints, *options):
         """One leaf parser per family, or the command's own without families,
         requiring the integer flags ``ints`` ("dims": the family's dimension
-        flags) and then taking ``options``, each a (flag, keywords) pair."""
+        flags), whose names it keeps as its ``ints`` default, and then
+        taking ``options``, each a (flag, keywords) pair."""
         leaves = {None: commands.add_parser(name, help=help)}
         if families:
             sub = leaves[None].add_subparsers(dest="family", required=True, parser_class=_Parser)
             leaves = {family: sub.add_parser(family) for family in families}
         for family, leaf in leaves.items():
-            leaf.set_defaults(handler=handler)
-            for flag in ints:
-                for each in _DIMENSIONS[family] if flag == "dims" else (flag,):
-                    leaf.add_argument(f"--{each}", type=int, required=True)
+            names = [each for flag in ints for each in (_DIMENSIONS[family] if flag == "dims" else (flag,))]
+            leaf.set_defaults(handler=handler, ints=names)
+            for each in names:
+                leaf.add_argument(f"--{each}", type=int, required=True)
             for flag, keywords in options:
                 leaf.add_argument(flag, **keywords)
 
@@ -139,81 +144,57 @@ def _build_parser() -> _Parser:
     return parser
 
 
-def _cmd_bound(args) -> _Outcome:
-    params = {dim: getattr(args, dim) for dim in _DIMENSIONS[args.family]}
+def _cmd_bound(args, flags) -> _Outcome:
     query, bound, term_join = _BOUNDS[args.family]
-    report = bound(query(q=args.q, n=args.n, dx=args.dx, dz=args.dz, **params))
-    payload = {
-        "q": args.q,
-        "n": args.n,
-        "dx": args.dx,
-        "dz": args.dz,
-        **params,
+    report = bound(query(**flags))
+    result = {
         **_lhs(report, args.digits),
         "feasible": report.feasible,
         "terms": [_frac_str(t) for t in report.terms],
     }
     rows = [
-        ("query", f"bound {args.family} q={args.q} n={args.n} "
-                  + " ".join(f"{k}={v}" for k, v in params.items())
-                  + f" dx={args.dx} dz={args.dz}"),
-        *_pick(payload, "lhs", "lhs_decimal"),
-        ("terms", term_join.join(payload["terms"])),
+        ("query", " ".join(["bound", args.family, *(f"{k}={v}" for k, v in flags.items())])),
+        *_pick(result, "lhs", "lhs_decimal"),
+        ("terms", term_join.join(result["terms"])),
         ("feasible", "yes" if report.feasible else "no"),
     ]
-    return ("ok" if report.feasible else "infeasible"), payload, rows
+    return ("ok" if report.feasible else "infeasible"), result, rows
 
 
-def _cmd_maxk(args) -> _Outcome:
-    k_max = bounds.max_k_stab(args.n, args.q, args.dx, args.dz)
-    payload = {"q": args.q, "n": args.n, "dx": args.dx, "dz": args.dz, "k_max": k_max}
+def _cmd_maxk(args, flags) -> _Outcome:
+    k_max = bounds.max_k_stab(**flags)
     if k_max is None:
-        return "not_found", payload, [("k_max", "none")]
-    report = bounds.stab_gv_lhs(bounds.StabBoundQuery(q=args.q, n=args.n, k=k_max, dx=args.dx, dz=args.dz))
-    payload.update(_lhs(report))
-    return "ok", payload, [("k_max", k_max), _lhs_row(payload)]
+        return "not_found", {"k_max": None}, [("k_max", "none")]
+    result = {"k_max": k_max, **_lhs(bounds.stab_gv_lhs(bounds.StabBoundQuery(**flags, k=k_max)))}
+    return "ok", result, [("k_max", k_max), _lhs_row(result)]
 
 
-def _cmd_best(args) -> _Outcome:
-    pair = bounds.best_css_params(args.n, args.q, args.dx, args.dz)
-    payload = {"q": args.q, "n": args.n, "dx": args.dx, "dz": args.dz}
+def _cmd_best(args, flags) -> _Outcome:
+    pair = bounds.best_css_params(**flags)
     if pair is None:
-        payload.update({"k1": None, "k2": None, "net_k": None})
-        return "not_found", payload, [("result", "none feasible")]
+        return "not_found", {"k1": None, "k2": None, "net_k": None}, [("result", "none feasible")]
     k1, k2 = pair
-    report = bounds.css_gv_lhs(bounds.CssBoundQuery(q=args.q, n=args.n, k1=k1, k2=k2, dx=args.dx, dz=args.dz))
-    payload.update(
-        {
-            "k1": k1,
-            "k2": k2,
-            "net_k": k1 - k2,
-            **_lhs(report),
-        }
-    )
-    return "ok", payload, [*_pick(payload, "k1", "k2", "net_k"), _lhs_row(payload)]
+    report = bounds.css_gv_lhs(bounds.CssBoundQuery(**flags, k1=k1, k2=k2))
+    result = {"k1": k1, "k2": k2, "net_k": k1 - k2, **_lhs(report)}
+    return "ok", result, [*_pick(result, "k1", "k2", "net_k"), _lhs_row(result)]
 
 
-def _cmd_frontier(args) -> _Outcome:
+def _cmd_frontier(args, flags) -> _Outcome:
     grid = asymptotic.frontier_grid(args.q, args.points)
     points = asymptotic.stab_frontier(args.q, args.r, grid)
     with open(args.out, "w", newline="") as handle:
         asymptotic.write_frontier_csv(points, args.q, handle)
-    payload = {"q": args.q, "r": args.r, "points": len(points), "out": args.out}
     print(f"wrote {len(points)} frontier points to {args.out}")  # no --json, no table
-    return "ok", payload, []
+    return "ok", {"r": args.r, "points": len(points), "out": args.out}, []
 
 
-def _cmd_lemma(args) -> _Outcome:
-    report = codesearch.enumerate_nested_pairs(args.n, args.q, args.k1, args.k2)
+def _cmd_lemma(args, flags) -> _Outcome:
+    report = codesearch.enumerate_nested_pairs(**flags)
     x_values = set(report.per_error_x.values())
     z_values = set(report.per_error_z.values())
     expected_x, expected_z = report.expected_counts()
     ok = report.identities_hold
-    payload = {
-        "q": args.q,
-        "n": args.n,
-        "k1": args.k1,
-        "k2": args.k2,
+    result = {
         "total_pairs": report.total_pairs,
         "nonzero_errors": len(report.per_error_x),
         "per_error_x": expected_x if x_values == {expected_x} else None,
@@ -221,82 +202,69 @@ def _cmd_lemma(args) -> _Outcome:
         "lemma_ok": ok,
     }
     rows = [
-        *_pick(payload, "total_pairs", "nonzero_errors"),
+        *_pick(result, "total_pairs", "nonzero_errors"),
         ("per_error_x", f"{sorted(x_values)} (expected {expected_x})"),
         ("per_error_z", f"{sorted(z_values)} (expected {expected_z})"),
         ("identities", "PASS" if ok else "FAIL"),
     ]
-    return "ok", payload, rows
+    return "ok", result, rows
 
 
-def _cmd_search(args) -> _Outcome:
-    params = {dim: getattr(args, dim) for dim in _DIMENSIONS[args.family]}
-    hit = codesearch.gv_witness_search(
-        args.family,
-        q=args.q,
-        n=args.n,
-        dx=args.dx,
-        dz=args.dz,
-        trials=args.trials,
-        seed=args.seed,
-        **params,
-    )
-    payload = {
+def _cmd_search(args, flags) -> _Outcome:
+    hit = codesearch.gv_witness_search(args.family, **flags)
+    result = {  # the hit's dx and dz replace the design's
         "kind": args.family,
-        "q": args.q,
-        "n": args.n,
-        "seed": args.seed,
-        "trials": args.trials,
-        **params,
         "found": hit is not None,
         "trial_index": None if hit is None else hit.trial_index,
         "dx": None if hit is None else _dist_value(hit.distances.dx),
         "dz": None if hit is None else _dist_value(hit.distances.dz),
     }
     if hit is None:
-        return "not_found", payload, [("found", "no"), ("trials", args.trials)]
-    rows = [("found", "yes"), *_pick(payload, "trial_index", "dx", "dz")]
+        return "not_found", result, [("found", "no"), ("trials", args.trials)]
+    rows = [("found", "yes"), *_pick(result, "trial_index", "dx", "dz")]
     if args.out:
         codesearch.write_code_file(hit.code, args.out)
         rows.append(("out", args.out))
-    return "ok", payload, rows
+    return "ok", result, rows
 
 
-def _cmd_distances(args) -> _Outcome:
+def _cmd_distances(args, flags) -> _Outcome:
     code = codesearch.load_code_file(args.infile)
     if isinstance(code, codesearch.NestedPair):
         dist = codesearch.css_distances(code)
-        payload = {
+        result = {
             "type": "css",
             "q": code.q,
             "n": code.n,
             "dx": _dist_value(dist.dx),
             "dz": _dist_value(dist.dz),
         }
-        return "ok", payload, _pick(payload, "type", "dx", "dz")
+        return "ok", result, _pick(result, "type", "dx", "dz")
     matrix = codesearch.stab_profile_matrix(code)
-    payload = {
+    result = {
         "type": "stab",
         "q": code.q,
         "n": code.n,
         "k": code.k,
         "profile": matrix,
     }
-    rows = _pick(payload, "type", "n", "k")
+    rows = _pick(result, "type", "n", "k")
     for dx_idx, row in enumerate(matrix):
         dz_max = sum(row)  # row is a monotone prefix of True values
         rows.append((f"dx={dx_idx + 1}", f"dz_max={dz_max if dz_max else 'none'}"))
-    return "ok", payload, rows
+    return "ok", result, rows
 
 
 def run(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, print the result, and return it."""
     try:
         args = _build_parser().parse_args(argv)
-        status, payload, rows = args.handler(args)
+        flags = {name: getattr(args, name) for name in args.ints}
+        status, result, rows = args.handler(args, flags)
     except _ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult("error", {}, 1)
+    payload = {**flags, **result}
     if getattr(args, "json", False):
         print(json.dumps(payload, sort_keys=True))
     elif rows:

@@ -182,8 +182,7 @@ def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
     """Every dim-dimensional subspace of GF(p)^ambient_dim exactly once."""
     if not 0 <= dim <= ambient_dim:
         raise ParameterRangeError(f"need 0 <= dim <= ambient, got dim={dim}, ambient={ambient_dim}")
-    for _, rows in _rref_matrices(field.p, ambient_dim, dim):
-        yield Subspace(field, ambient_dim, rows)
+    return (Subspace(field, ambient_dim, rows) for _, rows in _rref_matrices(field.p, ambient_dim, dim))
 
 
 def _coefficient_indices(q: int, k1: int, pivots: Sequence[int], rows: list) -> tuple[list[int], list[int]]:

@@ -171,6 +171,8 @@ def test_gaussian_binomial_range_errors():
         gaussian_binomial(3, 4, 2)
     with pytest.raises(ParameterRangeError):
         gaussian_binomial(3, -1, 2)
+    with pytest.raises(ParameterRangeError, match=r"^q must be >= 2, got 1$"):
+        gaussian_binomial(5, 2, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -205,6 +207,8 @@ def test_css_query_validation():
         CssBoundQuery(q=2, n=5, k1=2, k2=1, dx=7, dz=2)
     with pytest.raises(ParameterRangeError):
         CssBoundQuery(q=2, n=0, k1=0, k2=0, dx=1, dz=1)
+    with pytest.raises(ParameterRangeError, match=r"^need 0 <= k <= n, got k=6, n=5$"):
+        StabBoundQuery(q=2, n=5, k=6, dx=2, dz=2)
 
 
 def test_css_lhs_monotonicity_grid():

@@ -320,6 +320,56 @@ def test_table_output_is_pinned(argv, exit_code, stdout, tmp_path, monkeypatch, 
     assert (result.exit_code, captured.out, captured.err) == (exit_code, stdout, "")
 
 
+PINNED_JSON = [
+    ("bound css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2",
+     '{"dx": 2, "dz": 2, "feasible": true, "k1": 7, "k2": 5, "lhs": "256/455", "lhs_decimal": "0.562637", '
+     '"n": 12, "q": 2, "terms": ["128/455", "128/455"]}'),
+    ("bound css --q 2 --n 7 --k1 4 --k2 1 --dx 2 --dz 2",
+     '{"dx": 2, "dz": 2, "feasible": false, "k1": 4, "k2": 1, "lhs": "490/127", "lhs_decimal": "3.858268", '
+     '"n": 7, "q": 2, "terms": ["98/127", "392/127"]}'),
+    ("bound stab --q 2 --n 10 --k 3 --dx 2 --dz 2",
+     '{"dx": 2, "dz": 2, "feasible": true, "k": 3, "lhs": "10752/13981", "lhs_decimal": "0.769044", '
+     '"n": 10, "q": 2, "terms": ["2688/349525", "10/1", "10/1"]}'),
+    ("maxk stab --q 2 --n 10 --dx 2 --dz 2",
+     '{"dx": 2, "dz": 2, "k_max": 3, "lhs": "10752/13981", "lhs_decimal": "0.769044", "n": 10, "q": 2}'),
+    ("maxk stab --q 2 --n 4 --dx 3 --dz 3",
+     '{"dx": 3, "dz": 3, "k_max": null, "n": 4, "q": 2}'),
+    ("best css --q 2 --n 12 --dx 2 --dz 2",
+     '{"dx": 2, "dz": 2, "k1": 7, "k2": 4, "lhs": "64/65", "lhs_decimal": "0.984615", "n": 12, "net_k": 3, "q": 2}'),
+    ("best css --q 2 --n 4 --dx 3 --dz 3",
+     '{"dx": 3, "dz": 3, "k1": null, "k2": null, "n": 4, "net_k": null, "q": 2}'),
+    ("lemma --q 2 --n 3 --k1 2 --k2 1",
+     '{"k1": 2, "k2": 1, "lemma_ok": true, "n": 3, "nonzero_errors": 7, "per_error_x": 6, "per_error_z": 6, '
+     '"q": 2, "total_pairs": 21}'),
+    ("search css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2 --trials 100 --seed 1 --out witness.json",
+     '{"dx": 2, "dz": 2, "found": true, "k1": 7, "k2": 5, "kind": "css", "n": 12, "q": 2, "seed": 1, '
+     '"trial_index": 1, "trials": 100}'),
+    ("search css --q 2 --n 4 --k1 4 --k2 0 --dx 3 --dz 3 --trials 20 --seed 3",
+     '{"dx": null, "dz": null, "found": false, "k1": 4, "k2": 0, "kind": "css", "n": 4, "q": 2, "seed": 3, '
+     '"trial_index": null, "trials": 20}'),
+    ("search stab --q 2 --n 6 --k 1 --dx 2 --dz 2 --trials 200 --seed 11",
+     '{"dx": 2, "dz": 2, "found": true, "k": 1, "kind": "stab", "n": 6, "q": 2, "seed": 11, '
+     '"trial_index": 19, "trials": 200}'),
+    ("distances --in steane.json",
+     '{"dx": 3, "dz": 3, "n": 7, "q": 2, "type": "css"}'),
+    ("distances --in five.json",
+     '{"k": 1, "n": 5, "profile": [[true, true, true, true, true, false], [true, true, false, false, false, false], '
+     '[true, false, false, false, false, false], [true, false, false, false, false, false], '
+     '[true, false, false, false, false, false], [false, false, false, false, false, false]], "q": 2, "type": "stab"}'),
+]
+
+
+@pytest.mark.parametrize("argv, line", PINNED_JSON, ids=[a for a, _ in PINNED_JSON])
+def test_json_line_is_pinned(argv, line, tmp_path, monkeypatch, capsys, steane_pair, five_qubit):
+    monkeypatch.chdir(tmp_path)
+    write_code_file(steane_pair, "steane.json")
+    write_code_file(five_qubit, "five.json")
+    result = run([*argv.split(), "--json"])
+    captured = capsys.readouterr()
+    assert (result.exit_code, captured.out, captured.err) == (0, line + "\n", "")
+    assert ("--out" in argv) == (tmp_path / "witness.json").exists()
+
+
 # ---------------------------------------------------------------------------
 # usage lines: each leaf's flags, their order and which are required
 # ---------------------------------------------------------------------------
@@ -424,6 +474,11 @@ def test_input_errors_exit_1(tmp_path, capsys):
         assert captured.err.strip() and captured.err.count("\n") == 1, argv
     assert captured.err == 'error: css code file needs "c1" as a list of integer rows\n'
     assert not (tmp_path / "f6.csv").exists()
+    # k past n: the stabilizer query's own line, before any code is drawn
+    for argv in ("bound stab --q 2 --n 5 --k 6 --dx 2 --dz 2",
+                 "search stab --q 2 --n 5 --k 6 --dx 2 --dz 2 --trials 3 --seed 1"):
+        assert run(argv.split()).exit_code == 1, argv
+        assert capsys.readouterr().err == "error: need 0 <= k <= n, got k=6, n=5\n", argv
     # without the refusal these build q**n and never finish, so they run in a child under a timeout
     for argv in (
         "bound css --q 2 --n 12157665459056928801 --k1 7 --k2 5 --dx 3 --dz 3",

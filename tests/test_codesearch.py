@@ -67,6 +67,11 @@ def test_iter_subspaces_counts_match_gaussian_binomial():
                 assert all(s.dim == k for s in spaces)
 
 
+def test_iter_subspaces_checks_its_range_at_the_call():
+    with pytest.raises(ParameterRangeError, match="^need 0 <= dim <= ambient, got dim=4, ambient=3$"):
+        iter_subspaces(F2, 3, 4)   # not iterated
+
+
 # ---------------------------------------------------------------------------
 # pair enumeration and the counting identities
 # ---------------------------------------------------------------------------
@@ -544,6 +549,9 @@ def test_nested_pair_rejects_non_nested():
             c1=Subspace.span(F2, 3, [[1, 1, 0]]),
             c2=Subspace.span(F2, 3, [[1, 0, 1]]),
         )
+    for c2 in (zero_space(F3, 3), zero_space(F2, 4)):
+        with pytest.raises(InputShapeError, match="^C1 and C2 must share field and length$"):
+            NestedPair(c1=full_space(F2, 3), c2=c2)
 
 
 # ---------------------------------------------------------------------------
@@ -833,6 +841,9 @@ def test_random_isotropic_code_invariants():
         assert code.c.dim == n - k
         assert code.c.symplectic_dual().contains_space(code.c)
         assert code == random_isotropic_code(n, q, k, 7)
+    for n, k in ((0, 0), (5, 6)):
+        with pytest.raises(ParameterRangeError, match=rf"^need 1 <= n and 0 <= k <= n, got \({n}, {k}\)$"):
+            random_isotropic_code(n, 2, k, 1)
 
 
 def test_random_isotropic_code_trivial_k_equals_n():

@@ -406,3 +406,8 @@ def test_contains_space():
     s = Subspace.span(F2, 3, [[1, 1, 0], [0, 1, 1]])
     assert s.contains_space(Subspace.span(F2, 3, [[1, 0, 1]]))
     assert not Subspace.span(F2, 3, [[1, 0, 1]]).contains_space(s)
+    for other in (full_space(F2, 4), full_space(F3, 3)):
+        with pytest.raises(InputShapeError, match="^subspaces live in different ambient spaces$"):
+            s.contains_space(other)
+    with pytest.raises(InputShapeError, match="^vector length differs from ambient dimension$"):
+        s.reduce([1, 0])
