@@ -34,10 +34,14 @@ def entropy_hq(delta: float, q: int) -> float:
     conventions h_q(0) = 0 and h_q(1 - 1/q) = 1.
     """
     _check_q(q)
+    _check_delta(delta, q)
+    return _hq(delta, q)
+
+
+def _check_delta(delta: float, q: int) -> None:
     dmax = 1.0 - 1.0 / q
     if math.isnan(delta) or not 0.0 <= delta <= dmax:
         raise DomainError(f"delta must lie in [0, {dmax}], got {delta!r}")
-    return _hq(delta, q)
 
 
 def _hq(delta: float, q: int) -> float:
@@ -56,6 +60,11 @@ def hq_inverse(y: float, q: int) -> float:
     _check_q(q)
     if math.isnan(y) or not 0.0 <= y <= 1.0:
         raise DomainError(f"y must lie in [0, 1], got {y!r}")
+    return _hq_inverse(y, q)
+
+
+def _hq_inverse(y: float, q: int) -> float:
+    """hq_inverse with no checks: q is a checked prime power, y in [0, 1]."""
     dmax = 1.0 - 1.0 / q
     if y == 0.0:
         return 0.0
@@ -66,7 +75,7 @@ def hq_inverse(y: float, q: int) -> float:
         mid = (lo + hi) / 2
         if mid in (lo, hi):
             return mid
-        if _hq(mid, q) < y:   # q was checked once, above
+        if _hq(mid, q) < y:
             lo = mid
         else:
             hi = mid
@@ -126,13 +135,14 @@ def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[Front
     budget for delta_z is zero.
     """
     _check_rate("R", r)
-    _check_q(q)   # also for an empty grid
+    _check_q(q)   # once, also for an empty grid
     points = []
     for dx in delta_x_grid:
-        budget = 1.0 - r - entropy_hq(dx, q)
+        _check_delta(dx, q)
+        budget = 1.0 - r - _hq(dx, q)   # when kept, in [0, 1 - r]: hq_inverse's domain
         if budget < 0.0:
             continue
-        points.append(FrontierPoint(dx, hq_inverse(budget, q), r))
+        points.append(FrontierPoint(dx, _hq_inverse(budget, q), r))
     return points
 
 

@@ -27,13 +27,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import asymptotic, bounds, codesearch
-from .errors import (
-    DomainError,
-    EnumerationSizeError,
-    InputShapeError,
-    ParameterRangeError,
-    UnsupportedFieldError,
-)
+from .errors import AqgvError
 
 
 @dataclass
@@ -43,24 +37,13 @@ class CommandResult:
     exit_code: int
 
 
-class _UsageError(Exception):
-    pass
-
-
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):  # a flag is spelled out: no prefix of it is accepted
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):  # argparse would exit(2); we want exit 1
-        raise _UsageError(message)
+        raise AqgvError(message)
 
-
-_ERRORS = (
-    _UsageError,
-    DomainError,
-    EnumerationSizeError,
-    InputShapeError,
-    ParameterRangeError,
-    UnsupportedFieldError,
-    OSError,
-)
 
 _Outcome = tuple[str, dict, list[tuple[str, object]]]  # (status, result, rows)
 
@@ -261,7 +244,7 @@ def run(argv: list[str]) -> CommandResult:
         args = _build_parser().parse_args(argv)
         flags = {name: getattr(args, name) for name in args.ints}
         status, result, rows = args.handler(args, flags)
-    except _ERRORS as exc:
+    except (AqgvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return CommandResult("error", {}, 1)
     payload = {**flags, **result}

@@ -1,25 +1,29 @@
 """Exception types shared across the package.
 
-All inherit from ValueError so callers that only care about "bad input"
-can catch a single base class.
+All derive from AqgvError, a ValueError: callers that only care about "bad
+input" catch that one class, and the CLI prints any of them as one line.
 """
 
 
-class InputShapeError(ValueError):
+class AqgvError(ValueError):
+    """Any error that bad input to aqgv can cause."""
+
+
+class InputShapeError(AqgvError):
     """Mismatched vector lengths, mixed fields, or malformed matrices."""
 
 
-class ParameterRangeError(ValueError):
+class ParameterRangeError(AqgvError):
     """Integer parameters outside their documented ranges."""
 
 
-class EnumerationSizeError(ValueError):
+class EnumerationSizeError(AqgvError):
     """An exhaustive enumeration would exceed its hard size guard."""
 
 
-class UnsupportedFieldError(ValueError):
+class UnsupportedFieldError(AqgvError):
     """Field order is not a supported prime (or not a prime power where one is required)."""
 
 
-class DomainError(ValueError):
+class DomainError(AqgvError):
     """Real-valued argument outside the function's domain."""

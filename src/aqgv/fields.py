@@ -207,29 +207,29 @@ class Packing:
         vectors; nothing of a level is built before its first list is asked for.
 
         The rows are cut into blocks whose spans fit in SPAN_CHUNK (one row
-        at least), and each block keeps its own levels.  Level i of all rows
-        joins level w of the first block with level i - w of the other
-        blocks: one vector of the shorter list shifts the whole longer list,
-        so each list is at most as long as one of its sides and each joined
-        vector costs one packed add."""
+        at least), and each block keeps its own levels.  Level i joins level
+        w >= 1 of the first block j that a combination uses with level i - w
+        of the blocks after j, so the join is at most i deep.  One vector of
+        the shorter list shifts the whole longer list: each list is at most
+        as long as one of its sides, and each joined vector costs one add."""
         size = 1   # rows per block
         while self.p ** (size + 1) <= SPAN_CHUNK:
             size += 1
         blocks = [_BlockLevels(self, rows[start:start + size]) for start in range(0, len(rows), size)]
         return (self._joined_level(blocks, i) for i in range(1, len(rows) + 1))
 
-    def _joined_level(self, blocks: list[_BlockLevels], i: int) -> Iterator[list[int]]:
-        head, rest = blocks[0], blocks[1:]
-        if not rest:
-            yield head.level(i)
-            return
-        rest_rows = sum(len(block.rows) for block in rest)
-        for w in range(max(0, i - rest_rows), min(i, len(head.rows)) + 1):
-            inner = head.level(w)
-            for outer in self._joined_level(rest, i - w):
-                short, long = sorted((inner, outer), key=len)
-                for v in short:
-                    yield self.shifted(v, long) if v else long
+    def _joined_level(self, blocks: list[_BlockLevels], i: int, start: int = 0) -> Iterator[list[int]]:
+        # last block first: block weights in lexicographic order, which decides where a walk stops
+        for j in reversed(range(start, len(blocks))):
+            for w in range(1, min(i, len(blocks[j].rows)) + 1):
+                inner = blocks[j].level(w)
+                if w == i:
+                    yield inner
+                    continue
+                for outer in self._joined_level(blocks, i - w, j + 1):
+                    short, long = sorted((inner, outer), key=len)
+                    for v in short:
+                        yield self.shifted(v, long)
 
 
 class _BlockLevels:

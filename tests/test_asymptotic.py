@@ -5,6 +5,7 @@ import random
 
 import pytest
 
+from aqgv import asymptotic
 from aqgv.asymptotic import (
     MAX_POINTS,
     FrontierPoint,
@@ -17,6 +18,7 @@ from aqgv.asymptotic import (
     stab_frontier,
     write_frontier_csv,
 )
+from aqgv.bounds import is_prime_power
 from aqgv.errors import DomainError
 
 
@@ -252,6 +254,21 @@ def test_frontier_budget_identity():
             for pt in stab_frontier(q, r, frontier_grid(q, 40)):
                 total = entropy_hq(pt.delta_x, q) + entropy_hq(pt.delta_z_max, q)
                 assert abs(total - (1 - r)) < 1e-9
+
+
+def test_frontier_tests_q_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return is_prime_power(q)
+
+    grid = frontier_grid(2, 1000)
+    monkeypatch.setattr(asymptotic, "is_prime_power", counted)
+    assert len(stab_frontier(2, 0.3, grid)) == 379 and calls == [2]
+    # each point's delta is still checked, with entropy_hq's message
+    with pytest.raises(DomainError, match=r"^delta must lie in \[0, 0.5\], got 0.6$"):
+        stab_frontier(2, 0.3, [0.1, 0.6])
 
 
 def test_frontier_grid():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from aqgv import cli, errors
 from aqgv.bounds import CssBoundQuery, css_gv_lhs
 from aqgv.cli import run
 from aqgv.codesearch import css_distances, load_code_file, write_code_file
@@ -193,6 +194,14 @@ def test_search_stab_and_profile_distances(tmp_path, capsys):
     assert payload2["type"] == "stab"
     matrix = payload2["profile"]
     assert matrix[1][1] is True  # dx=2, dz=2 verified by the search
+
+
+def test_search_stab_over_many_blocks_answers(capsys):
+    # q = 41 packs 2 rows per block, so the distance walk joins 1050 blocks
+    result = run("search stab --q 41 --n 2100 --k 2100 --dx 1 --dz 2 --trials 1 --seed 1".split())
+    captured = capsys.readouterr()
+    assert result.exit_code == 0
+    assert (captured.out, captured.err) == ("found   no\ntrials  1\n", "")
 
 
 def test_search_kind_flag_mismatch_is_usage_error(capsys):
@@ -422,6 +431,29 @@ def test_usage_errors_exit_1(capsys):
         captured = capsys.readouterr()
         assert result.exit_code == 1 and result.status == "error"
         assert len(captured.err.strip().splitlines()) == 1, argv
+    # a prefix of a flag is not the flag
+    abbreviated = {
+        "bound css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2 --dig 2":
+            "error: unrecognized arguments: --dig 2\n",
+        "search css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2 --tr 5 --se 1":
+            "error: the following arguments are required: --trials, --seed\n",
+    }
+    for argv, err in abbreviated.items():
+        assert run(argv.split()).exit_code == 1, argv
+        assert capsys.readouterr().err == err, argv
+
+
+def test_every_input_error_is_one_stderr_line(monkeypatch, capsys):
+    classes = [c for c in vars(errors).values() if isinstance(c, type) and issubclass(c, Exception)]
+    assert len(classes) > 1 and all(issubclass(c, errors.AqgvError) for c in classes)
+
+    def refuse(args, flags):
+        raise errors.AqgvError("refused")
+
+    monkeypatch.setattr(cli, "_cmd_maxk", refuse)
+    result = run("maxk stab --q 2 --n 10 --dx 2 --dz 2".split())
+    assert (result.exit_code, result.status) == (1, "error")
+    assert capsys.readouterr().err == "error: refused\n"
 
 
 def test_input_errors_exit_1(tmp_path, capsys):

@@ -163,6 +163,42 @@ def test_packed_levels_match_tuple_combinations_by_coefficient_count(case):
         assert sorted(packing.unpack(x) for c in level for x in c) == sorted(expected)
 
 
+def test_packed_levels_keep_their_list_order():
+    # the order decides where a rising-weight walk stops and what it counts;
+    # with SPAN_CHUNK = 4 the units fall into blocks of 2, 2, 1 rows (p = 2) and of 1 row (p = 3)
+    expected = {
+        2: [[[16], [4, 8], [1, 2]],
+            [[20, 24], [12], [17, 18], [5, 9], [6, 10], [3]],
+            [[28], [21, 25], [22, 26], [13, 14], [19], [7, 11]],
+            [[29, 30], [23, 27], [15]],
+            [[31]]],
+        3: [[[512, 1024], [64, 128], [8, 16], [1, 2]],
+            [[576, 1088], [640, 1152], [520, 1032], [528, 1040], [72, 136], [80, 144],
+             [513, 1025], [514, 1026], [65, 129], [66, 130], [9, 17], [10, 18]],
+            [[584, 1096], [592, 1104], [648, 1160], [656, 1168], [577, 1089], [578, 1090],
+             [641, 1153], [642, 1154], [521, 1033], [522, 1034], [529, 1041], [530, 1042],
+             [73, 137], [74, 138], [81, 145], [82, 146]],
+            [[585, 1097], [586, 1098], [593, 1105], [594, 1106], [649, 1161], [650, 1162],
+             [657, 1169], [658, 1170]]],
+    }
+    for p, n in ((2, 5), (3, 4)):
+        packing = Packing(p, n)
+        with mock.patch.object(fields, "SPAN_CHUNK", 4):
+            assert [list(level) for level in packing.levels(packing.units())] == expected[p]
+
+
+def test_packed_levels_join_many_blocks():
+    # at p = 251 a block holds 2 rows, so 2100 rows make 1050 blocks: more
+    # than the recursion limit allows frames if the join recursed once per block
+    packing = Packing(251, 2100)
+    units = packing.units()
+    levels = packing.levels(units)
+    level1, level2 = next(next(levels)), next(next(levels))
+    assert level1 == [c * units[j] for j in (2098, 2099) for c in range(1, 251)]
+    assert len(level2) == 250 * 250 and level2[-1] == 250 * (units[2098] + units[2099])
+    assert level2[:250] == [a * units[2098] + units[2099] for a in range(1, 251)]
+
+
 # ---------------------------------------------------------------------------
 # canonical RREF form
 # ---------------------------------------------------------------------------
