@@ -519,15 +519,10 @@ def write_code_file(code: Union[NestedPair, IsotropicCode], path: str | Path) ->
     Path(path).write_text(json.dumps(code_to_json_dict(code), sort_keys=True) + "\n")
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)  # JSON true is not 1
-
-
-def _json_rows(data: dict, key: str) -> list[list[int]]:
+def _json_rows(data: dict, key: str) -> list[list]:
+    """The rows under ``key``, checked to be a list of lists; Subspace checks the entries."""
     rows = data.get(key)
-    if not isinstance(rows, list) or not all(
-        isinstance(row, list) and all(_is_int(x) for x in row) for row in rows
-    ):
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise InputShapeError(f'{data["type"]} code file needs "{key}" as a list of integer rows')
     return rows
 
@@ -542,7 +537,7 @@ def load_code_file(path: str | Path) -> Union[NestedPair, IsotropicCode]:
     if not isinstance(data, dict) or data.get("type") not in ("css", "stab"):
         raise InputShapeError('code file needs "type": "css" or "stab"')
     q, n = data.get("q"), data.get("n")
-    if not _is_int(q) or not _is_int(n) or n < 1:
+    if type(q) is not int or type(n) is not int or n < 1:   # JSON true is not 1
         raise InputShapeError('code file needs integer "q" and "n" fields')
     field = GF(q)
     if data["type"] == "css":

@@ -6,7 +6,7 @@ Vectors in the API are plain tuples of residues in ``[0, p)``.  Building a
 subspace makes its rows canonical: it is held in reduced row-echelon form,
 so two equal subspaces compare equal structurally and can be used as dict
 keys.  Everything is immutable and pure; sizes are desk scale (ambient
-dimension up to a few dozen).
+dimension up to a few thousand, as in a search at n = 2100 over GF(41)).
 
 Walks over whole spans do not use tuples: :class:`Packing` packs each
 vector into one Python int, a fixed-width bit field per coordinate, with
@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Iterator, Sequence
 
@@ -184,11 +185,10 @@ class Packing:
             return iter(vs)
         return map(self._top.__and__, map(self._nonzero.__add__, vs))
 
-    def failing(self, rows: Sequence[int]) -> list[int]:
-        """``supports`` of the vector parts of the rows with a nonzero syndrome."""
+    def failing(self, rows: Sequence[int]) -> Iterator[int]:
+        """Iterate the ``supports`` of the vector parts of the rows with a nonzero syndrome."""
         mask, cut = self._mask, self._cut
-        failing = [v & mask for v in rows if v >> cut]
-        return failing if self.p == 2 else list(self.supports(failing))
+        return self.supports([v & mask for v in rows if v >> cut])
 
     def span(self, rows: Sequence[int]) -> list[int]:
         """All p^len(rows) combinations, rows[0] varying fastest; each
@@ -285,8 +285,10 @@ class Subspace:
         for row in rows:
             if len(row) != n:
                 raise InputShapeError(f"row length {len(row)} differs from ambient dimension {n}")
-            if any(not isinstance(x, int) or not (0 <= x < p) for x in row):
-                raise InputShapeError(f"entries must be integer residues in [0, {p})")
+        # C-level passes over all entries; type, not isinstance, so that bool is refused too
+        if rows and n and (set(map(type, chain.from_iterable(rows))) != {int}
+                           or min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
+            raise InputShapeError(f"entries must be integer residues in [0, {p})")
         basis, pivots = _rref(rows, p, n)
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivot_cols", pivots)

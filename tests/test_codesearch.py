@@ -1045,3 +1045,43 @@ def test_code_file_rejects_bad_entries_and_shapes(tmp_path):
         path.write_text(json.dumps(data))
         with pytest.raises(InputShapeError):
             load_code_file(path)
+    # an entry that is not an integer is refused by Subspace, with its message
+    for row in ([0, 1.5, 1], [0, "1", 1]):
+        path.write_text(json.dumps({"type": "css", "q": 2, "n": 3, "c1": [row], "c2": []}))
+        with pytest.raises(InputShapeError, match=r"^entries must be integer residues in \[0, 2\)$"):
+            load_code_file(path)
+
+
+@st.composite
+def code_file_edit(draw):
+    """A small CSS pair or stabilizer space, and a JSON value that is no residue mod q."""
+    q = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32))
+    if draw(st.booleans()):
+        k1 = draw(st.integers(1, n))   # C1 has a row to edit
+        code = random_nested_pair(n, q, k1, draw(st.integers(0, k1)), seed)
+    else:
+        code = random_isotropic_code(n, q, draw(st.integers(0, n - 1)), seed)   # S has a row
+    bad = draw(st.one_of(
+        st.integers(min_value=q), st.integers(max_value=-1), st.booleans(), st.floats(),
+        st.text(max_size=3), st.none(), st.lists(st.integers(0, q - 1), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(0, q - 1), max_size=2),
+    ))
+    return code, bad
+
+
+@settings(max_examples=50)
+@given(code_file_edit(), st.data())
+def test_code_file_refuses_any_non_residue_entry(tmp_path_factory, case, data):
+    code, bad = case
+    path = tmp_path_factory.mktemp("edit") / "code.json"
+    write_code_file(code, path)
+    assert load_code_file(path) == code
+    doc = json.loads(path.read_text())
+    rows = data.draw(st.sampled_from([doc[key] for key in ("c1", "c2", "generators") if doc.get(key)]))
+    row = data.draw(st.sampled_from(rows))
+    row[data.draw(st.integers(0, len(row) - 1))] = bad
+    path.write_text(json.dumps(doc))
+    with pytest.raises(InputShapeError, match=rf"^entries must be integer residues in \[0, {code.q}\)$"):
+        load_code_file(path)

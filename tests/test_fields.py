@@ -118,6 +118,19 @@ def test_syndrome_packing_appends_each_syndrome(case):
     assert [packing.unpack(x) for x in packed] == [tuple(row) for row in rows]
 
 
+@given(syndrome_case())
+def test_failing_gives_supports_of_rows_with_a_nonzero_syndrome(case):
+    p, n, checks, rows = case
+    packing = Packing(p, n, checks)
+    b = packing.width
+    columns = [[check[j] for check in checks] for j in range(n)]
+    expected = [
+        sum(1 << (b * j + b - 1) for j, x in enumerate(row) if x)   # the top bit of each nonzero field
+        for row in rows if any(combine(row, columns, p, len(checks)))
+    ]
+    assert list(packing.failing(packing.rows(rows))) == expected
+
+
 def tuple_span(rows, p, n):
     """Every combination of rows, rows[0] varying fastest, by tuple arithmetic."""
     out = []
@@ -257,6 +270,8 @@ def test_span_rejects_bad_shapes():
             make(F3, 2, [[-1, 0]])
         with pytest.raises(InputShapeError):
             make(F3, 2, [[1.0, 0]])  # not an int
+        with pytest.raises(InputShapeError, match=r"^entries must be integer residues in \[0, 2\)$"):
+            make(F2, 3, [[True, False, True]])  # bool is no residue
         with pytest.raises(InputShapeError):
             make(F3, -1, [])  # negative ambient dimension
 
