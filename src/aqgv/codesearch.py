@@ -24,7 +24,8 @@ nested pair S <= S-dual the same way.
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.  Its GF(p) arithmetic and packed layout are all in fields:
 every walk packs its rows, or the unit vectors, with fields.Packing, whose
-rows carry their syndromes under the check rows it was given, if any.
+rows carry their syndromes under the check rows it was given, if any, and
+the samplers draw, combine and reduce packed rows with the same class.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from .bounds import (
     gaussian_binomial,
 )
 from .errors import InputShapeError, ParameterRangeError
-from .fields import GF, Packing, Subspace, Vec, combine, dual_rows, inverse, sub, symplectic_products
+from .fields import GF, Packing, Subspace, Vec, draw, dual_rows, inverse
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
@@ -92,9 +93,10 @@ class IsotropicCode:
     def __post_init__(self) -> None:
         if self.c.ambient_dim != 2 * self.n:
             raise InputShapeError("stabilizer space needs an even ambient dimension")
-        q, basis = self.q, self.c.basis
-        for i, u in enumerate(basis):
-            if any(symplectic_products(u, basis[i + 1:], q)):
+        rows = self.c.packed
+        if rows:   # no Packing without generators, whose n may be huge
+            packing = self.c.packing
+            if any(any(packing.products(packing.twist(u), rows[i + 1:])) for i, u in enumerate(rows)):
                 raise InputShapeError("generators are not symplectic self-orthogonal")
 
     @property
@@ -272,7 +274,7 @@ def css_distances(pair: NestedPair) -> DistancePair:
     c1, c2, q, n = pair.c1, pair.c2, pair.q, pair.n
     _guard((n - c2.dim) * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
     free2 = [f for f in range(n) if f not in c2.pivot_cols]   # one parity-check row of C2 each
-    c2_parity = dual_rows(c2.basis, c2.pivot_cols, q, n)      # systematic on free2
+    c2_parity = c2.parity_rows                                # systematic on free2
     at_n1 = [row for row, j in zip(c1.basis, c1.pivot_cols) if j not in c2.pivot_cols]
     at_n2 = [row for row, f in zip(c2_parity, free2) if f in c1.pivot_cols]
     return DistancePair(dx=_min_weight_failing(q, n, c1.basis, at_n2),
@@ -335,9 +337,9 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     every wx whose cap is above 0: no such error lowers a cap."""
     n, q, k, s = code.n, code.q, code.k, code.c
     _guard((n + k) * 2 * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
-    dual = s.symplectic_dual()
+    dual = s.symplectic_dual()   # twists s.parity_rows, which the checks below reuse
     free = [f for f in range(2 * n) if f not in s.pivot_cols]   # one parity-check row of S each
-    at_n = [row for row, f in zip(dual_rows(s.basis, s.pivot_cols, q, 2 * n), free) if f in dual.pivot_cols]
+    at_n = [row for row, f in zip(s.parity_rows, free) if f in dual.pivot_cols]
     half = Packing(q, n)
     x_half = sum(half.supports(half.units()))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx
@@ -353,11 +355,14 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
 
 
 def _random_full_rank(rng: Random, field: GF, nrows: int, ncols: int) -> Subspace:
-    """Row space of a uniformly random full-rank nrows x ncols matrix; the
-    induced distribution over nrows-dim subspaces is uniform."""
+    """Row space of a uniformly random full-rank nrows x ncols matrix, drawn
+    entry by entry, row by row; the induced distribution over nrows-dim
+    subspaces is uniform."""
+    if not nrows:   # no Packing without rows: ncols may be huge
+        return Subspace(field, ncols, ())
+    packing = Packing.plain(field.p, ncols)
     while True:
-        rows = [[rng.randrange(field.p) for _ in range(ncols)] for _ in range(nrows)]
-        space = Subspace.span(field, ncols, rows)
+        space = Subspace.from_packed(field, ncols, packing.draw_rows(rng, nrows))
         if space.dim == nrows:
             return space
         # reject rank-deficient draws
@@ -375,8 +380,8 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     rng = Random(seed)
     c1 = _random_full_rank(rng, field, k1, n)
     coeffs = _random_full_rank(rng, field, k2, k1)   # its basis spans the same rows as the draw
-    rows = [combine(row, c1.basis, q, n) for row in coeffs.basis]
-    return NestedPair(c1=c1, c2=Subspace.span(field, n, rows))
+    rows = [c1.packing.combine(y, c1.packed) for y in coeffs.basis]   # y.G1, packed
+    return NestedPair(c1=c1, c2=Subspace.from_packed(field, n, rows))
 
 
 def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
@@ -390,20 +395,23 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     stabilizer spaces (checked over the 15 Lagrangians of GF(2)^4 in the
     tests).
 
-    Only the symplectic dual D of the current space c is held, as RREF
-    rows in pivot order, starting from the identity of GF(q)^{2n}; c is
-    not, because the form is nondegenerate and so c = D^perp.  For a draw
-    v from D, f(w) = <v, w> over D's rows is zero everywhere exactly when
-    v is in D^perp = c: such a draw is rejected, the same decision a
-    residual test against c would make, so the rng is called in the same
-    order.  Else v is kept and D becomes D meet v-perp, O((2n)^2) per
-    step: the row s of largest pivot with f(s) != 0 is subtracted, times
-    f(w)/f(s), from every other row w with f(w) != 0, and dropped.  Row s
-    is zero before its pivot and at every other pivot, so only s's pivot
-    column (now free) and later columns change: the rows stay RREF, and as
-    the RREF of a space is unique, D is exactly ``c.symplectic_dual()``.
-    So the draws are those of a per-step ``symplectic_dual()``.  The kept
-    draws are made canonical once, by the Subspace they span.
+    Only the symplectic dual D of the current space c is held, as packed
+    RREF rows in pivot order, starting from the identity of GF(q)^{2n}; c
+    is not, because the form is nondegenerate and so c = D^perp.  A draw
+    is one batch of len(D) coefficients (``fields.draw``, the values of
+    one ``randrange`` each) and v is their packed combination of D's rows.
+    f(w) = <v, w> over D's rows (packed products with v's twist: at q = 2
+    the parity of a common support) is zero everywhere exactly when v is
+    in D^perp = c: such a draw is rejected, the same decision a residual
+    test against c would make, so the rng is called in the same order.
+    Else v is kept and D becomes D meet v-perp, O((2n)^2) per step: the row
+    s of largest pivot with f(s) != 0 is subtracted, times f(w)/f(s), from
+    every other row w with f(w) != 0, and dropped.  Row s is zero before its
+    pivot and at every other pivot, so only s's pivot column (now free) and
+    later columns change: the rows stay RREF, and as the RREF of a space is
+    unique, D is exactly ``c.symplectic_dual()``.  So the draws are those of
+    a per-step ``symplectic_dual()``.  The kept draws are made canonical
+    once, by the Subspace they span.
     """
     field = GF(q)
     if not (n >= 1 and 0 <= k <= n):
@@ -411,20 +419,22 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     _check_draw_size((n - k) * (2 * n) ** 2)
     rng = Random(seed)
     m = 2 * n
-    dual = [[int(i == j) for j in range(m)] for i in range(m)] if k < n else []
-    gens: list[Vec] = []
+    gens: list[int] = []
+    if k < n:   # no packing for k = n: a huge n with no rows costs nothing
+        packing = Packing.plain(q, m)
+        dual = packing.units()
     for _ in range(n - k):
         while True:
-            v = combine([rng.randrange(q) for _ in range(len(dual))], dual, q, m)
-            f = symplectic_products(v, dual, q)
+            v = packing.combine(draw(rng, q, len(dual)), dual)
+            f = packing.products(packing.twist(v), dual)
             if any(f):
                 break
         gens.append(v)
         s = max(i for i, x in enumerate(f) if x)
-        scaled = combine([inverse(f[s], q)], [dual[s]], q, m)   # f(scaled) = 1
-        dual = [sub(w, x, scaled, q) if x else w
+        scaled = packing.times(inverse(f[s], q), dual[s])   # f(scaled) = 1
+        dual = [packing.sub(w, x, scaled) if x else w
                 for i, (w, x) in enumerate(zip(dual, f)) if i != s]
-    return IsotropicCode(c=Subspace(field, m, gens))
+    return IsotropicCode(c=Subspace.from_packed(field, m, gens))
 
 
 @dataclass(frozen=True)

@@ -8,24 +8,31 @@ so two equal subspaces compare equal structurally and can be used as dict
 keys.  Everything is immutable and pure; sizes are desk scale (ambient
 dimension up to a few thousand, as in a search at n = 2100 over GF(41)).
 
-Walks over whole spans do not use tuples: :class:`Packing` packs each
-vector into one Python int, a fixed-width bit field per coordinate, with
-its syndrome under any check rows appended, so that adding two vectors or
-taking a weight is a handful of big-int operations.
+Row work does not use tuples: :class:`Packing` packs each vector into one
+Python int, a fixed-width bit field per coordinate, with its syndrome under
+any check rows appended, so that adding two vectors or taking a weight is a
+handful of big-int operations.  The one elimination, ``_rref``, runs on
+packed rows; a Subspace keeps its packed canonical rows beside the tuple
+basis, so membership and isotropy checks run packed too.  The samplers
+draw a whole matrix per call of :func:`draw`, with the values that one
+``randrange`` per entry would give, and build their codes from packed rows.
 """
 
 from __future__ import annotations
 
 import dataclasses
 from dataclasses import dataclass
-from itertools import chain
-from operator import mul
-from typing import Iterator, Sequence
+from functools import lru_cache, reduce
+from itertools import chain, compress
+from operator import mul, xor
+from random import Random
+from typing import Callable, Iterator, Sequence
 
 from .errors import InputShapeError, UnsupportedFieldError
 
 MAX_PRIME = 251
 SPAN_CHUNK = 1 << 16   # packed vectors one list of Packing.levels holds (or p - 1)
+SHORT_ROW = 32         # entries up to which Packing.rows packs by multiply-adds, not bytes
 
 Vec = tuple[int, ...]
 
@@ -68,11 +75,6 @@ def inverse(x: int, p: int) -> int:
     return pow(x, p - 2, p)
 
 
-def sub(a: Sequence[int], c: int, b: Sequence[int], p: int) -> list[int]:
-    """a - c*b in GF(p)^n."""
-    return [(x - c * y) % p for x, y in zip(a, b)]
-
-
 def combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], p: int, n: int) -> Vec:
     """The combination sum_i coeffs[i] * rows[i] in GF(p)^n."""
     acc = [0] * n
@@ -82,26 +84,26 @@ def combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], p: int, n: int
     return tuple([a % p for a in acc])
 
 
-def _rref(mat: list[list[int]], p: int, ncols: int) -> tuple[tuple[Vec, ...], tuple[int, ...]]:
-    """Reduced row echelon form of rows of length ncols, computed in place;
-    returns (nonzero rows, pivot columns)."""
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        if r == len(mat):
-            break
-        pr = next((i for i in range(r, len(mat)) if mat[i][col]), None)
-        if pr is None:
-            continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        inv = inverse(mat[r][col], p)
-        mat[r] = [(inv * x) % p for x in mat[r]]
-        for i in range(len(mat)):
-            if i != r and mat[i][col]:
-                mat[i] = sub(mat[i], mat[i][col], mat[r], p)
-        pivots.append(col)
-        r += 1
-    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+@lru_cache(maxsize=None)
+def _draw_tables(p: int) -> tuple[bytes, bytes]:
+    """The table that keeps the top p.bit_length() bits of a byte, and the
+    bytes whose top bits are p or more."""
+    shift = 8 - p.bit_length()
+    return bytes(b >> shift for b in range(256)), bytes(b for b in range(256) if b >> shift >= p)
+
+
+def draw(rng: Random, p: int, count: int) -> bytes:
+    """[rng.randrange(p) for _ in range(count)], as bytes, with rng left in
+    the same state.  randrange(p) takes the top p.bit_length() bits of one
+    32-bit word and draws again while they are p or more; here the words
+    still missing are drawn by one getrandbits call, their top bytes cut to
+    those bits and the rejected ones dropped, until count values are kept."""
+    table, reject = _draw_tables(p)
+    out = b""
+    while len(out) < count:
+        words = count - len(out)
+        out += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, reject)
+    return out
 
 
 def dual_rows(basis: Sequence[Sequence[int]], pivots: Sequence[int], p: int, n: int) -> list[list[int]]:
@@ -115,6 +117,24 @@ def dual_rows(basis: Sequence[Sequence[int]], pivots: Sequence[int], p: int, n: 
             x[j] = (-row[f]) % p
         rows.append(x)
     return rows
+
+
+@lru_cache(maxsize=256)
+def _byte_moves(width: int, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
+    """How n fields of ``width`` bits move to byte slots (of ``slot`` bytes,
+    two when a field is wider than a byte): (slot, moves).  Field j moves
+    by j * (8 * slot - width) bits, one bit of j per move, top bit first: a
+    move (mask, d) shifts the fields under mask left by d.  Before the move
+    for bit l the fields lie in contiguous blocks of 2^(l+1), one per
+    2^(l+1) slots, and the upper half of each block moves."""
+    slot = 1 if width <= 8 else 2
+    moves = []
+    for l in reversed(range(max(n - 1, 0).bit_length())):
+        half, period = width << l, (8 * slot) << (l + 1)
+        blocks = -(-n >> (l + 1))
+        starts = int(("0" * (period - 1) + "1") * blocks, 2)   # bit 0 of each block
+        moves.append(((((1 << half) - 1) << half) * starts, (8 * slot - width) << l))
+    return slot, tuple(moves)
 
 
 class Packing:
@@ -131,44 +151,155 @@ class Packing:
     p <= 251: the sum of two residues is below 2M, and adding M - p sets a
     field's top bit exactly where that sum is >= p (where p is subtracted);
     adding M - 1 sets it exactly where a residue is nonzero.
+
+    Long rows enter and all rows leave through one byte per entry (two when
+    p > 127): ``rows`` reads a row longer than SHORT_ROW with int.from_bytes
+    and ``unpack`` writes one with int.to_bytes, and the fields move between
+    byte slots and their width in log2(n) masked shifts, so a row costs
+    O(n log n) bit operations.  A short row is packed faster as its dot
+    product with the packed unit vectors.
     """
 
     def __init__(self, p: int, n: int, checks: Sequence[Sequence[int]] = ()):
         self.p = p
         self.n = n
         self.width = b = 1 if p == 2 else (p - 1).bit_length() + 1
-        self._units = [1 << (b * j) for j in range(n)]
+        self._units = [1 << (b * j) for j in range(min(n, SHORT_ROW))]   # e_j, for the short rows of rows()
         self._checks = list(zip(checks, range(b * n, b * (n + len(checks)), b)))   # (check, its shift)
-        ones = sum(1 << (b * j) for j in range(n + len(checks)))   # the low bit of every field
+        self._ones = ones = ((1 << (b * (n + len(checks)))) - 1) // ((1 << b) - 1)   # the low bit of every field
         top = 1 << (b - 1)
         self._wrap = (top - p) * ones
         self._top = top * ones
         self._nonzero = (top - 1) * ones
         self._cut = cut = b * n
         self._mask = (1 << cut) - 1
+        self._slot, self._moves = _byte_moves(b, n)
         self.vector = self._mask.__and__
         self.syndrome = cut.__rrshift__
+        self.add = xor if p == 2 else self._adder()
+
+    @staticmethod
+    @lru_cache(maxsize=64)
+    def plain(p: int, n: int) -> Packing:
+        """The Packing of GF(p)^n with no checks, built once per (p, n)."""
+        return Packing(p, n)
 
     def rows(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        """Each row of GF(p)^n, packed with its syndrome appended."""
-        units, p = self._units, self.p
-        packed = [sum(map(mul, row, units)) for row in rows]   # row . (e_0, ..., e_{n-1})
+        """Each row of GF(p)^n (residues, as a sequence of ints or as bytes),
+        packed with its syndrome appended.  At p = 2 a syndrome entry is the
+        parity of the row's common support with the check."""
+        p = self.p
+        packed = self._vectors(rows)
         for check, s in self._checks:
-            packed = [v + ((sum(map(mul, row, check)) % p) << s) for v, row in zip(packed, rows)]
+            if p == 2:
+                [c] = self._vectors([check])
+                packed = [v | (((v & c).bit_count() & 1) << s) for v in packed]
+            else:
+                packed = [v + ((sum(map(mul, row, check)) % p) << s) for v, row in zip(packed, rows)]
+        return packed
+
+    def _vectors(self, rows: Sequence[Sequence[int]]) -> list[int]:
+        if self.n <= SHORT_ROW:   # row . (e_0, ..., e_{n-1}): O(n^2) bits, but few steps
+            units = self._units
+            return [sum(map(mul, row, units)) for row in rows]
+        packed, slot = [], self._slot
+        for row in rows:
+            if slot > 1:
+                row, values = bytearray(slot * self.n), row
+                row[::slot] = values
+            x = int.from_bytes(row, "little")
+            for mask, d in reversed(self._moves):   # each slot back to its field
+                moved = x & (mask << d)
+                x ^= moved ^ (moved >> d)
+            packed.append(x)
         return packed
 
     def units(self) -> list[int]:
         """e_j with column j of the checks appended, for j < n, packed."""
-        units = list(self._units)
+        units = [1 << (self.width * j) for j in range(self.n)]
         for check, s in self._checks:
             units = [u + (c << s) for u, c in zip(units, check)]
         return units
 
     def unpack(self, x: int) -> Vec:
         """The vector part of a packed row, as a tuple."""
-        b = self.width
-        mask = (1 << b) - 1
-        return tuple((x >> (b * j)) & mask for j in range(self.n))
+        x &= self._mask
+        for mask, d in self._moves:   # each field to its slot
+            moved = x & mask
+            x ^= moved ^ (moved << d)
+        return tuple(x.to_bytes(self._slot * self.n, "little")[::self._slot])
+
+    def draw_rows(self, rng: Random, count: int) -> list[int]:
+        """count uniform vectors, packed: the values of count * n calls of
+        rng.randrange(p), row by row (``draw``)."""
+        values, n = draw(rng, self.p, count * self.n), self.n
+        return self.rows([values[i:i + n] for i in range(0, count * n, n)])
+
+    def _adder(self) -> Callable[[int, int], int]:
+        wrap, top, shift, p = self._wrap, self._top, self.width - 1, self.p
+
+        def add(a: int, b: int) -> int:
+            s = a + b
+            return s - (((s + wrap) & top) >> shift) * p
+        return add
+
+    def neg(self, v: int) -> int:
+        """-v in GF(p): p - v field by field, then p -> 0 by adding 0."""
+        return v if self.p == 2 else self.add(self.p * self._ones - v, 0)
+
+    def times(self, c: int, v: int) -> int:
+        """c * v in GF(p), for c in [0, p), by doubling and adding."""
+        if c < 2:
+            return v if c else 0
+        if c == self.p - 1:
+            return self.neg(v)
+        out, add = v, self.add
+        for bit in bin(c)[3:]:   # below the top bit
+            out = add(out, out)
+            if bit == "1":
+                out = add(out, v)
+        return out
+
+    def sub(self, a: int, c: int, b: int) -> int:
+        """a - c*b in GF(p), for c in [0, p)."""
+        return self.add(a, self.times(-c % self.p, b))
+
+    def combine(self, coeffs: Sequence[int], rows: Sequence[int]) -> int:
+        """sum_i coeffs[i] * rows[i] in GF(p): the rows whose coefficient has
+        bit t set are summed for each bit t, and those sums joined by
+        doubling from the top bit down.  At p = 2 it is one XOR of the rows
+        with coefficient 1."""
+        acc, add = 0, self.add
+        for t in reversed(range((self.p - 1).bit_length())):
+            acc = add(add(acc, acc), reduce(add, compress(rows, map((1 << t).__and__, coeffs)), 0))
+        return acc
+
+    def support(self, v: int) -> int:
+        """An int with one set bit per nonzero field of v (its top bit)."""
+        return v if self.p == 2 else (v + self._nonzero) & self._top
+
+    def lowest(self, v: int) -> tuple[int, int, int]:
+        """(support bit, column, entry) of the lowest nonzero field of v != 0."""
+        bit = self.support(v) & -self.support(v)
+        j = (bit.bit_length() - 1) // self.width
+        return bit, j, (v >> (self.width * j)) & ((1 << self.width) - 1)
+
+    def products(self, v: int, rows: Sequence[int]) -> list[int]:
+        """v . w in GF(p) for each packed w in rows: the sum over bit pairs
+        (s, t) of 2^(s+t) times the number of fields where v has bit s set
+        and w bit t.  At p = 2 that is the parity of their common support."""
+        if self.p == 2:
+            return [(v & w).bit_count() & 1 for w in rows]
+        bits = range(self.width - 1)
+        planes = [(s, (v >> s) & self._ones) for s in bits]   # bit s of every field, at the field's bit 0
+        return [sum((x & (w >> t)).bit_count() << (s + t) for s, x in planes for t in bits) % self.p
+                for w in rows]
+
+    def twist(self, v: int) -> int:
+        """(-b|a) for v = (a|b) in GF(p)^n, n even: the symplectic product
+        <v, w> is the standard product of twist(v) with w."""
+        half = self.width * (self.n // 2)
+        return self.neg(v >> half) | ((v & ((1 << half) - 1)) << half)
 
     def shifted(self, r: int, vs: Sequence[int]) -> list[int]:
         """[r + v for v in vs], each sum taken field by field in GF(p)."""
@@ -261,6 +392,54 @@ class _BlockLevels:
         return self._levels[w]
 
 
+def _pivot(packing: Packing, row: int) -> list:
+    """A pivot row as the list of its multiples -c * row for c in [0, p),
+    each made on first use (None before)."""
+    negatives = [None] * packing.p
+    negatives[-1] = row   # -(p - 1) * row
+    return negatives
+
+
+def _clear(packing: Packing, v: int, marks: int, pivots: dict[int, list]) -> int:
+    """v plus the multiples of pivot rows (``_pivot``, by column) that clear
+    it at the pivot columns whose support bits are in marks, lowest first.
+    A pivot row is 1 at its column and 0 before it, so an addition changes
+    v only from that column on."""
+    support, add, times, p, width = packing.support, packing.add, packing.times, packing.p, packing.width
+    field = (1 << width) - 1
+    while x := support(v) & marks:
+        j = ((x & -x).bit_length() - 1) // width
+        c = (v >> (width * j)) & field
+        negatives = pivots[j]
+        if negatives[c] is None:
+            negatives[c] = times(p - c, negatives[-1])
+        v = add(v, negatives[c])
+    return v
+
+
+def _rref(packing: Packing, rows: Sequence[int]) -> tuple[tuple[Vec, ...], tuple[int, ...], tuple[int, ...]]:
+    """Reduced row echelon form of packed rows: (nonzero rows as tuples,
+    pivot columns, the same rows packed).  Each row in turn is cleared at
+    the pivots found so far, and its lowest nonzero field, scaled to 1,
+    becomes a new pivot; then each pivot row, last pivot first, is cleared
+    at the pivots after its own.  A row costs one packed operation per
+    nonzero entry it has at a pivot, and none per column it skips."""
+    pivots: dict[int, list] = {}   # pivot column -> its row (``_pivot``)
+    marks = 0                      # the support bit of every pivot column
+    for v in rows:
+        v = _clear(packing, v, marks, pivots)
+        if v:
+            bit, j, x = packing.lowest(v)
+            pivots[j] = _pivot(packing, packing.times(inverse(x, packing.p), v))
+            marks |= bit
+    columns = sorted(pivots)
+    for j in reversed(columns):
+        row = pivots[j][-1]
+        pivots[j] = _pivot(packing, _clear(packing, row, marks & ~packing.lowest(row)[0], pivots))
+    packed = tuple(pivots[j][-1] for j in columns)
+    return tuple(map(packing.unpack, packed)), tuple(columns), packed
+
+
 @dataclass(frozen=True)
 class Subspace:
     """A linear code C <= GF(p)^n, held in its canonical RREF basis.
@@ -269,13 +448,16 @@ class Subspace:
     takes any rows (dependent, shuffled or zero ones included) and stores
     the reduced row-echelon basis of their span, with its pivot columns.
     So equality is structural: two Subspace values represent the same
-    space iff they are equal.
+    space iff they are equal.  The same rows, packed by ``packing``, are
+    kept as ``packed``.
     """
 
     field: GF
     ambient_dim: int
     basis: tuple[Vec, ...]
     pivot_cols: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    packed: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
+    _parity: list[list[int]] | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, p = self.ambient_dim, self.field.p
@@ -289,14 +471,34 @@ class Subspace:
         if rows and n and (set(map(type, chain.from_iterable(rows))) != {int}
                            or min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
             raise InputShapeError(f"entries must be integer residues in [0, {p})")
-        basis, pivots = _rref(rows, p, n)
+        self._canonical(self.packing.rows(rows) if rows else [])
+
+    def _canonical(self, packed: list[int]) -> None:
+        basis, pivots, packed = _rref(self.packing, packed) if packed else ((), (), ())
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivot_cols", pivots)
+        object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "_parity", None)   # parity_rows, once asked for
 
     @classmethod
     def span(cls, field: GF, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
         """Row space of ``rows``; the same as ``Subspace(field, ambient_dim, rows)``."""
         return cls(field, ambient_dim, rows)
+
+    @classmethod
+    def from_packed(cls, field: GF, ambient_dim: int, rows: list[int]) -> "Subspace":
+        """Row space of rows packed by ``packing``, which come from packed
+        arithmetic and so are not checked."""
+        space = object.__new__(cls)
+        object.__setattr__(space, "field", field)
+        object.__setattr__(space, "ambient_dim", ambient_dim)
+        space._canonical(rows)
+        return space
+
+    @property
+    def packing(self) -> Packing:
+        """The plain Packing of GF(p)^n that ``packed`` uses."""
+        return Packing.plain(self.field.p, self.ambient_dim)
 
     @property
     def dim(self) -> int:
@@ -314,18 +516,31 @@ class Subspace:
         return not any(self.reduce(v))
 
     def contains_space(self, other: "Subspace") -> bool:
+        """Whether other <= self: each of other's packed rows is cleared at
+        self's pivot columns, and must vanish."""
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise InputShapeError("subspaces live in different ambient spaces")
-        return all(self.contains(row) for row in other.basis)
+        if not other.packed:
+            return True
+        packing = self.packing
+        pivots = {j: _pivot(packing, row) for j, row in zip(self.pivot_cols, self.packed)}
+        marks = sum(packing.lowest(row)[0] for row in self.packed)   # each pivot's support bit
+        return not any(_clear(packing, v, marks, pivots) for v in other.packed)
+
+    @property
+    def parity_rows(self) -> list[list[int]]:
+        """The parity-check rows of the basis (``dual_rows``), built once: a
+        basis of the dual, systematic on the free columns."""
+        if self._parity is None:
+            object.__setattr__(self, "_parity", dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim))
+        return self._parity
 
     def dual(self) -> "Subspace":
         """Dual code under the standard inner product sum(v_i * c_i) mod p."""
-        rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
-        return Subspace.span(self.field, self.ambient_dim, rows)
+        return Subspace.span(self.field, self.ambient_dim, self.parity_rows)
 
     def symplectic_dual(self) -> "Subspace":
         """Dual under <(a|b),(c|d)> = a.d - b.c: as <u, twist(y)> = u.y, it is the twist of dual()."""
         if self.ambient_dim % 2:
             raise InputShapeError("symplectic dual needs an even ambient dimension")
-        rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
-        return Subspace.span(self.field, self.ambient_dim, [symplectic_twist(y, self.field.p) for y in rows])
+        return Subspace.span(self.field, self.ambient_dim, [symplectic_twist(y, self.field.p) for y in self.parity_rows])

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 import random
@@ -42,7 +43,7 @@ from aqgv.errors import (
     ParameterRangeError,
     UnsupportedFieldError,
 )
-from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, combine, dual_rows, weight
+from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, combine, dual_rows, symplectic_products, weight
 from conftest import full_space, members, zero_space
 
 F2 = GF(2)
@@ -644,6 +645,15 @@ def test_profile_matrix_runs_one_elimination():
     assert rref.call_count == 1
 
 
+def test_profile_matrix_builds_the_parity_check_rows_once():
+    # S-dual is the twist of S's parity-check rows, and the checks at N are some of the same rows
+    code = random_isotropic_code(6, 3, 2, seed=5)
+    rows = mock.Mock(wraps=fields.dual_rows)
+    with mock.patch.object(fields, "dual_rows", rows), mock.patch("aqgv.codesearch.dual_rows", rows):
+        stab_profile_matrix(code)
+    assert rows.call_count == 1
+
+
 def test_profile_matrix_consistent_and_monotone(five_qubit):
     matrix = stab_profile_matrix(five_qubit)
     assert len(matrix) == 6 and all(len(row) == 6 for row in matrix)
@@ -902,6 +912,48 @@ def test_sampler_seed_to_basis_is_pinned():
         (1, 0, 2, 2, 2, 1),
         (0, 1, 1, 0, 1, 0),
     )
+
+
+SAMPLER_DIGESTS = {
+    ("css", 2, 24, 13, 11): "552349c08eca32e90c6672ce139dddc559e9a52af8f7f0effdcafe3c2cabe2c4",
+    ("css", 3, 12, 8, 7): "ee2236143f03a1466fa9beae5d7a4816ef8d5a1eabadc4c33dd8b48dfa3153b9",
+    ("stab", 2, 11, 1): "5e53f5216335bb2c3f683729b9d5261ab14c8cf3591fd7ad89627d5f4acb2708",
+    ("stab", 3, 6, 2): "7a2dfbfbde5100d3677017db3881a2a4313158f7b769510607f33d31bba59364",
+}
+
+
+@pytest.mark.parametrize("params", list(SAMPLER_DIGESTS))
+def test_sampler_digests_at_witness_sizes_are_pinned(params):
+    # SHA-256 of repr of the bases drawn at seeds 1..50, recorded from the
+    # tuple samplers with one randrange per entry: packed rows and batched
+    # draws keep every seeded code of the benchmark's witness sizes
+    kind, q, n, *dims = params
+    digest = hashlib.sha256()
+    for seed in range(1, 51):
+        if kind == "css":
+            pair = random_nested_pair(n, q, *dims, seed)
+            digest.update(repr((pair.c1.basis, pair.c2.basis)).encode())
+        else:
+            digest.update(repr(random_isotropic_code(n, q, *dims, seed).c.basis).encode())
+    assert digest.hexdigest() == SAMPLER_DIGESTS[params]
+
+
+@given(st.sampled_from([2, 3, 5, 251]), st.integers(1, 5), st.data(), st.integers(0, 2**64))
+def test_packed_isotropy_check_matches_tuple_products(q, n, data, seed):
+    # a sampled isotropic code, sometimes with one more row: IsotropicCode
+    # accepts exactly when the tuple symplectic products of the basis vanish
+    k = data.draw(st.integers(0, n))
+    rows = list(random_isotropic_code(n, q, k, seed).c.basis)
+    rows += data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=2 * n, max_size=2 * n), max_size=1))
+    space = Subspace(GF(q), 2 * n, rows)
+    basis = space.basis
+    isotropic = not any(any(symplectic_products(u, basis[i + 1:], q)) for i, u in enumerate(basis))
+    try:
+        IsotropicCode(c=space)
+    except InputShapeError:
+        assert not isotropic
+    else:
+        assert isotropic
 
 
 # ---------------------------------------------------------------------------

@@ -212,9 +212,137 @@ def test_packed_levels_join_many_blocks():
     assert level2[:250] == [a * units[2098] + units[2099] for a in range(1, 251)]
 
 
+PRIMES = [p for p in range(2, 252) if all(p % d for d in range(2, p))]
+
+
+@st.composite
+def scalar_operands(draw):
+    p, n, vs = draw(packed_operands())
+    return p, n, vs, draw(st.lists(st.integers(0, p - 1), min_size=len(vs), max_size=len(vs)))
+
+
+@given(scalar_operands())
+def test_packed_scalar_arithmetic_matches_tuples(case):
+    p, n, vs, coeffs = case
+    packing = Packing(p, n)
+    packed = packing.rows(vs)
+    u, v, c = vs[0], vs[1], coeffs[0]
+    assert packing.unpack(packing.combine(coeffs, packed)) == combine(coeffs, vs, p, n)
+    assert packing.unpack(packing.times(c, packed[0])) == tuple((c * x) % p for x in u)
+    assert packing.unpack(packing.neg(packed[0])) == tuple((-x) % p for x in u)
+    assert packing.unpack(packing.sub(packed[0], c, packed[1])) == tuple((x - c * y) % p for x, y in zip(u, v))
+    assert packing.products(packed[0], packed) == [sum(x * y for x, y in zip(u, w)) % p for w in vs]
+    if n % 2 == 0:
+        assert packing.unpack(packing.twist(packed[0])) == symplectic_twist(u, p)
+
+
+@pytest.mark.parametrize("p", PRIMES)
+def test_draw_matches_one_randrange_per_value_for_every_prime(p):
+    for seed, count in ((p, 0), (p, 1), (p + 1, 37), (p + 2, 300)):
+        rng, oracle = random.Random(seed), random.Random(seed)
+        assert list(fields.draw(rng, p, count)) == [oracle.randrange(p) for _ in range(count)]
+        assert rng.getstate() == oracle.getstate()
+
+
+@given(st.sampled_from(PRIMES), st.lists(st.integers(0, 40), max_size=4), st.integers(0, 2**64))
+def test_draw_matches_one_randrange_per_value_property(p, counts, seed):
+    # several batches in a row leave the generator where per-value draws leave it
+    rng, oracle = random.Random(seed), random.Random(seed)
+    for count in counts:
+        assert list(fields.draw(rng, p, count)) == [oracle.randrange(p) for _ in range(count)]
+    assert rng.getstate() == oracle.getstate()
+
+
+def test_packed_draw_is_rows_of_values():
+    packing = Packing(3, 4)
+    rng, oracle = random.Random(9), random.Random(9)
+    values = [oracle.randrange(3) for _ in range(12)]
+    assert [packing.unpack(x) for x in packing.draw_rows(rng, 3)] == [tuple(values[i:i + 4]) for i in (0, 4, 8)]
+    assert rng.getstate() == oracle.getstate()
+
+
 # ---------------------------------------------------------------------------
 # canonical RREF form
 # ---------------------------------------------------------------------------
+
+def tuple_rref(rows, p, n):
+    """The column-sweep elimination on lists of residues that the packed
+    _rref replaced: (nonzero RREF rows, pivot columns)."""
+    mat = [list(row) for row in rows]
+    pivots, r = [], 0
+    for col in range(n):
+        if r == len(mat):
+            break
+        pr = next((i for i in range(r, len(mat)) if mat[i][col]), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        inv = pow(mat[r][col], p - 2, p)
+        mat[r] = [(inv * x) % p for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][col]:
+                c = mat[i][col]
+                mat[i] = [(x - c * y) % p for x, y in zip(mat[i], mat[r])]
+        pivots.append(col)
+        r += 1
+    return tuple(tuple(row) for row in mat[:r]), tuple(pivots)
+
+
+@st.composite
+def elimination_rows(draw):
+    """Rows for an elimination: random ones, combinations of them and zero
+    rows, shuffled, over small and large primes, n = 0 included."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    n = draw(st.integers(0, 9))
+    drawn = draw(st.lists(vectors_of(p, n), max_size=6))
+    rows = list(drawn)
+    for _ in range(draw(st.integers(0, 3))):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=len(drawn), max_size=len(drawn)))
+        rows.append(combine(coeffs, drawn, p, n))
+    rows += [(0,) * n] * draw(st.integers(0, 2))
+    return p, n, draw(st.permutations(rows))
+
+
+@given(elimination_rows())
+def test_packed_rref_matches_tuple_oracle(case):
+    p, n, rows = case
+    packing = Packing(p, n)
+    basis, pivots, packed = fields._rref(packing, packing.rows(rows))
+    assert (basis, pivots) == tuple_rref(rows, p, n)
+    assert list(packed) == packing.rows(basis)
+    space = Subspace(GF(p), n, rows)
+    assert (space.basis, space.pivot_cols, space.packed) == (basis, pivots, packed)
+
+
+@st.composite
+def long_row_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 7, 131, 251]))
+    n = draw(st.integers(0, 40))
+    return p, n, draw(st.lists(vectors_of(p, n), max_size=3)), draw(st.lists(vectors_of(p, n), max_size=3))
+
+
+@given(long_row_case())
+def test_rows_pack_the_same_through_bytes(case):
+    # with SHORT_ROW = 0 every row goes through the byte slots
+    p, n, checks, rows = case
+    packing = Packing(p, n, checks)
+    syndromes = [[sum(a * b for a, b in zip(row, check)) % p for check in checks] for row in rows]
+    expected = [sum(x << (packing.width * j) for j, x in enumerate([*row, *s])) for row, s in zip(rows, syndromes)]
+    assert packing.rows(rows) == expected
+    with mock.patch.object(fields, "SHORT_ROW", 0):
+        assert packing.rows(rows) == expected
+
+
+def test_packed_rows_round_trip_at_large_n():
+    # the byte bridge at thousands of fields, for each slot size
+    rng = random.Random(5)
+    for p, n in ((2, 3001), (3, 2100), (131, 1500), (251, 2100)):
+        packing = Packing(p, n)
+        rows = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
+        packed = packing.rows(rows)
+        assert packed == [sum(x << (packing.width * j) for j, x in enumerate(row)) for row in rows]
+        assert [packing.unpack(x) for x in packed] == [tuple(row) for row in rows]
+
 
 def test_rref_gf2_example():
     s = Subspace.span(F2, 3, [[1, 1, 0], [0, 1, 1]])
@@ -440,6 +568,25 @@ def test_symplectic_dual_needs_even_ambient():
 # ---------------------------------------------------------------------------
 # membership
 # ---------------------------------------------------------------------------
+
+@st.composite
+def space_pairs(draw):
+    """(A, B) with B spanned by combinations of A's rows and, sometimes, one
+    more row, so that B <= A often holds and often fails."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    n = draw(st.integers(0, 8))
+    a_rows = draw(st.lists(vectors_of(p, n), max_size=4))
+    b_rows = [combine(draw(st.lists(st.integers(0, p - 1), min_size=len(a_rows), max_size=len(a_rows))), a_rows, p, n)
+              for _ in range(draw(st.integers(0, 3)))]
+    b_rows += draw(st.lists(vectors_of(p, n), max_size=1))
+    return Subspace(GF(p), n, a_rows), Subspace(GF(p), n, b_rows)
+
+
+@given(space_pairs())
+def test_packed_contains_space_matches_tuple_reduce(case):
+    a, b = case
+    assert a.contains_space(b) == all(not any(a.reduce(row)) for row in b.basis)
+
 
 def test_membership_matches_span_enumeration():
     rng = random.Random(31)
