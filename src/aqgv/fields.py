@@ -457,7 +457,7 @@ class Subspace:
     basis: tuple[Vec, ...]
     pivot_cols: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
     packed: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    _parity: list[list[int]] | None = dataclasses.field(init=False, repr=False, compare=False)
+    _parity: tuple[Vec, ...] | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, p = self.ambient_dim, self.field.p
@@ -528,11 +528,12 @@ class Subspace:
         return not any(_clear(packing, v, marks, pivots) for v in other.packed)
 
     @property
-    def parity_rows(self) -> list[list[int]]:
+    def parity_rows(self) -> tuple[Vec, ...]:
         """The parity-check rows of the basis (``dual_rows``), built once: a
         basis of the dual, systematic on the free columns."""
         if self._parity is None:
-            object.__setattr__(self, "_parity", dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim))
+            rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
+            object.__setattr__(self, "_parity", tuple(map(tuple, rows)))
         return self._parity
 
     def dual(self) -> "Subspace":
