@@ -64,12 +64,6 @@ def symplectic_twist(v: Sequence[int], p: int) -> Vec:
     return tuple([(-x) % p for x in v[n:]] + list(v[:n]))
 
 
-def symplectic_products(v: Sequence[int], rows: Sequence[Sequence[int]], p: int) -> list[int]:
-    """<v, w> = a.d - b.c mod p for v = (a|b) and each w = (c|d) in rows."""
-    twisted = symplectic_twist(v, p)
-    return [sum(map(mul, twisted, w)) % p for w in rows]
-
-
 def inverse(x: int, p: int) -> int:
     """x^-1 in GF(p), for x in [1, p)."""
     return pow(x, p - 2, p)

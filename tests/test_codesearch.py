@@ -43,7 +43,7 @@ from aqgv.errors import (
     ParameterRangeError,
     UnsupportedFieldError,
 )
-from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, combine, dual_rows, symplectic_products, weight
+from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, combine, dual_rows, weight
 from conftest import full_space, members, zero_space
 
 F2 = GF(2)
@@ -941,13 +941,16 @@ def test_sampler_digests_at_witness_sizes_are_pinned(params):
 @given(st.sampled_from([2, 3, 5, 251]), st.integers(1, 5), st.data(), st.integers(0, 2**64))
 def test_packed_isotropy_check_matches_tuple_products(q, n, data, seed):
     # a sampled isotropic code, sometimes with one more row: IsotropicCode
-    # accepts exactly when the tuple symplectic products of the basis vanish
+    # accepts exactly when <(a|b), (c|d)> = a.d - b.c vanishes on every pair of basis rows
     k = data.draw(st.integers(0, n))
     rows = list(random_isotropic_code(n, q, k, seed).c.basis)
     rows += data.draw(st.lists(st.lists(st.integers(0, q - 1), min_size=2 * n, max_size=2 * n), max_size=1))
     space = Subspace(GF(q), 2 * n, rows)
     basis = space.basis
-    isotropic = not any(any(symplectic_products(u, basis[i + 1:], q)) for i, u in enumerate(basis))
+    isotropic = all(
+        (sum(a * d for a, d in zip(u[:n], w[n:])) - sum(b * c for b, c in zip(u[n:], w[:n]))) % q == 0
+        for u, w in combinations(basis, 2)
+    )
     try:
         IsotropicCode(c=space)
     except InputShapeError:

@@ -13,7 +13,6 @@ from aqgv.fields import (
     Packing,
     Subspace,
     combine,
-    symplectic_products,
     symplectic_twist,
     weight,
 )
@@ -557,7 +556,8 @@ def test_symplectic_products_match_definition(case):
         (sum(x * y for x, y in zip(a, w[n:])) - sum(x * y for x, y in zip(b, w[:n]))) % q
         for w in rows
     ]
-    assert symplectic_products(v, rows, q) == expected
+    packing = Packing(q, 2 * n)
+    assert packing.products(packing.twist(packing.rows([v])[0]), packing.rows(rows)) == expected
 
 
 def test_symplectic_dual_needs_even_ambient():
