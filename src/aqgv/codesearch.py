@@ -355,8 +355,8 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
 
 
 def _random_full_rank(rng: Random, field: GF, nrows: int, ncols: int) -> Subspace:
-    """Row space of a uniformly random full-rank nrows x ncols matrix, drawn
-    entry by entry, row by row; the induced distribution over nrows-dim
+    """Row space of a uniformly random full-rank nrows x ncols matrix, its
+    entries drawn in row order; the induced distribution over nrows-dim
     subspaces is uniform."""
     if not nrows:   # no Packing without rows: ncols may be huge
         return Subspace(field, ncols, ())
