@@ -224,11 +224,12 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
             total += 1
             per_x.update(map(span1.__getitem__, outside))
             per_z.update(chain.from_iterable(packing.shifted(lift[y], c1_dual) for y in dual_nonzero))
-    unpack, errors = packing.unpack, packing.span(units)[1:]
+    errors = packing.span(units)[1:]
+    keys = list(map(packing.unpack, errors))
     return EnumerationReport(
         q=q, n=n, k1=k1, k2=k2, total_pairs=total,
-        per_error_x={unpack(e): per_x[e] for e in errors},
-        per_error_z={unpack(e): per_z[e] for e in errors},
+        per_error_x=dict(zip(keys, map(per_x.__getitem__, errors))),
+        per_error_z=dict(zip(keys, map(per_z.__getitem__, errors))),
     )
 
 

@@ -13,9 +13,10 @@ Python int, a fixed-width bit field per coordinate, with its syndrome under
 any check rows appended, so that adding two vectors or taking a weight is a
 handful of big-int operations.  The one elimination, ``_rref``, runs on
 packed rows; a Subspace keeps its packed canonical rows beside the tuple
-basis, so membership and isotropy checks run packed too.  The samplers
-draw a whole matrix per call of :func:`draw`, with the values that one
-``randrange`` per entry would give, and build their codes from packed rows.
+basis, so membership, containment and isotropy checks and both duals run
+packed too.  The samplers draw a whole matrix per call of :func:`draw`,
+with the values that one ``randrange`` per entry would give, and build
+their codes from packed rows.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .errors import InputShapeError, UnsupportedFieldError
 
 MAX_PRIME = 251
 SPAN_CHUNK = 1 << 16   # packed vectors one list of Packing.levels holds (or p - 1)
-SHORT_ROW = 32         # entries up to which Packing.rows packs by multiply-adds, not bytes
 
 Vec = tuple[int, ...]
 
@@ -56,26 +56,9 @@ def weight(v: Sequence[int]) -> int:
     return sum(1 for x in v if x)
 
 
-def symplectic_twist(v: Sequence[int], p: int) -> Vec:
-    """(-b|a) mod p for v = (a|b) with entries in [0, p): the symplectic
-    form <(a|b), (c|d)> = a.d - b.c is the standard product of
-    symplectic_twist(v) with (c|d)."""
-    n = len(v) // 2
-    return tuple([(-x) % p for x in v[n:]] + list(v[:n]))
-
-
 def inverse(x: int, p: int) -> int:
     """x^-1 in GF(p), for x in [1, p)."""
     return pow(x, p - 2, p)
-
-
-def combine(coeffs: Sequence[int], rows: Sequence[Sequence[int]], p: int, n: int) -> Vec:
-    """The combination sum_i coeffs[i] * rows[i] in GF(p)^n."""
-    acc = [0] * n
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [a + c * x for a, x in zip(acc, row)]
-    return tuple([a % p for a in acc])
 
 
 @lru_cache(maxsize=None)
@@ -113,22 +96,8 @@ def dual_rows(basis: Sequence[Sequence[int]], pivots: Sequence[int], p: int, n: 
     return rows
 
 
-@lru_cache(maxsize=256)
-def _byte_moves(width: int, n: int) -> tuple[int, tuple[tuple[int, int], ...]]:
-    """How n fields of ``width`` bits move to byte slots (of ``slot`` bytes,
-    two when a field is wider than a byte): (slot, moves).  Field j moves
-    by j * (8 * slot - width) bits, one bit of j per move, top bit first: a
-    move (mask, d) shifts the fields under mask left by d.  Before the move
-    for bit l the fields lie in contiguous blocks of 2^(l+1), one per
-    2^(l+1) slots, and the upper half of each block moves."""
-    slot = 1 if width <= 8 else 2
-    moves = []
-    for l in reversed(range(max(n - 1, 0).bit_length())):
-        half, period = width << l, (8 * slot) << (l + 1)
-        blocks = -(-n >> (l + 1))
-        starts = int(("0" * (period - 1) + "1") * blocks, 2)   # bit 0 of each block
-        moves.append(((((1 << half) - 1) << half) * starts, (8 * slot - width) << l))
-    return slot, tuple(moves)
+_TO_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")   # entry -> its binary, octal or hex digit
+_FROM_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 
 class Packing:
@@ -140,25 +109,23 @@ class Packing:
     and ``syndrome`` take the two parts off a packed row.
 
     For p = 2 the width is 1, addition is XOR and the weight is a popcount.
-    For odd p the width b = (p-1).bit_length() + 1 leaves each field a spare
-    top bit M = 2^(b-1) > p - 1, so one SWAR form is exact for every
+    For odd p the width b is the first of 3, 4, 8 and 16 whose top bit
+    M = 2^(b-1) is >= p, a spare bit, so one SWAR form is exact for every
     p <= 251: the sum of two residues is below 2M, and adding M - p sets a
     field's top bit exactly where that sum is >= p (where p is subtracted);
     adding M - 1 sets it exactly where a residue is nonzero.
 
-    Long rows enter and all rows leave through one byte per entry (two when
-    p > 127): ``rows`` reads a row longer than SHORT_ROW with int.from_bytes
-    and ``unpack`` writes one with int.to_bytes, and the fields move between
-    byte slots and their width in log2(n) masked shifts, so a row costs
-    O(n log n) bit operations.  A short row is packed faster as its dot
-    product with the packed unit vectors.
+    So a field is one binary, octal or hex digit, one byte or two bytes,
+    and a row enters and leaves by one conversion in C, O(n) whatever n
+    is: ``rows`` reads it as the digits of int(.., 2, 8 or 16), lowest
+    field last, or by int.from_bytes, and ``unpack`` writes it by
+    format(.., "b", "o" or "x") or int.to_bytes.
     """
 
     def __init__(self, p: int, n: int, checks: Sequence[Sequence[int]] = ()):
         self.p = p
         self.n = n
-        self.width = b = 1 if p == 2 else (p - 1).bit_length() + 1
-        self._units = [1 << (b * j) for j in range(min(n, SHORT_ROW))]   # e_j, for the short rows of rows()
+        self.width = b = 1 if p == 2 else next(b for b in (3, 4, 8, 16) if 1 << (b - 1) >= p)
         self._checks = list(zip(checks, range(b * n, b * (n + len(checks)), b)))   # (check, its shift)
         self._ones = ones = ((1 << (b * (n + len(checks)))) - 1) // ((1 << b) - 1)   # the low bit of every field
         top = 1 << (b - 1)
@@ -167,7 +134,9 @@ class Packing:
         self._nonzero = (top - 1) * ones
         self._cut = cut = b * n
         self._mask = (1 << cut) - 1
-        self._slot, self._moves = _byte_moves(b, n)
+        self._slot = b // 8   # bytes per field, 0 when a field is one digit
+        self._format = f"0{n}" + {1: "b", 3: "o", 4: "x"}.get(b, "")   # a row's digits, highest field first
+        self._lowest_first = slice(None, -n - 1, -1)   # a format's n digits reversed (none for n = 0)
         self.vector = self._mask.__and__
         self.syndrome = cut.__rrshift__
         self.add = xor if p == 2 else self._adder()
@@ -193,19 +162,14 @@ class Packing:
         return packed
 
     def _vectors(self, rows: Sequence[Sequence[int]]) -> list[int]:
-        if self.n <= SHORT_ROW:   # row . (e_0, ..., e_{n-1}): O(n^2) bits, but few steps
-            units = self._units
-            return [sum(map(mul, row, units)) for row in rows]
-        packed, slot = [], self._slot
+        slot = self._slot
+        if not slot:   # one digit per entry, lowest field last; no digits (n = 0) read as 0
+            base = 1 << self.width
+            return [int(bytes(row)[::-1].translate(_TO_DIGITS) or b"0", base) for row in rows]
+        packed, slots = [], bytearray(slot * self.n)   # a field's high byte stays 0
         for row in rows:
-            if slot > 1:
-                row, values = bytearray(slot * self.n), row
-                row[::slot] = values
-            x = int.from_bytes(row, "little")
-            for mask, d in reversed(self._moves):   # each slot back to its field
-                moved = x & (mask << d)
-                x ^= moved ^ (moved >> d)
-            packed.append(x)
+            slots[::slot] = bytes(row)
+            packed.append(int.from_bytes(slots, "little"))
         return packed
 
     def units(self) -> list[int]:
@@ -218,9 +182,8 @@ class Packing:
     def unpack(self, x: int) -> Vec:
         """The vector part of a packed row, as a tuple."""
         x &= self._mask
-        for mask, d in self._moves:   # each field to its slot
-            moved = x & mask
-            x ^= moved ^ (moved << d)
+        if not self._slot:
+            return tuple(format(x, self._format).encode()[self._lowest_first].translate(_FROM_DIGITS))
         return tuple(x.to_bytes(self._slot * self.n, "little")[::self._slot])
 
     def draw_rows(self, rng: Random, count: int) -> list[int]:
@@ -284,7 +247,7 @@ class Packing:
         and w bit t.  At p = 2 that is the parity of their common support."""
         if self.p == 2:
             return [(v & w).bit_count() & 1 for w in rows]
-        bits = range(self.width - 1)
+        bits = range((self.p - 1).bit_length())   # the bits a residue can have set
         planes = [(s, (v >> s) & self._ones) for s in bits]   # bit s of every field, at the field's bit 0
         return [sum((x & (w >> t)).bit_count() << (s + t) for s, x in planes for t in bits) % self.p
                 for w in rows]
@@ -498,13 +461,23 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
+    def _pivot_rows(self) -> tuple[int, dict[int, list]]:
+        """(the support bit of every pivot column, pivot column -> its row
+        as a ``_pivot``): what ``_clear`` takes to clear a vector at them."""
+        packing = self.packing
+        marks = sum(packing.lowest(row)[0] for row in self.packed)
+        return marks, {j: _pivot(packing, row) for j, row in zip(self.pivot_cols, self.packed)}
+
     def reduce(self, v: Sequence[int]) -> Vec:
         """Residual of v after elimination against the basis, zero iff v is a
-        member: each RREF row is subtracted v[its pivot] times."""
+        member: v packed, cleared at the pivot columns (``_clear``)."""
+        p = self.field.p
         if len(v) != self.ambient_dim:
             raise InputShapeError("vector length differs from ambient dimension")
-        coeffs = [1] + [-v[j] for j in self.pivot_cols]
-        return combine(coeffs, [v, *self.basis], self.field.p, self.ambient_dim)
+        if v and (min(v) < 0 or max(v) >= p):
+            raise InputShapeError(f"entries must be integer residues in [0, {p})")
+        packing = self.packing
+        return packing.unpack(_clear(packing, packing.rows([v])[0], *self._pivot_rows()))
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
@@ -516,10 +489,8 @@ class Subspace:
             raise InputShapeError("subspaces live in different ambient spaces")
         if not other.packed:
             return True
-        packing = self.packing
-        pivots = {j: _pivot(packing, row) for j, row in zip(self.pivot_cols, self.packed)}
-        marks = sum(packing.lowest(row)[0] for row in self.packed)   # each pivot's support bit
-        return not any(_clear(packing, v, marks, pivots) for v in other.packed)
+        marks, pivots = self._pivot_rows()
+        return not any(_clear(self.packing, v, marks, pivots) for v in other.packed)
 
     @property
     def parity_rows(self) -> tuple[Vec, ...]:
@@ -532,10 +503,17 @@ class Subspace:
 
     def dual(self) -> "Subspace":
         """Dual code under the standard inner product sum(v_i * c_i) mod p."""
-        return Subspace.span(self.field, self.ambient_dim, self.parity_rows)
+        return Subspace.from_packed(self.field, self.ambient_dim, self._packed_parity_rows())
 
     def symplectic_dual(self) -> "Subspace":
-        """Dual under <(a|b),(c|d)> = a.d - b.c: as <u, twist(y)> = u.y, it is the twist of dual()."""
+        """Dual under <(a|b),(c|d)> = a.d - b.c: as <u, twist(y)> = u.y, it
+        is spanned by the twists (``Packing.twist``) of dual()'s rows."""
         if self.ambient_dim % 2:
             raise InputShapeError("symplectic dual needs an even ambient dimension")
-        return Subspace.span(self.field, self.ambient_dim, [symplectic_twist(y, self.field.p) for y in self.parity_rows])
+        rows = self._packed_parity_rows()
+        return Subspace.from_packed(self.field, self.ambient_dim, list(map(self.packing.twist, rows)) if rows else [])
+
+    def _packed_parity_rows(self) -> list[int]:
+        # no Packing is built for no rows: a full space's may be a million fields wide
+        rows = self.parity_rows
+        return self.packing.rows(rows) if rows else []

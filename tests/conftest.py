@@ -26,6 +26,14 @@ settings.register_profile("aqgv", derandomize=True, deadline=None)
 settings.load_profile("aqgv")
 
 
+def combine(coeffs, rows, p, n):
+    """The combination sum_i coeffs[i] * rows[i] in GF(p)^n, by tuple arithmetic."""
+    acc = [0] * n
+    for c, row in zip(coeffs, rows):
+        acc = [a + c * x for a, x in zip(acc, row)]
+    return tuple(a % p for a in acc)
+
+
 def zero_space(field: GF, n: int) -> Subspace:
     return Subspace(field, n, ())
 

@@ -43,8 +43,8 @@ from aqgv.errors import (
     ParameterRangeError,
     UnsupportedFieldError,
 )
-from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, combine, dual_rows, weight
-from conftest import full_space, members, zero_space
+from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, dual_rows, weight
+from conftest import combine, full_space, members, zero_space
 
 F2 = GF(2)
 F3 = GF(3)

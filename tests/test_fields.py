@@ -8,15 +8,8 @@ from hypothesis import strategies as st
 
 from aqgv import fields
 from aqgv.errors import InputShapeError, UnsupportedFieldError
-from aqgv.fields import (
-    GF,
-    Packing,
-    Subspace,
-    combine,
-    symplectic_twist,
-    weight,
-)
-from conftest import full_space, members, zero_space
+from aqgv.fields import GF, Packing, Subspace, weight
+from conftest import combine, full_space, members, zero_space
 
 F2 = GF(2)
 F3 = GF(3)
@@ -315,27 +308,33 @@ def test_packed_rref_matches_tuple_oracle(case):
 
 @st.composite
 def long_row_case(draw):
-    p = draw(st.sampled_from([2, 3, 5, 7, 131, 251]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 41, 131, 251]))
     n = draw(st.integers(0, 40))
     return p, n, draw(st.lists(vectors_of(p, n), max_size=3)), draw(st.lists(vectors_of(p, n), max_size=3))
 
 
 @given(long_row_case())
-def test_rows_pack_the_same_through_bytes(case):
-    # with SHORT_ROW = 0 every row goes through the byte slots
+def test_rows_pack_with_checks_for_each_field_width(case):
+    # widths 1, 3, 4, 8 and 16: binary, octal and hex digits, bytes and byte pairs
     p, n, checks, rows = case
     packing = Packing(p, n, checks)
     syndromes = [[sum(a * b for a, b in zip(row, check)) % p for check in checks] for row in rows]
     expected = [sum(x << (packing.width * j) for j, x in enumerate([*row, *s])) for row, s in zip(rows, syndromes)]
     assert packing.rows(rows) == expected
-    with mock.patch.object(fields, "SHORT_ROW", 0):
-        assert packing.rows(rows) == expected
+    assert packing.rows(list(map(bytes, rows))) == expected
+    assert [packing.unpack(x) for x in expected] == [tuple(row) for row in rows]
+
+
+@pytest.mark.parametrize("p, width", [(2, 1), (3, 3), (5, 4), (7, 4), (11, 8), (127, 8), (131, 16), (251, 16)])
+def test_field_width_is_a_digit_or_bytes_with_a_spare_top_bit(p, width):
+    # an odd p's SWAR add needs 2^(width-1) >= p
+    assert Packing(p, 3).width == width
 
 
 def test_packed_rows_round_trip_at_large_n():
-    # the byte bridge at thousands of fields, for each slot size
+    # the digit and byte conversions at thousands of fields, for each width
     rng = random.Random(5)
-    for p, n in ((2, 3001), (3, 2100), (131, 1500), (251, 2100)):
+    for p, n in ((2, 3001), (3, 2100), (41, 1700), (131, 1500), (251, 2100)):
         packing = Packing(p, n)
         rows = [[rng.randrange(p) for _ in range(n)] for _ in range(3)]
         packed = packing.rows(rows)
@@ -512,6 +511,14 @@ def test_symplectic_dual_brute_force():
                 assert s.dim + d.dim == 2 * n
 
 
+def symplectic_twist(v, p):
+    """(-b|a) mod p for v = (a|b), by tuple arithmetic: the symplectic form
+    <(a|b), (c|d)> = a.d - b.c is the standard product of the twist of
+    (a|b) with (c|d)."""
+    n = len(v) // 2
+    return tuple([(-x) % p for x in v[n:]] + list(v[:n]))
+
+
 def two_elimination_symplectic_dual(s):
     """The symplectic dual as the standard dual of S's twisted rows: an RREF
     of those rows, then dual(), which eliminates again."""
@@ -582,10 +589,25 @@ def space_pairs(draw):
     return Subspace(GF(p), n, a_rows), Subspace(GF(p), n, b_rows)
 
 
+def tuple_reduce(space, v):
+    """v minus v[j] times the RREF row with pivot j, for each pivot j, by tuple arithmetic."""
+    p = space.field.p
+    return combine([1] + [-v[j] % p for j in space.pivot_cols], [v, *space.basis], p, space.ambient_dim)
+
+
 @given(space_pairs())
-def test_packed_contains_space_matches_tuple_reduce(case):
+def test_packed_reduce_and_contains_space_match_tuple_reduce(case):
     a, b = case
-    assert a.contains_space(b) == all(not any(a.reduce(row)) for row in b.basis)
+    residuals = [tuple_reduce(a, row) for row in b.basis]
+    assert [a.reduce(row) for row in b.basis] == residuals
+    assert a.contains_space(b) == all(not any(r) for r in residuals)
+
+
+def test_reduce_rejects_entries_outside_the_field():
+    s = Subspace.span(F3, 3, [[1, 2, 0]])
+    for v in ([0, 3, 0], [-1, 0, 0]):
+        with pytest.raises(InputShapeError, match=r"^entries must be integer residues in \[0, 3\)$"):
+            s.contains(v)
 
 
 def test_membership_matches_span_enumeration():
