@@ -15,6 +15,10 @@ to the handler, which returns (status, result, rows) and prints nothing.
 ``flags`` overridden by ``result``, as one sorted-key JSON object, and
 otherwise the rows as a two-column table.  frontier, which has neither,
 prints its one sentence itself.
+
+Only ``bounds``, which every command's imports load anyway, is imported at
+the top.  Each handler imports the submodule it calls, so a bound command
+never loads the code search.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import asymptotic, bounds, codesearch
+from . import bounds
 from .errors import AqgvError
 
 
@@ -163,6 +167,7 @@ def _cmd_best(args, flags) -> _Outcome:
 
 
 def _cmd_frontier(args, flags) -> _Outcome:
+    from . import asymptotic
     grid = asymptotic.frontier_grid(args.q, args.points)
     points = asymptotic.stab_frontier(args.q, args.r, grid)
     with open(args.out, "w", newline="") as handle:
@@ -172,6 +177,7 @@ def _cmd_frontier(args, flags) -> _Outcome:
 
 
 def _cmd_lemma(args, flags) -> _Outcome:
+    from . import codesearch
     report = codesearch.enumerate_nested_pairs(**flags)
     x_values = set(report.per_error_x.values())
     z_values = set(report.per_error_z.values())
@@ -194,6 +200,7 @@ def _cmd_lemma(args, flags) -> _Outcome:
 
 
 def _cmd_search(args, flags) -> _Outcome:
+    from . import codesearch
     hit = codesearch.gv_witness_search(args.family, **flags)
     result = {  # the hit's dx and dz replace the design's
         "kind": args.family,
@@ -212,6 +219,7 @@ def _cmd_search(args, flags) -> _Outcome:
 
 
 def _cmd_distances(args, flags) -> _Outcome:
+    from . import codesearch
     code = codesearch.load_code_file(args.infile)
     if isinstance(code, codesearch.NestedPair):
         dist = codesearch.css_distances(code)

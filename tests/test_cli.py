@@ -575,9 +575,9 @@ def test_json_outputs_are_reproducible(capsys):
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_python(*args, timeout=None):
+def run_python(*args, timeout=None, cwd=None):
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout)
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=timeout, cwd=cwd)
 
 
 def test_python_m_aqgv_cli_runs_the_command():
@@ -598,6 +598,28 @@ def test_cli_import_starts_no_process_machinery():
                             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+SEARCH_MODULES = ("aqgv.codesearch", "aqgv.fields")
+
+
+@pytest.mark.parametrize("argv, loaded, unloaded", [
+    ("bound css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("bound stab --q 2 --n 10 --k 3 --dx 2 --dz 2 --json", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("maxk stab --q 2 --n 30 --dx 3 --dz 3", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("best css --q 2 --n 30 --dx 3 --dz 3 --json", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("frontier --q 2 --r 0.5 --points 5 --out frontier.csv", ("aqgv.asymptotic",), SEARCH_MODULES),
+    ("lemma --q 2 --n 3 --k1 2 --k2 1", SEARCH_MODULES, ()),
+])
+def test_a_cold_command_loads_only_the_modules_its_handler_calls(argv, loaded, unloaded, tmp_path):
+    # a fresh interpreter with no bytecode written, as a first run of the console script
+    script = ("import json, sys, aqgv.cli; code = aqgv.cli.run(sys.argv[1:]).exit_code; "
+              "print(json.dumps([m for m in sys.modules if m.startswith('aqgv')])); sys.exit(code)")
+    proc = run_python("-B", "-c", script, *argv.split(), timeout=60, cwd=tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    modules = json.loads(proc.stdout.splitlines()[-1])
+    assert [m for m in loaded if m not in modules] == []
+    assert [m for m in unloaded if m in modules] == []
 
 
 def test_bound_queries_with_a_huge_prime_q_answer_at_once():

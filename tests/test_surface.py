@@ -1,7 +1,8 @@
 """The package's public names, and the names the benchmark's tracer patches.
 
 A removal from ``aqgv.__all__`` has to edit the list below, so it is
-deliberate.  The traced benchmark run wraps module attributes and
+deliberate.  The package loads a submodule only when one of its names, or
+the submodule itself, is first asked for.  The traced benchmark run wraps module attributes and
 Subspace methods by name; ``perfbench/tracing.py`` is loaded here and its
 hooks installed and removed on the live package, so deleting a name it
 patches fails here rather than in the benchmark.  The benchmark's reference
@@ -12,6 +13,7 @@ arithmetic and reads no packed layout: those stay behind ``fields``.
 
 import ast
 import importlib.util
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -63,6 +65,25 @@ def test_public_surface_is_pinned():
     assert sorted(aqgv.__all__) == PUBLIC_NAMES
     for name in PUBLIC_NAMES:
         assert getattr(aqgv, name) is not None, name
+
+
+def test_names_and_submodules_load_on_first_use():
+    assert not hasattr(aqgv, "nope")
+    with pytest.raises(AttributeError, match="'nope'"):
+        aqgv.nope
+    assert set(aqgv.__all__) <= set(dir(aqgv))
+    namespace = {}
+    exec("from aqgv import *", namespace)
+    assert namespace.keys() - {"__builtins__"} == set(aqgv.__all__)
+    # in a fresh interpreter, the package alone loads none of the four, and each resolves
+    script = ("import importlib, sys; aq = importlib.import_module('aqgv'); "
+              "names = ('asymptotic', 'bounds', 'codesearch', 'fields'); "
+              "print([f'aqgv.{m}' in sys.modules for m in names], [getattr(aq, m).__name__ for m in names])")
+    proc = subprocess.run([sys.executable, "-B", "-c", script], capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(TRACING.parent.parent / "src")), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("[False, False, False, False] "
+                           "['aqgv.asymptotic', 'aqgv.bounds', 'aqgv.codesearch', 'aqgv.fields']\n")
 
 
 def load_tracing():
