@@ -136,7 +136,8 @@ def _guard(cost: int, guard: int, message: str) -> None:
 
 def _check_scan_size(q: int, n: int) -> None:
     """One exact comparison of a bound costs about n * q.bit_length() bit
-    operations; a ball sum or a scan makes up to n of them."""
+    operations; a ball sum makes up to n of them, a parameter scan about
+    2 log2(n).  The guard still charges n of them."""
     _guard(n * n * q.bit_length(), SCAN_GUARD, "{} scan bit operations exceed the guard of {}")
 
 
@@ -300,28 +301,61 @@ def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:
     return bisect_left(range(1, n + 1), True, key=infeasible) or None
 
 
+def _css_turn(q: int, n: int, bx: int, bz: int):
+    """m(t): the first k2 in [0, n - t] that minimizes the CSS numerator at
+    net t = k1 - k2, given the ball sums Bx, Bz (see best_css_params)."""
+    if bz == 0:
+        return lambda t: 0
+    if bx == 0:
+        return lambda t: n - t
+
+    def reaches(e: int) -> bool:  # q^e * Bx >= Bz, in integers for either sign of e
+        return bx * q**e >= bz if e >= 0 else bx >= bz * q**-e
+
+    e = math.ceil((math.log(bz) - math.log(bx)) / math.log(q))
+    while not reaches(e):
+        e += 1
+    while reaches(e - 1):
+        e -= 1
+    return lambda t: min(max((n - t + e) // 2, 0), n - t)
+
+
 def best_css_params(n: int, q: int, dx: int, dz: int) -> tuple[int, int] | None:
     """Feasible (k1, k2) with k1 > k2 maximizing k1 - k2, or None.
 
-    Ties break toward the smallest k1, then the smallest k2.  The LHS
-    numerator rises with k1 and falls with k2, and k2 = k1 is always
-    feasible.  So the least feasible k2 never decreases as k1 grows, and
-    the largest feasible net at k1 exceeds that at k1 - 1 by at most one.
-    A two-pointer scan thus needs one exact integer comparison of
-    numerator against denominator per k1: is a net one more than the best
-    so far feasible here?  The first k1 to reach a net is the smallest,
-    and its k2 the least.  Each comparison costs about n * q.bit_length()
-    bit operations, so the scan refuses n times that above SCAN_GUARD.
+    Ties break toward the smallest k1, then the smallest k2.  Two
+    bisections find it in about 2 log2(n) exact integer comparisons of
+    numerator against denominator, each through css_lhs_ints:
+
+    - Write k1 = k2 + t.  With Bx, Bz the two ball sums the numerator is
+      N(t, k2) = (q^t - 1)(q^k2 Bx + q^(n-t-k2) Bz), against q^n - 1.
+    - N is convex in k2: for fixed t it falls strictly until m(t), the
+      least k2 with q^(2 k2 + 1) Bx >= q^(n-t) Bz, and does not fall after.
+      With e the least integer with q^e Bx >= Bz (a math.log estimate,
+      corrected by exact comparisons, once per call),
+      m(t) = clamp(ceil((n - t + e - 1) / 2), 0, n - t); m(t) = n - t if
+      Bx = 0 and m(t) = 0 if Bz = 0.
+    - The feasible nets form a prefix of 1..n: for fixed k2, N does not
+      fall as t grows, and k2's range [0, n - t] shrinks.  So the largest
+      feasible net t* is where N(t, m(t)) < q^n - 1 first fails, found by
+      bisect_left as in max_k_stab; t* = 0 gives None.
+    - N is non-increasing on [0, m(t*)], so a second bisection there finds
+      the least feasible k2, and the answer is (k2 + t*, k2).
+
+    Each comparison costs about n * q.bit_length() bit operations, so the
+    search refuses n times that above SCAN_GUARD, as every bound does.
     """
     check_ranges(q, n, dx, dz)
     _check_scan_size(q, n)
     balls = ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)
-    best: tuple[int, int] | None = None
-    k2 = 0
-    for k1 in range(1, n + 1):  # k1 - k2 is one more than the best net so far
-        addends, denom = css_lhs_ints(q, n, k1, k2, *balls)
-        if sum(addends) < denom:
-            best = (k1, k2)
-        else:
-            k2 += 1
-    return best
+    turn = _css_turn(q, n, *balls)
+
+    def feasible(t: int, k2: int) -> bool:
+        addends, denom = css_lhs_ints(q, n, k2 + t, k2, *balls)
+        return sum(addends) < denom
+
+    net = bisect_left(range(1, n + 1), True, key=lambda t: not feasible(t, turn(t)))
+    if net == 0:
+        return None
+    k2 = bisect_left(range(turn(net)), True, key=lambda k2: feasible(net, k2))
+    return k2 + net, k2

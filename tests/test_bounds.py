@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from aqgv import bounds
 from aqgv.asymptotic import entropy_hq
 from aqgv.bounds import (
     MAX_DIGITS,
@@ -16,9 +17,11 @@ from aqgv.bounds import (
     BoundReport,
     CssBoundQuery,
     StabBoundQuery,
+    _css_turn,
     ball_sum,
     best_css_params,
     css_gv_lhs,
+    css_lhs_ints,
     fraction_decimal_str,
     gaussian_binomial,
     is_prime_power,
@@ -345,6 +348,53 @@ def test_best_css_params_agrees_with_full_scan():
             best_net = max(k1 - k2 for k1, k2 in candidates)
             expected = min((k1, k2) for k1, k2 in candidates if k1 - k2 == best_net)
             assert got == expected
+
+
+def two_pointer_best_css(n, q, dx, dz):
+    """The earlier linear scan, one comparison per k1: the least feasible k2
+    never decreases as k1 grows, so the best net rises by at most one."""
+    balls = ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)
+    best, k2 = None, 0
+    for k1 in range(1, n + 1):  # k1 - k2 is one more than the best net so far
+        addends, denom = css_lhs_ints(q, n, k1, k2, *balls)
+        if sum(addends) < denom:
+            best = (k1, k2)
+        else:
+            k2 += 1
+    return best
+
+
+def test_best_css_params_agrees_with_two_pointer_scan():
+    for q in (2, 3, 4, 5, 251):
+        for n in (31, 40, 57, 64, 97, 128, 181, 256, 311, 400):
+            distances = sorted({1, 2, 3, n // 40 + 1, n // 10, n // 2, n + 1})
+            for dx, dz in product(distances, repeat=2):
+                assert best_css_params(n, q, dx, dz) == two_pointer_best_css(n, q, dx, dz), (q, n, dx, dz)
+
+
+def test_css_turn_is_the_first_minimizer_of_the_numerator():
+    rng = random.Random(28)
+    for _ in range(3000):
+        q = rng.choice((2, 3, 4, 5, 7, 251))
+        n = rng.randint(1, 60)
+        t = rng.randint(1, n)
+        bx, bz = (0 if rng.random() < 0.1 else rng.randint(1, q ** rng.randint(0, n)) for _ in "xz")
+        numerators = [sum(css_lhs_ints(q, n, k2 + t, k2, bx, bz)[0]) for k2 in range(n - t + 1)]
+        first_min = numerators.index(min(numerators))
+        assert _css_turn(q, n, bx, bz)(t) == first_min, (q, n, t, bx, bz)
+
+
+@pytest.mark.parametrize("n", [200, 6400])
+def test_best_css_params_makes_logarithmically_many_comparisons(n, monkeypatch):
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return css_lhs_ints(*args)
+
+    monkeypatch.setattr(bounds, "css_lhs_ints", counted)
+    assert best_css_params(n, 2, n // 40, n // 40) is not None
+    assert len(calls) <= 2 * n.bit_length() + 4
 
 
 @st.composite

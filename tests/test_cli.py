@@ -544,7 +544,8 @@ def test_bounds_answer_up_to_the_scan_guard(capsys):
     # n^2 * q.bit_length() first passes the guard of 2^30 at n = 23171 for q = 2
     commands = ("bound css --q 2 --n {} --k1 11585 --k2 2317 --dx 3 --dz 3",
                 "bound stab --q 2 --n {} --k 2317 --dx 3 --dz 3",
-                "maxk stab --q 2 --n {} --dx 3 --dz 3")
+                "maxk stab --q 2 --n {} --dx 3 --dz 3",
+                "best css --q 2 --n {} --dx 3 --dz 3")
     for command in commands:
         assert run(command.format(23170).split()).exit_code == 0, command
         assert capsys.readouterr().err == ""
