@@ -15,7 +15,7 @@ from typing import Iterable, Sequence, TextIO
 from .bounds import is_prime_power
 from .errors import DomainError
 
-MAX_POINTS = 10**5  # frontier grid points; each costs one entropy inversion, about 50 us
+MAX_POINTS = 10**5  # frontier grid points; each costs one entropy inversion, about 25 us at q = 2
 
 def _check_q(q: int) -> None:
     if not is_prime_power(q):
@@ -34,8 +34,7 @@ def entropy_hq(delta: float, q: int) -> float:
     conventions h_q(0) = 0 and h_q(1 - 1/q) = 1.
     """
     _check_q(q)
-    _check_delta(delta, q)
-    return _hq(delta, q)
+    return _entropy(delta, q)
 
 
 def _check_delta(delta: float, q: int) -> None:
@@ -44,41 +43,124 @@ def _check_delta(delta: float, q: int) -> None:
         raise DomainError(f"delta must lie in [0, {dmax}], got {delta!r}")
 
 
-def _hq(delta: float, q: int) -> float:
-    """h_q(delta) with no checks: q is a checked prime power, delta in [0, 1 - 1/q]."""
+def _entropy(delta: float, q: int) -> float:
+    """entropy_hq for a checked q: checks delta, then evaluates."""
+    _check_delta(delta, q)
+    return _hq(delta, *_constants(q))
+
+
+def _constants(q: int) -> tuple[float, float, float]:
+    """dmax = 1 - 1/q, log(q - 1) and log(q): what _hq needs of q."""
+    return 1.0 - 1.0 / q, math.log(q - 1), math.log(q)
+
+
+def _hq(delta: float, dmax: float, log_q1: float, log_q: float) -> float:
+    """h_q(delta) with no checks, from _constants(q) of a prime power q and delta in [0, dmax]."""
     if delta == 0.0:
         return 0.0
-    if delta == 1.0 - 1.0 / q:
+    if delta == dmax:
         return 1.0
-    return (
-        delta * math.log(q - 1) - delta * math.log(delta) - (1 - delta) * math.log1p(-delta)
-    ) / math.log(q)
+    return (delta * log_q1 - delta * math.log(delta) - (1 - delta) * math.log1p(-delta)) / log_q
 
 
 def hq_inverse(y: float, q: int) -> float:
-    """The delta in [0, 1 - 1/q] with h_q(delta) = y, bisected down to adjacent floats."""
+    """The delta in [0, 1 - 1/q] with h_q(delta) = y, bisected down to adjacent floats.
+
+    The float returned is the one that halving [0, 1 - 1/q] at
+    mid = (lo + hi) / 2, with lo = mid where h_q(mid) < y and hi = mid
+    otherwise, returns once mid equals lo or hi.
+    """
     _check_q(q)
     if math.isnan(y) or not 0.0 <= y <= 1.0:
         raise DomainError(f"y must lie in [0, 1], got {y!r}")
-    return _hq_inverse(y, q)
+    return _hq_inverse(y, *_constants(q))
 
 
-def _hq_inverse(y: float, q: int) -> float:
-    """hq_inverse with no checks: q is a checked prime power, y in [0, 1]."""
-    dmax = 1.0 - 1.0 / q
+_EPS = 4e-15          # bound on the relative error of _hq at x >= 2^-1021; see _hq_inverse
+_NORMAL = 2.0**-1020  # least nonzero left end of _hq_inverse's window
+
+
+def _hq_inverse(y: float, dmax: float, log_q1: float, log_q: float) -> float:
+    """hq_inverse with no checks: y in [0, 1], and _constants(q) of a prime power q.
+
+    It runs hq_inverse's bisection but evaluates h = h_q only at the mids
+    inside a window [a, b] around the root: a mid below a becomes lo and a
+    mid above b becomes hi, as an evaluation would decide.
+
+    Window.  h is concave with h(0) = 0 and h(dmax) = 1, so h(y dmax) >= y,
+    a Newton step from y dmax lands left of the root, and later steps rise
+    toward it without passing it.  h and h' share log(x) and log1p(-x).
+    Newton stops after a step below 1e-8 x.  From its estimate x, each end
+    moves out from x by 4 eps y / h'(x) plus 4 ulps, 4x further each time,
+    until h(a) < y (1 - 3 eps) or a < _NORMAL (then a = 0), and until
+    h(b) > y (1 + 3 eps) or b >= dmax (then b = dmax).  The estimate only
+    makes the window narrow; the two end tests make it exact.  The window
+    is the whole [0, dmax], and every mid is evaluated, when an iterate
+    leaves [_NORMAL, dmax) or meets a float slope h' <= 0: y so small that
+    the root is near _NORMAL or below (y dmax underflows for subnormal y),
+    or so near 1 that h is flat to rounding.
+
+    Exactness.  Write fl h for the float that _hq returns and eps = 4e-15.
+    At x >= 2^-1021 every term of h is a normal float, and the three terms
+    are nonnegative, so nothing cancels.  With math.log and math.log1p
+    within one ulp (2^-52 relative) and 1 - x, the three products, the two
+    sums and the division each within 2^-53, the error compounds to at
+    most 9 * 2^-53, about 1e-15, so |fl h(x) / h(x) - 1| <= eps with a
+    margin of four.  y >= y dmax >= _NORMAL, so y (1 -+ 3 eps) rounds by
+    at most 2^-53 relative, inside the margin.
+    For a mid < a, h increasing gives
+        fl h(mid) <= (1 + eps) h(mid) < (1 + eps) h(a) <= (1 + eps) / (1 - eps) fl h(a)
+                  < (1 + eps)(1 - 3 eps) / (1 - eps) y < y,
+    so the bisection takes lo = mid.  This needs mid >= 2^-1021: hi starts
+    at dmax and only ever falls to a mid with fl h(mid) >= y, which by the
+    same bound is >= a, so mid >= hi / 2 >= a / 2 >= _NORMAL / 2.  For a
+    mid > b, where b > x >= _NORMAL,
+        fl h(mid) >= (1 - eps) h(mid) > (1 - eps) / (1 + eps) fl h(b)
+                  > (1 - eps)(1 + 3 eps) / (1 + eps) y >= y,
+    so the bisection takes hi = mid.
+    """
     if y == 0.0:
         return 0.0
     if y == 1.0:
         return dmax
+    a, b = _window(y, dmax, log_q1, log_q)
     lo, hi = 0.0, dmax
     while True:
         mid = (lo + hi) / 2
-        if mid in (lo, hi):
+        if mid == lo or mid == hi:
             return mid
-        if _hq(mid, q) < y:
+        if mid > b:
+            hi = mid
+        elif mid < a or _hq(mid, dmax, log_q1, log_q) < y:
             lo = mid
         else:
             hi = mid
+
+
+def _window(y: float, dmax: float, log_q1: float, log_q: float) -> tuple[float, float]:
+    """_hq_inverse's window [a, b] around the root of h_q(x) = y, for 0 < y < 1."""
+    x, step = y * dmax, math.inf
+    while True:
+        if not _NORMAL <= x < dmax:
+            return 0.0, dmax
+        if abs(step) <= 1e-8 * x:
+            break
+        log_x, log_1mx = math.log(x), math.log1p(-x)
+        slope = (log_q1 - log_x + log_1mx) / log_q
+        if not slope > 0.0:
+            return 0.0, dmax
+        step = (y - (x * log_q1 - x * log_x - (1 - x) * log_1mx) / log_q) / slope
+        x += step
+    width = 4 * _EPS * y / slope + 4 * math.ulp(x)
+    a, grown = x - width, width
+    while a >= _NORMAL and _hq(a, dmax, log_q1, log_q) >= y * (1 - 3 * _EPS):
+        grown *= 4
+        a = x - grown
+    b, grown = x + width, width
+    while b < dmax and _hq(b, dmax, log_q1, log_q) <= y * (1 + 3 * _EPS):
+        grown *= 4
+        b = x + grown
+    return (a if a >= _NORMAL else 0.0), min(b, dmax)
 
 
 def css_asymptotic_feasible(q: int, r1: float, r2: float, delta_x: float, delta_z: float) -> bool:
@@ -91,7 +173,8 @@ def css_asymptotic_feasible(q: int, r1: float, r2: float, delta_x: float, delta_
     _check_rate("R2", r2)
     if r2 > r1:
         raise DomainError(f"need R2 <= R1, got R1={r1}, R2={r2}")
-    return entropy_hq(delta_x, q) < 1.0 - r1 and entropy_hq(delta_z, q) < r2
+    _check_q(q)
+    return _entropy(delta_x, q) < 1.0 - r1 and _entropy(delta_z, q) < r2
 
 
 def stab_asymptotic_feasible(q: int, r: float, delta_x: float, delta_z: float) -> bool:
@@ -114,8 +197,9 @@ def css_rate1_interval(
     Nonempty exactly when the stabilizer region is feasible at rate r.
     """
     _check_rate("R", r)
-    lo = entropy_hq(delta_z, q) + r
-    hi = 1.0 - entropy_hq(delta_x, q)
+    _check_q(q)
+    lo = _entropy(delta_z, q) + r
+    hi = 1.0 - _entropy(delta_x, q)
     return (lo, hi) if lo < hi else None
 
 
@@ -136,13 +220,14 @@ def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[Front
     """
     _check_rate("R", r)
     _check_q(q)   # once, also for an empty grid
+    constants = _constants(q)
     points = []
     for dx in delta_x_grid:
         _check_delta(dx, q)
-        budget = 1.0 - r - _hq(dx, q)   # when kept, in [0, 1 - r]: hq_inverse's domain
+        budget = 1.0 - r - _hq(dx, *constants)   # when kept, in [0, 1 - r]: hq_inverse's domain
         if budget < 0.0:
             continue
-        points.append(FrontierPoint(dx, _hq_inverse(budget, q), r))
+        points.append(FrontierPoint(dx, _hq_inverse(budget, *constants), r))
     return points
 
 

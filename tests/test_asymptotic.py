@@ -2,6 +2,7 @@ import decimal
 import io
 import math
 import random
+import types
 
 import pytest
 
@@ -78,6 +79,19 @@ def test_entropy_strictly_increasing():
             assert entropy_hq(a, q) < entropy_hq(b, q)
 
 
+def test_entropy_is_the_float_of_its_formula():
+    # one kernel with log(q - 1) and log(q) computed once gives the same floats
+    # as the formula evaluated whole, which the inverse's bisection oracle uses
+    rng = random.Random(29)
+    for q in (2, 3, 4, 5, 7, 8, 9, 16, 27, 251):
+        dmax = 1.0 - 1.0 / q
+        for delta in [rng.uniform(0, dmax) for _ in range(2000)] + [10.0**-k for k in range(1, 320)] + [dmax]:
+            want = 0.0 if delta == 0.0 else 1.0 if delta == dmax else (
+                delta * math.log(q - 1) - delta * math.log(delta) - (1 - delta) * math.log1p(-delta)
+            ) / math.log(q)
+            assert entropy_hq(delta, q) == want, (q, delta)
+
+
 def test_entropy_bounded_by_one():
     for q in (2, 3, 5):
         dmax = 1 - 1 / q
@@ -138,6 +152,108 @@ def test_hq_inverse_small_y_relative_residual():
         for k in range(1, 301):
             y = 10.0**-k
             assert abs(entropy_hq(hq_inverse(y, q), q) / y - 1) < 1e-14, (q, k)
+
+
+def bisection_oracle(y, q):
+    """hq_inverse as a plain bisection of [0, 1 - 1/q] down to adjacent floats,
+    evaluating h_q at every mid: the float hq_inverse must return."""
+    dmax = 1.0 - 1.0 / q
+    if y == 0.0:
+        return 0.0
+    if y == 1.0:
+        return dmax
+    log_q1, log_q = math.log(q - 1), math.log(q)
+    lo, hi = 0.0, dmax
+    while True:
+        mid = (lo + hi) / 2
+        if mid in (lo, hi):
+            return mid
+        # h_q(mid) by entropy_hq's float operations; 0 < mid < dmax here
+        if (mid * log_q1 - mid * math.log(mid) - (1 - mid) * math.log1p(-mid)) / log_q < y:
+            lo = mid
+        else:
+            hi = mid
+
+
+ORACLE_QS = (2, 3, 4, 5, 7, 8, 9, 16, 27, 251)
+EDGE_YS = (
+    [10.0**-k for k in range(1, 308)] + [5e-324, 1e-310]
+    + [1 - 10.0**-k for k in range(1, 17)] + [1 - 2.0**-k for k in range(1, 54)]
+    + [math.nextafter(1.0, 0.0)]
+)
+
+
+@pytest.mark.parametrize("q", ORACLE_QS)
+def test_hq_inverse_is_the_bisection_float(q):
+    # 10^4 seeded y per q, 10^5 in all, and the ends of (0, 1): the same float, not a close one
+    rng = random.Random(q)
+    for y in [rng.random() for _ in range(10**4)] + EDGE_YS:
+        assert hq_inverse(y, q) == bisection_oracle(y, q), (q, y)
+
+
+def count_log1p(monkeypatch):
+    """Make aqgv.asymptotic's math.log1p count its calls; every evaluation of
+    h_q or of h_q and h_q' together makes one.  Returns the counter."""
+    calls = [0]
+
+    def log1p(x):
+        calls[0] += 1
+        return math.log1p(x)
+
+    namespace = types.SimpleNamespace(**{name: getattr(math, name) for name in dir(math)})
+    namespace.log1p = log1p
+    monkeypatch.setattr(asymptotic, "math", namespace)
+    return calls
+
+
+WINDOW_CASES = {
+    # name: (q, y, a == 0, b == dmax, the Newton loop evaluated h, an end test failed and that end moved out 4x)
+    "window inside (0, dmax)": (2, 0.3, False, False, True, False),
+    "widening, then b = dmax": (2, 1 - 1e-14, False, True, True, True),
+    "b = dmax": (2, 1 - 1e-15, False, True, True, False),
+    "a = 0 and b = dmax, h flat at y dmax": (2, math.nextafter(1.0, 0.0), True, True, True, False),
+    "whole interval, y dmax underflows": (2, 5e-324, True, True, False, False),
+    "whole interval, y dmax below 2^-1020": (3, 1e-310, True, True, False, False),
+    "whole interval, a Newton iterate below 2^-1020": (2, 1e-305, True, True, True, False),
+}
+
+
+@pytest.mark.parametrize("q, y, a_is_0, b_is_dmax, newton, widened", WINDOW_CASES.values(), ids=WINDOW_CASES)
+def test_hq_inverse_window_branches(monkeypatch, q, y, a_is_0, b_is_dmax, newton, widened):
+    constants = asymptotic._constants(q)
+    dmax = constants[0]
+    log1p_calls = count_log1p(monkeypatch)
+    hq_calls = [0]
+    real_hq = asymptotic._hq
+
+    def counted_hq(*args):
+        hq_calls[0] += 1
+        return real_hq(*args)
+
+    monkeypatch.setattr(asymptotic, "_hq", counted_hq)
+    a, b = asymptotic._window(y, *constants)
+    want = bisection_oracle(y, q)
+    assert a <= want <= b
+    assert (a == 0.0, b == dmax) == (a_is_0, b_is_dmax)
+    assert (log1p_calls[0] > hq_calls[0]) == newton   # log1p calls beyond the end tests are Newton's
+    assert (hq_calls[0] > (a > 0.0) + (b < dmax)) == widened   # more tests than ends that passed one
+    assert hq_inverse(y, q) == want
+
+
+def test_hq_inverse_window_is_whole_where_the_float_slope_is_not_positive():
+    # log(q - 1) far too small makes h' < 0 at the first iterate; no q does
+    # this, but rounding could at the flat top, next to dmax
+    assert asymptotic._window(0.5, 0.5, -10.0, math.log(2)) == (0.0, 0.5)
+
+
+def test_hq_inverse_makes_under_28_evaluations_on_average(monkeypatch):
+    # the plain bisection makes about 55 here, one per mid
+    rng = random.Random(29)
+    ys = [rng.uniform(0.0, 0.95) for _ in range(1000)]
+    calls = count_log1p(monkeypatch)
+    for y in ys:
+        hq_inverse(y, 2)
+    assert calls[0] / len(ys) <= 28
 
 
 # ---------------------------------------------------------------------------
@@ -269,6 +385,55 @@ def test_frontier_tests_q_once_per_call(monkeypatch):
     # each point's delta is still checked, with entropy_hq's message
     with pytest.raises(DomainError, match=r"^delta must lie in \[0, 0.5\], got 0.6$"):
         stab_frontier(2, 0.3, [0.1, 0.6])
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_frontier_is_built_from_the_bisection_float(q):
+    # the grids of the tables benchmark rows and of frontier_grid
+    dmax = 1 - 1 / q
+    grids = ([dmax * j / 32 for j in range(33)], frontier_grid(q, 33), frontier_grid(q, 97))
+    for r in (0.0, 0.05, 0.17, 0.3, 0.45, 0.6, 0.9):
+        for grid in grids:
+            want = []
+            for dx in grid:
+                budget = 1.0 - r - entropy_hq(dx, q)
+                if budget >= 0.0:
+                    want.append(FrontierPoint(dx, bisection_oracle(budget, q), r))
+            assert stab_frontier(q, r, grid) == want, (q, r)
+
+
+def test_regions_test_q_once_per_call(monkeypatch):
+    calls = []
+
+    def counted(q):
+        calls.append(q)
+        return is_prime_power(q)
+
+    monkeypatch.setattr(asymptotic, "is_prime_power", counted)
+    for call, want in (
+        (lambda: css_rate1_interval(3, 0.2, 0.05, 0.05), (0.2 + entropy_hq(0.05, 3), 1 - entropy_hq(0.05, 3))),
+        (lambda: stab_asymptotic_feasible(3, 0.2, 0.05, 0.05), True),
+        (lambda: css_asymptotic_feasible(3, 0.6, 0.4, 0.05, 0.05), True),   # both entropy tests run
+        (lambda: css_asymptotic_feasible(3, 0.99, 0.4, 0.05, 0.05), False),
+    ):
+        calls.clear()
+        assert call() == want
+        assert calls == [3]
+    # errors keep their order: rates, then q, then delta_z (css_rate1_interval) or delta_x
+    with pytest.raises(DomainError, match="^R must lie"):
+        css_rate1_interval(6, 1.5, 0.9, 0.9)
+    with pytest.raises(DomainError, match="^q must be"):
+        css_rate1_interval(6, 0.5, 0.9, 0.9)
+    with pytest.raises(DomainError, match=r"^delta must lie in \[0, 0.5\], got 0.7$"):
+        css_rate1_interval(2, 0.5, 0.6, 0.7)
+    with pytest.raises(DomainError, match="^need R2 <= R1"):
+        css_asymptotic_feasible(6, 0.2, 0.5, 0.9, 0.9)
+    with pytest.raises(DomainError, match="^q must be"):
+        css_asymptotic_feasible(6, 0.5, 0.2, 0.9, 0.9)
+    with pytest.raises(DomainError, match=r"^delta must lie in \[0, 0.5\], got 0.6$"):
+        css_asymptotic_feasible(2, 0.5, 0.2, 0.6, 0.7)
+    # delta_z is checked only when the delta_x test passes
+    assert css_asymptotic_feasible(2, 0.99, 0.2, 0.4, 0.7) is False
 
 
 def test_frontier_grid():

@@ -229,6 +229,20 @@ def test_frontier_writes_csv(tmp_path, capsys):
         assert float(dz) >= 0 and float(r) == 0.25 and q == "2"
 
 
+@pytest.mark.parametrize("argv, points, sha256", [
+    # README's command first; the digests are those of the plain bisection's frontiers
+    ("--q 2 --r 0.5 --points 64", 14, "36f2b3fd34d937b6ac08fe13dc00df69323d44213524716473fd3897a5263cf5"),
+    ("--q 3 --r 0.3 --points 97", 39, "ee1fd0085320217a79c8dd52ca016cdf62ceec590277c323d1383af80fa2c339"),
+    ("--q 9 --r 0.05 --points 97", 78, "084d201aa4b0fd7f393903792fec873c4d54312ee1170db1964b45a4721f9996"),
+])
+def test_frontier_csv_bytes_are_pinned(argv, points, sha256, tmp_path, capsys):
+    out_file = tmp_path / "frontier.csv"
+    result = run(["frontier", *argv.split(), "--out", str(out_file)])
+    assert capsys.readouterr().out == f"wrote {points} frontier points to {out_file}\n"
+    assert result.exit_code == 0
+    assert hashlib.sha256(out_file.read_bytes()).hexdigest() == sha256
+
+
 # ---------------------------------------------------------------------------
 # exact tables: every command and branch, stdout and exit code byte for byte
 # ---------------------------------------------------------------------------
