@@ -174,7 +174,8 @@ def css_asymptotic_feasible(q: int, r1: float, r2: float, delta_x: float, delta_
     if r2 > r1:
         raise DomainError(f"need R2 <= R1, got R1={r1}, R2={r2}")
     _check_q(q)
-    return _entropy(delta_x, q) < 1.0 - r1 and _entropy(delta_z, q) < r2
+    hx, hz = _entropy(delta_x, q), _entropy(delta_z, q)   # both deltas checked, whatever the verdict
+    return hx < 1.0 - r1 and hz < r2
 
 
 def stab_asymptotic_feasible(q: int, r: float, delta_x: float, delta_z: float) -> bool:

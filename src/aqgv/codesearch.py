@@ -23,8 +23,8 @@ nested pair S <= S-dual the same way.
 
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.  Its GF(p) arithmetic and packed layout are all in fields:
-every walk packs its rows, or the unit vectors, with fields.Packing, whose
-rows carry their syndromes under the check rows it was given, if any, and
+every walk reads a Subspace's packed rows, or the unit vectors, with
+fields.Packing, which appends their syndromes under packed check rows, and
 the samplers draw, combine and reduce packed rows with the same class.
 """
 
@@ -233,9 +233,9 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     )
 
 
-def _failing_levels(q: int, n: int, rows: Sequence[Sequence[int]], checks: Sequence[Sequence[int]]) -> Iterator[Iterator[list[int]]]:
-    """Level i = 1, 2, ... of ``rows`` (Packing.levels: i nonzero coefficients),
-    list by list, as the supports of its vectors that fail a check (none
+def _failing_levels(q: int, n: int, rows: Sequence[int], checks: Sequence[int]) -> Iterator[Iterator[list[int]]]:
+    """Level i = 1, 2, ... of packed ``rows`` (Packing.levels: i nonzero coefficients),
+    list by list, as the supports of its vectors that fail a packed check (none
     without checks).  Systematic rows, an identity on an information set,
     make a level-i vector weigh at least i.  Nothing of a level is built
     before its first list is asked for; past COSET_GUARD built, the walk refuses."""
@@ -248,10 +248,10 @@ def _failing_levels(q: int, n: int, rows: Sequence[Sequence[int]], checks: Seque
             _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
             yield packing.failing(chunk)
 
-    return map(failing, packing.levels(packing.rows(rows)) if checks else ())
+    return map(failing, packing.levels(packing.checked(rows)) if checks else ())
 
 
-def _min_weight_failing(q: int, n: int, rows: Sequence[Sequence[int]], checks: Sequence[Sequence[int]]) -> int | None:
+def _min_weight_failing(q: int, n: int, rows: Sequence[int], checks: Sequence[int]) -> int | None:
     """Least weight over span(rows) \\ {x : checks.x = 0}, or None when no
     vector of the span fails a check.  The walk stops once the best weight
     found is <= i: no vector of level i or later can beat it (Brouwer's
@@ -276,9 +276,9 @@ def css_distances(pair: NestedPair) -> DistancePair:
     _guard((n - c2.dim) * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
     free2 = [f for f in range(n) if f not in c2.pivot_cols]   # one parity-check row of C2 each
     c2_parity = c2.parity_rows                                # systematic on free2
-    at_n1 = [row for row, j in zip(c1.basis, c1.pivot_cols) if j not in c2.pivot_cols]
+    at_n1 = [row for row, j in zip(c1.packed, c1.pivot_cols) if j not in c2.pivot_cols]
     at_n2 = [row for row, f in zip(c2_parity, free2) if f in c1.pivot_cols]
-    return DistancePair(dx=_min_weight_failing(q, n, c1.basis, at_n2),
+    return DistancePair(dx=_min_weight_failing(q, n, c1.packed, at_n2),
                         dz=_min_weight_failing(q, n, c2_parity, at_n1))
 
 
@@ -301,9 +301,9 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
         return True   # both balls hold only 0
     _guard(_capped_ball(n, q, dz - 1) + 1, PROFILE_GUARD, "{} phase errors exceeds the guard of {}")
     _guard(n * (2 * n - code.k), PROFILE_GUARD, "{} unit-row entries exceeds the guard of {}")
-    rows = code.c.basis
-    phase = Packing(q, n, [row[:n] for row in rows])
-    bit = Packing(q, n, [row[n:] for row in rows])
+    rows, half = code.c.packed, Packing.plain(q, n)   # half splits a packed (a|b) as its vector a and syndrome b
+    phase = Packing(q, n, list(map(half.vector, rows)))
+    bit = Packing(q, n, list(map(half.syndrome, rows)))
     syndrome, unpack = phase.syndrome, phase.unpack   # bit's split is the same
     phase_by_syndrome: dict[int, list[int]] = {}
     for ez in chain.from_iterable(chain([[0]], *islice(phase.levels(phase.units()), dz - 1))):
@@ -344,7 +344,7 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     half = Packing(q, n)
     x_half = sum(half.supports(half.units()))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx
-    for i, level in enumerate(_failing_levels(q, 2 * n, dual.basis, at_n), 1):
+    for i, level in enumerate(_failing_levels(q, 2 * n, dual.packed, at_n), 1):
         if all(wx + cap <= i for wx, cap in enumerate(accumulate(least_wz, min)) if cap):
             break
         for support in chain.from_iterable(level):

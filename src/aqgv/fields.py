@@ -10,13 +10,13 @@ dimension up to a few thousand, as in a search at n = 2100 over GF(41)).
 
 Row work does not use tuples: :class:`Packing` packs each vector into one
 Python int, a fixed-width bit field per coordinate, with its syndrome under
-any check rows appended, so that adding two vectors or taking a weight is a
-handful of big-int operations.  The one elimination, ``_rref``, runs on
-packed rows; a Subspace keeps its packed canonical rows beside the tuple
-basis, so membership, containment and isotropy checks and both duals run
-packed too.  The samplers draw a whole matrix per call of :func:`draw`,
-with the values that one ``randrange`` per entry would give, and build
-their codes from packed rows.
+any packed check rows appended (each entry a ``products``), so that adding
+two vectors or taking a weight is a handful of big-int operations.  The one
+elimination, ``_rref``, runs on packed rows; a Subspace keeps its packed
+rows, pivot table and parity-check rows, so membership, containment and
+isotropy checks, both duals and the codesearch walks read them as they are.
+The samplers draw a whole matrix per call of :func:`draw`, with the values
+that one ``randrange`` per entry would give, and build their codes packed.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ import dataclasses
 from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, compress
-from operator import mul, xor
+from operator import xor
 from random import Random
 from typing import Callable, Iterator, Sequence
 
@@ -102,9 +102,9 @@ _FROM_DIGITS = bytes.maketrans(b"0123456789abcdef", bytes(range(16)))
 
 class Packing:
     """GF(p)^n with each vector packed into one int, its syndrome under m >= 0
-    check rows of length n appended: coordinate j sits in bits
-    [j*width, (j+1)*width), and check i's entry of the syndrome in field
-    n + i.  The syndrome is linear, so one packed add gives a vector and its
+    packed check rows appended: coordinate j sits in bits [j*width,
+    (j+1)*width), and check i's ``products`` with the vector in field n + i.
+    The syndrome is linear, so one packed add gives a vector and its
     syndrome; with no checks a row is the plain packed vector.  ``vector``
     and ``syndrome`` take the two parts off a packed row.
 
@@ -122,7 +122,7 @@ class Packing:
     format(.., "b", "o" or "x") or int.to_bytes.
     """
 
-    def __init__(self, p: int, n: int, checks: Sequence[Sequence[int]] = ()):
+    def __init__(self, p: int, n: int, checks: Sequence[int] = ()):
         self.p = p
         self.n = n
         self.width = b = 1 if p == 2 else next(b for b in (3, 4, 8, 16) if 1 << (b - 1) >= p)
@@ -149,17 +149,15 @@ class Packing:
 
     def rows(self, rows: Sequence[Sequence[int]]) -> list[int]:
         """Each row of GF(p)^n (residues, as a sequence of ints or as bytes),
-        packed with its syndrome appended.  At p = 2 a syndrome entry is the
-        parity of the row's common support with the check."""
-        p = self.p
-        packed = self._vectors(rows)
+        packed with its syndrome appended (``checked``)."""
+        return self.checked(self._vectors(rows))
+
+    def checked(self, vectors: Sequence[int]) -> list[int]:
+        """Packed vectors of GF(p)^n with their syndromes appended."""
+        out = list(vectors)
         for check, s in self._checks:
-            if p == 2:
-                [c] = self._vectors([check])
-                packed = [v | (((v & c).bit_count() & 1) << s) for v in packed]
-            else:
-                packed = [v + ((sum(map(mul, row, check)) % p) << s) for v, row in zip(packed, rows)]
-        return packed
+            out = [v + (x << s) for v, x in zip(out, self.products(check, out))]
+        return out
 
     def _vectors(self, rows: Sequence[Sequence[int]]) -> list[int]:
         slot = self._slot
@@ -173,11 +171,14 @@ class Packing:
         return packed
 
     def units(self) -> list[int]:
-        """e_j with column j of the checks appended, for j < n, packed."""
+        """e_j with column j of the checks appended, for j < n, packed: a
+        check's product with e_j is its entry j, so each syndrome is a column."""
         units = [1 << (self.width * j) for j in range(self.n)]
-        for check, s in self._checks:
-            units = [u + (c << s) for u, c in zip(units, check)]
-        return units
+        if not self._checks:
+            return units
+        columns = zip(*(self.unpack(check) for check, _ in self._checks))
+        syndromes = Packing.plain(self.p, len(self._checks))._vectors(columns)
+        return [u + (x << self._cut) for u, x in zip(units, syndromes)]
 
     def unpack(self, x: int) -> Vec:
         """The vector part of a packed row, as a tuple."""
@@ -244,13 +245,18 @@ class Packing:
     def products(self, v: int, rows: Sequence[int]) -> list[int]:
         """v . w in GF(p) for each packed w in rows: the sum over bit pairs
         (s, t) of 2^(s+t) times the number of fields where v has bit s set
-        and w bit t.  At p = 2 that is the parity of their common support."""
+        and w bit t, one pass over all rows per pair.  At p = 2 that is the
+        parity of their common support."""
         if self.p == 2:
             return [(v & w).bit_count() & 1 for w in rows]
         bits = range((self.p - 1).bit_length())   # the bits a residue can have set
         planes = [(s, (v >> s) & self._ones) for s in bits]   # bit s of every field, at the field's bit 0
-        return [sum((x & (w >> t)).bit_count() << (s + t) for s, x in planes for t in bits) % self.p
-                for w in rows]
+        totals = [0] * len(rows)
+        for t in bits:
+            shifted = [w >> t for w in rows]   # bit t of each field at the field's bit 0
+            for s, x in planes:
+                totals = [a + ((x & w).bit_count() << (s + t)) for a, w in zip(totals, shifted)]
+        return [a % self.p for a in totals]
 
     def twist(self, v: int) -> int:
         """(-b|a) for v = (a|b) in GF(p)^n, n even: the symplectic product
@@ -374,9 +380,11 @@ def _clear(packing: Packing, v: int, marks: int, pivots: dict[int, list]) -> int
     return v
 
 
-def _rref(packing: Packing, rows: Sequence[int]) -> tuple[tuple[Vec, ...], tuple[int, ...], tuple[int, ...]]:
+def _rref(packing: Packing, rows: Sequence[int]) -> tuple[
+        tuple[Vec, ...], tuple[int, ...], tuple[int, ...], tuple[int, dict[int, list]]]:
     """Reduced row echelon form of packed rows: (nonzero rows as tuples,
-    pivot columns, the same rows packed).  Each row in turn is cleared at
+    pivot columns, the same rows packed, the (marks, pivots) that ``_clear``
+    takes to clear a vector at them).  Each row in turn is cleared at
     the pivots found so far, and its lowest nonzero field, scaled to 1,
     becomes a new pivot; then each pivot row, last pivot first, is cleared
     at the pivots after its own.  A row costs one packed operation per
@@ -394,7 +402,7 @@ def _rref(packing: Packing, rows: Sequence[int]) -> tuple[tuple[Vec, ...], tuple
         row = pivots[j][-1]
         pivots[j] = _pivot(packing, _clear(packing, row, marks & ~packing.lowest(row)[0], pivots))
     packed = tuple(pivots[j][-1] for j in columns)
-    return tuple(map(packing.unpack, packed)), tuple(columns), packed
+    return tuple(map(packing.unpack, packed)), tuple(columns), packed, (marks, pivots)
 
 
 @dataclass(frozen=True)
@@ -406,7 +414,7 @@ class Subspace:
     the reduced row-echelon basis of their span, with its pivot columns.
     So equality is structural: two Subspace values represent the same
     space iff they are equal.  The same rows, packed by ``packing``, are
-    kept as ``packed``.
+    kept as ``packed``, and the pivot table of their ``_rref`` as ``_table``.
     """
 
     field: GF
@@ -414,7 +422,8 @@ class Subspace:
     basis: tuple[Vec, ...]
     pivot_cols: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
     packed: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    _parity: tuple[Vec, ...] | None = dataclasses.field(init=False, repr=False, compare=False)
+    _table: tuple[int, dict[int, list]] = dataclasses.field(init=False, repr=False, compare=False)
+    _parity: tuple[int, ...] | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, p = self.ambient_dim, self.field.p
@@ -430,11 +439,12 @@ class Subspace:
             raise InputShapeError(f"entries must be integer residues in [0, {p})")
         self._canonical(self.packing.rows(rows) if rows else [])
 
-    def _canonical(self, packed: list[int]) -> None:
-        basis, pivots, packed = _rref(self.packing, packed) if packed else ((), (), ())
+    def _canonical(self, packed: Sequence[int]) -> None:
+        basis, pivots, packed, table = _rref(self.packing, packed) if packed else ((), (), (), (0, {}))
         object.__setattr__(self, "basis", basis)
         object.__setattr__(self, "pivot_cols", pivots)
         object.__setattr__(self, "packed", packed)
+        object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_parity", None)   # parity_rows, once asked for
 
     @classmethod
@@ -443,7 +453,7 @@ class Subspace:
         return cls(field, ambient_dim, rows)
 
     @classmethod
-    def from_packed(cls, field: GF, ambient_dim: int, rows: list[int]) -> "Subspace":
+    def from_packed(cls, field: GF, ambient_dim: int, rows: Sequence[int]) -> "Subspace":
         """Row space of rows packed by ``packing``, which come from packed
         arithmetic and so are not checked."""
         space = object.__new__(cls)
@@ -461,13 +471,6 @@ class Subspace:
     def dim(self) -> int:
         return len(self.basis)
 
-    def _pivot_rows(self) -> tuple[int, dict[int, list]]:
-        """(the support bit of every pivot column, pivot column -> its row
-        as a ``_pivot``): what ``_clear`` takes to clear a vector at them."""
-        packing = self.packing
-        marks = sum(packing.lowest(row)[0] for row in self.packed)
-        return marks, {j: _pivot(packing, row) for j, row in zip(self.pivot_cols, self.packed)}
-
     def reduce(self, v: Sequence[int]) -> Vec:
         """Residual of v after elimination against the basis, zero iff v is a
         member: v packed, cleared at the pivot columns (``_clear``)."""
@@ -477,7 +480,7 @@ class Subspace:
         if v and (min(v) < 0 or max(v) >= p):
             raise InputShapeError(f"entries must be integer residues in [0, {p})")
         packing = self.packing
-        return packing.unpack(_clear(packing, packing.rows([v])[0], *self._pivot_rows()))
+        return packing.unpack(_clear(packing, packing.rows([v])[0], *self._table))
 
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
@@ -489,31 +492,26 @@ class Subspace:
             raise InputShapeError("subspaces live in different ambient spaces")
         if not other.packed:
             return True
-        marks, pivots = self._pivot_rows()
-        return not any(_clear(self.packing, v, marks, pivots) for v in other.packed)
+        return not any(_clear(self.packing, v, *self._table) for v in other.packed)
 
     @property
-    def parity_rows(self) -> tuple[Vec, ...]:
-        """The parity-check rows of the basis (``dual_rows``), built once: a
-        basis of the dual, systematic on the free columns."""
+    def parity_rows(self) -> tuple[int, ...]:
+        """The parity-check rows of the basis (``dual_rows``), packed and
+        built once: a basis of the dual, systematic on the free columns."""
         if self._parity is None:
             rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
-            object.__setattr__(self, "_parity", tuple(map(tuple, rows)))
+            # no Packing is built for no rows: a full space's may be a million fields wide
+            object.__setattr__(self, "_parity", tuple(self.packing.rows(rows)) if rows else ())
         return self._parity
 
     def dual(self) -> "Subspace":
         """Dual code under the standard inner product sum(v_i * c_i) mod p."""
-        return Subspace.from_packed(self.field, self.ambient_dim, self._packed_parity_rows())
+        return Subspace.from_packed(self.field, self.ambient_dim, self.parity_rows)
 
     def symplectic_dual(self) -> "Subspace":
         """Dual under <(a|b),(c|d)> = a.d - b.c: as <u, twist(y)> = u.y, it
         is spanned by the twists (``Packing.twist``) of dual()'s rows."""
         if self.ambient_dim % 2:
             raise InputShapeError("symplectic dual needs an even ambient dimension")
-        rows = self._packed_parity_rows()
-        return Subspace.from_packed(self.field, self.ambient_dim, list(map(self.packing.twist, rows)) if rows else [])
-
-    def _packed_parity_rows(self) -> list[int]:
-        # no Packing is built for no rows: a full space's may be a million fields wide
         rows = self.parity_rows
-        return self.packing.rows(rows) if rows else []
+        return Subspace.from_packed(self.field, self.ambient_dim, list(map(self.packing.twist, rows)) if rows else [])

@@ -273,6 +273,8 @@ def test_css_region_validation():
         css_asymptotic_feasible(2, 1.5, 0.5, 0.0, 0.0)
     with pytest.raises(DomainError):
         css_asymptotic_feasible(2, 0.5, 0.2, 0.6, 0.0)  # delta out of domain
+    with pytest.raises(DomainError):
+        css_asymptotic_feasible(2, 0.9, 0.1, 0.4, 5.0)  # delta_z out of domain, with delta_x's test failing
 
 
 def test_stab_region_examples():
@@ -432,8 +434,9 @@ def test_regions_test_q_once_per_call(monkeypatch):
         css_asymptotic_feasible(6, 0.5, 0.2, 0.9, 0.9)
     with pytest.raises(DomainError, match=r"^delta must lie in \[0, 0.5\], got 0.6$"):
         css_asymptotic_feasible(2, 0.5, 0.2, 0.6, 0.7)
-    # delta_z is checked only when the delta_x test passes
-    assert css_asymptotic_feasible(2, 0.99, 0.2, 0.4, 0.7) is False
+    # delta_z is checked even when the delta_x test fails
+    with pytest.raises(DomainError, match=r"^delta must lie in \[0, 0.5\], got 0.7$"):
+        css_asymptotic_feasible(2, 0.99, 0.2, 0.4, 0.7)
 
 
 def test_frontier_grid():

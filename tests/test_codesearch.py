@@ -764,6 +764,21 @@ def test_profile_check_walks_packed_levels():
     assert levels.call_count == 2
 
 
+def test_walks_read_the_packed_rows_a_subspace_holds():
+    # once the parity-check rows are built, no walk packs a row again and no
+    # containment check rebuilds the pivot table its elimination built
+    pair = random_nested_pair(24, 3, 13, 11, 5)
+    code = random_isotropic_code(10, 2, 3, 1)
+    distances, matrix = css_distances(pair), stab_profile_matrix(code)   # builds the parity-check rows
+    with mock.patch.object(Packing, "rows", autospec=True, side_effect=Packing.rows) as rows:
+        assert css_distances(pair) == distances
+        assert stab_profile_matrix(code) == matrix
+    assert rows.call_count == 0
+    with mock.patch.object(Packing, "lowest", autospec=True, side_effect=Packing.lowest) as lowest:
+        assert pair.c1.contains_space(pair.c2)
+    assert lowest.call_count == 0
+
+
 class PassedTheGuard(Exception):
     pass
 
