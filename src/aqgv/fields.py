@@ -12,9 +12,9 @@ Row work does not use tuples: :class:`Packing` packs each vector into one
 Python int, a fixed-width bit field per coordinate, with its syndrome under
 any packed check rows appended (each entry a ``products``), so that adding
 two vectors or taking a weight is a handful of big-int operations.  The one
-elimination, ``_rref``, runs on packed rows; a Subspace keeps its packed
-rows, pivot table and parity-check rows, so membership, containment and
-isotropy checks, both duals and the codesearch walks read them as they are.
+elimination, ``_rref``, keeps each pivot row as its packed row; a Subspace
+keeps those rows, by pivot column too, and its parity-check rows, so that
+membership, containment, isotropy, duals and codesearch read them as they are.
 The samplers draw a whole matrix per call of :func:`draw`, with the values
 that one ``randrange`` per entry would give, and build their codes packed.
 """
@@ -355,53 +355,41 @@ class _BlockLevels:
         return self._levels[w]
 
 
-def _pivot(packing: Packing, row: int) -> list:
-    """A pivot row as the list of its multiples -c * row for c in [0, p),
-    each made on first use (None before)."""
-    negatives = [None] * packing.p
-    negatives[-1] = row   # -(p - 1) * row
-    return negatives
-
-
-def _clear(packing: Packing, v: int, marks: int, pivots: dict[int, list]) -> int:
-    """v plus the multiples of pivot rows (``_pivot``, by column) that clear
-    it at the pivot columns whose support bits are in marks, lowest first.
-    A pivot row is 1 at its column and 0 before it, so an addition changes
+def _clear(packing: Packing, v: int, marks: int, pivots: dict[int, int]) -> int:
+    """v minus c * pivots[j] (``Packing.sub``) for each pivot column j whose
+    support bit is in marks and where v's entry c is nonzero, lowest first.
+    A pivot row is 1 at its column and 0 before it, so a subtraction changes
     v only from that column on."""
-    support, add, times, p, width = packing.support, packing.add, packing.times, packing.p, packing.width
+    support, sub, width = packing.support, packing.sub, packing.width
     field = (1 << width) - 1
     while x := support(v) & marks:
         j = ((x & -x).bit_length() - 1) // width
-        c = (v >> (width * j)) & field
-        negatives = pivots[j]
-        if negatives[c] is None:
-            negatives[c] = times(p - c, negatives[-1])
-        v = add(v, negatives[c])
+        v = sub(v, (v >> (width * j)) & field, pivots[j])
     return v
 
 
 def _rref(packing: Packing, rows: Sequence[int]) -> tuple[
-        tuple[Vec, ...], tuple[int, ...], tuple[int, ...], tuple[int, dict[int, list]]]:
+        tuple[Vec, ...], tuple[int, ...], tuple[int, ...], tuple[int, dict[int, int]]]:
     """Reduced row echelon form of packed rows: (nonzero rows as tuples,
-    pivot columns, the same rows packed, the (marks, pivots) that ``_clear``
-    takes to clear a vector at them).  Each row in turn is cleared at
+    pivot columns, the same rows packed, and the table ``_clear`` takes:
+    marks and {pivot column: packed row}).  Each row in turn is cleared at
     the pivots found so far, and its lowest nonzero field, scaled to 1,
     becomes a new pivot; then each pivot row, last pivot first, is cleared
     at the pivots after its own.  A row costs one packed operation per
     nonzero entry it has at a pivot, and none per column it skips."""
-    pivots: dict[int, list] = {}   # pivot column -> its row (``_pivot``)
-    marks = 0                      # the support bit of every pivot column
+    pivots: dict[int, int] = {}   # pivot column -> its packed row
+    marks = 0                     # the support bit of every pivot column
     for v in rows:
         v = _clear(packing, v, marks, pivots)
         if v:
             bit, j, x = packing.lowest(v)
-            pivots[j] = _pivot(packing, packing.times(inverse(x, packing.p), v))
+            pivots[j] = packing.times(inverse(x, packing.p), v)
             marks |= bit
     columns = sorted(pivots)
     for j in reversed(columns):
-        row = pivots[j][-1]
-        pivots[j] = _pivot(packing, _clear(packing, row, marks & ~packing.lowest(row)[0], pivots))
-    packed = tuple(pivots[j][-1] for j in columns)
+        row = pivots[j]
+        pivots[j] = _clear(packing, row, marks & ~packing.lowest(row)[0], pivots)
+    packed = tuple(pivots[j] for j in columns)
     return tuple(map(packing.unpack, packed)), tuple(columns), packed, (marks, pivots)
 
 
@@ -414,7 +402,7 @@ class Subspace:
     the reduced row-echelon basis of their span, with its pivot columns.
     So equality is structural: two Subspace values represent the same
     space iff they are equal.  The same rows, packed by ``packing``, are
-    kept as ``packed``, and the pivot table of their ``_rref`` as ``_table``.
+    kept as ``packed``, and by pivot column in ``_table`` (``_rref``).
     """
 
     field: GF
@@ -422,22 +410,26 @@ class Subspace:
     basis: tuple[Vec, ...]
     pivot_cols: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
     packed: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    _table: tuple[int, dict[int, list]] = dataclasses.field(init=False, repr=False, compare=False)
+    _table: tuple[int, dict[int, int]] = dataclasses.field(init=False, repr=False, compare=False)
     _parity: tuple[int, ...] | None = dataclasses.field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        n, p = self.ambient_dim, self.field.p
+        n = self.ambient_dim
         if n < 0:
             raise InputShapeError("ambient dimension must be >= 0")
         rows = [list(row) for row in self.basis]
         for row in rows:
             if len(row) != n:
                 raise InputShapeError(f"row length {len(row)} differs from ambient dimension {n}")
-        # C-level passes over all entries; type, not isinstance, so that bool is refused too
-        if rows and n and (set(map(type, chain.from_iterable(rows))) != {int}
-                           or min(map(min, rows)) < 0 or max(map(max, rows)) >= p):
-            raise InputShapeError(f"entries must be integer residues in [0, {p})")
+        self._check_entries(rows)
         self._canonical(self.packing.rows(rows) if rows else [])
+
+    def _check_entries(self, rows: Sequence[Sequence[int]]) -> None:
+        """Refuse rows of length n unless each entry is an int residue mod p, by
+        C-level passes; type, not isinstance, so that bool is refused too."""
+        if rows and self.ambient_dim and (set(map(type, chain.from_iterable(rows))) != {int}
+                                          or min(map(min, rows)) < 0 or max(map(max, rows)) >= self.field.p):
+            raise InputShapeError(f"entries must be integer residues in [0, {self.field.p})")
 
     def _canonical(self, packed: Sequence[int]) -> None:
         basis, pivots, packed, table = _rref(self.packing, packed) if packed else ((), (), (), (0, {}))
@@ -474,11 +466,9 @@ class Subspace:
     def reduce(self, v: Sequence[int]) -> Vec:
         """Residual of v after elimination against the basis, zero iff v is a
         member: v packed, cleared at the pivot columns (``_clear``)."""
-        p = self.field.p
         if len(v) != self.ambient_dim:
             raise InputShapeError("vector length differs from ambient dimension")
-        if v and (min(v) < 0 or max(v) >= p):
-            raise InputShapeError(f"entries must be integer residues in [0, {p})")
+        self._check_entries([v])
         packing = self.packing
         return packing.unpack(_clear(packing, packing.rows([v])[0], *self._table))
 

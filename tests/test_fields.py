@@ -284,7 +284,7 @@ def tuple_rref(rows, p, n):
 def elimination_rows(draw):
     """Rows for an elimination: random ones, combinations of them and zero
     rows, shuffled, over small and large primes, n = 0 included."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 41, 251]))
     n = draw(st.integers(0, 9))
     drawn = draw(st.lists(vectors_of(p, n), max_size=6))
     rows = list(drawn)
@@ -299,9 +299,10 @@ def elimination_rows(draw):
 def test_packed_rref_matches_tuple_oracle(case):
     p, n, rows = case
     packing = Packing(p, n)
-    basis, pivots, packed, _ = fields._rref(packing, packing.rows(rows))
+    basis, pivots, packed, (_, table) = fields._rref(packing, packing.rows(rows))
     assert (basis, pivots) == tuple_rref(rows, p, n)
     assert list(packed) == packing.rows(basis)
+    assert table == dict(zip(pivots, packed))
     space = Subspace(GF(p), n, rows)
     assert (space.basis, space.pivot_cols, space.packed) == (basis, pivots, packed)
 
@@ -580,7 +581,7 @@ def test_symplectic_dual_needs_even_ambient():
 def space_pairs(draw):
     """(A, B) with B spanned by combinations of A's rows and, sometimes, one
     more row, so that B <= A often holds and often fails."""
-    p = draw(st.sampled_from([2, 3, 5, 7, 251]))
+    p = draw(st.sampled_from([2, 3, 5, 7, 41, 251]))
     n = draw(st.integers(0, 8))
     a_rows = draw(st.lists(vectors_of(p, n), max_size=4))
     b_rows = [combine(draw(st.lists(st.integers(0, p - 1), min_size=len(a_rows), max_size=len(a_rows))), a_rows, p, n)
@@ -605,7 +606,7 @@ def test_packed_reduce_and_contains_space_match_tuple_reduce(case):
 
 def test_reduce_rejects_entries_outside_the_field():
     s = Subspace.span(F3, 3, [[1, 2, 0]])
-    for v in ([0, 3, 0], [-1, 0, 0]):
+    for v in ([0, 3, 0], [-1, 0, 0], [1.0, 0, 0], ["a", 0, 0], [True, 2, 0]):
         with pytest.raises(InputShapeError, match=r"^entries must be integer residues in \[0, 3\)$"):
             s.contains(v)
 
