@@ -93,11 +93,21 @@ def is_prime_power(q: int) -> bool:
 def ball_sum(n: int, q: int, t: int) -> int:
     """Number of nonzero vectors in GF(q)^n of weight <= t:
     sum_{i=1}^{t} C(n,i) (q-1)^i.  t = 0 gives the empty sum 0."""
+    _check_ints(n=n, q=q, t=t)
     if q < 2:
         raise ParameterRangeError(f"q must be >= 2, got {q}")
     if not 0 <= t <= n:
         raise ParameterRangeError(f"need 0 <= t <= n, got t={t}, n={n}")
     return _capped_ball(n, q, t, math.inf)
+
+
+def _check_ints(**sizes: object) -> None:
+    """Refuse a size that is not a plain int: a float passes the range
+    checks and then fails inside the arithmetic, and a bool reads as 0 or 1
+    (as in a code file, true is not 1)."""
+    for name, value in sizes.items():
+        if type(value) is not int:
+            raise ParameterRangeError(f"{name} must be an integer, got {value!r}")
 
 
 def _digits() -> int:
@@ -143,6 +153,7 @@ def _check_scan_size(q: int, n: int) -> None:
 
 def gaussian_binomial(n: int, k: int, q: int) -> int:
     """q-binomial coefficient: the number of k-dim subspaces of GF(q)^n."""
+    _check_ints(n=n, k=k, q=q)
     if q < 2:
         raise ParameterRangeError(f"q must be >= 2, got {q}")
     if not 0 <= k <= n:
@@ -170,10 +181,12 @@ def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:
 
 def check_ranges(q: int, n: int, dx: int, dz: int) -> None:
     """The ranges every bound and profile check shares: q a prime power,
-    n >= 1 and design distances 1 <= dx, dz <= n+1.  How large n may be is
-    a question of work, which the bounds decide with _check_scan_size."""
+    integers n >= 1 and design distances 1 <= dx, dz <= n+1.  How large n
+    may be is a question of work, which the bounds decide with
+    _check_scan_size."""
     if not is_prime_power(q):
         raise ParameterRangeError(f"q must be a prime power >= 2, got {q}")
+    _check_ints(n=n, dx=dx, dz=dz)
     if n < 1:
         raise ParameterRangeError(f"n must be >= 1, got {n}")
     for name, d in (("dx", dx), ("dz", dz)):
@@ -194,6 +207,7 @@ class CssBoundQuery:
 
     def __post_init__(self) -> None:
         check_ranges(self.q, self.n, self.dx, self.dz)
+        _check_ints(k1=self.k1, k2=self.k2)
         if not 0 <= self.k2 <= self.k1 <= self.n:
             raise ParameterRangeError(
                 f"need 0 <= k2 <= k1 <= n, got k1={self.k1}, k2={self.k2}, n={self.n}"
@@ -212,6 +226,7 @@ class StabBoundQuery:
 
     def __post_init__(self) -> None:
         check_ranges(self.q, self.n, self.dx, self.dz)
+        _check_ints(k=self.k)
         if not 0 <= self.k <= self.n:
             raise ParameterRangeError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
 

@@ -10,16 +10,13 @@ argument into actual codes.
 Both CSS difference sets are walked from rows at hand, with no elimination.
 With C1's RREF generator matrix G1 and C2 = A.G1 for a k2-subspace A of
 GF(q)^k1, C1 \\ C2 is {y.G1 : y not in A}: C2's rows extended by C1's rows
-at N, the columns where C1 has a pivot and C2 does not.  And x is in C2-dual
-iff G1.x is in A-dual, where x -> G1.x is onto with kernel C1-dual: C2-dual
-\\ C1-dual is the disjoint union of L(y) + C1-dual over y in A-dual \\ {0},
-the lift L(y) being y placed at C1's pivot columns.  Over A-dual's
-parity-check rows, L gives exactly C2's parity-check rows at N, which
-extend C1's parity-check rows to a basis of C2-dual.  The pair enumeration
-walks these sets.  css_distances reads the same rows as membership tests:
-x in C1 is in C2 iff C2's parity-check rows at N vanish on it, and z in
-C2-dual is in C1-dual iff C1's rows at N do; stab_profile_matrix reads the
-nested pair S <= S-dual the same way.
+at N, the columns where C1 has a pivot and C2 does not.  The pair
+enumeration walks this set for every pair, and gets the phase set C2-dual
+\\ C1-dual as the same set of the dual pair (C2-dual, C1-dual).
+css_distances reads the rows at N as membership tests: x in C1 is in C2 iff
+C2's parity-check rows at N vanish on it, and z in C2-dual is in C1-dual
+iff C1's rows at N do; stab_profile_matrix reads the nested pair S <= S-dual
+the same way.
 
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.  Its GF(p) arithmetic and packed layout are all in fields:
@@ -50,7 +47,7 @@ from .bounds import (
     gaussian_binomial,
 )
 from .errors import InputShapeError, ParameterRangeError
-from .fields import GF, Packing, Subspace, Vec, draw, dual_rows, inverse
+from .fields import GF, Packing, Subspace, Vec, draw, inverse
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
 PAIR_GUARD = 10**6          # nested pairs enumerated at once
@@ -164,8 +161,8 @@ def _check_pair_dims(n: int, k1: int, k2: int) -> None:
         raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
 
 
-def _rref_matrices(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], list[list[int]]]]:
-    """(pivots, rows) of every k x n RREF matrix over GF(q), each once: pivot
+def _rref_matrices(q: int, n: int, k: int) -> Iterator[list[list[int]]]:
+    """The rows of every k x n RREF matrix over GF(q), each once: pivot
     columns plus any entries in the free cells.  These are the canonical
     bases of the k-subspaces of GF(q)^n, so no elimination is needed."""
     for pivots in combinations(range(n), k):
@@ -177,30 +174,41 @@ def _rref_matrices(q: int, n: int, k: int) -> Iterator[tuple[tuple[int, ...], li
                 rows[i][col] = 1
             for (i, j), v in zip(free, values):
                 rows[i][j] = v
-            yield pivots, rows
+            yield rows
 
 
 def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
     """Every dim-dimensional subspace of GF(p)^ambient_dim exactly once."""
     if not 0 <= dim <= ambient_dim:
         raise ParameterRangeError(f"need 0 <= dim <= ambient, got dim={dim}, ambient={ambient_dim}")
-    return (Subspace(field, ambient_dim, rows) for _, rows in _rref_matrices(field.p, ambient_dim, dim))
+    return (Subspace(field, ambient_dim, rows) for rows in _rref_matrices(field.p, ambient_dim, dim))
 
 
-def _coefficient_indices(q: int, k1: int, pivots: Sequence[int], rows: list) -> tuple[list[int], list[int]]:
-    """Indices of GF(q)^k1 \\ A and of A-dual \\ {0}, for A with RREF rows and
-    pivots; y has index sum_j y_j q^j, as in Packing.span."""
-    coeffs = Packing(q, k1)
-    index = {v: i for i, v in enumerate(coeffs.span(coeffs.units()))}
-    members = set(coeffs.span(coeffs.rows(rows)))
-    dual = coeffs.span(coeffs.rows(dual_rows(rows, pivots, q, k1)))
-    return [i for v, i in index.items() if v not in members], [index[v] for v in dual[1:]]
+def _bit_tallies(packing: Packing, k1: int, k2: int) -> tuple[Counter, int]:
+    """For each packed vector, how many nested pairs C2 <= C1 in packing's
+    space with dim C1 = k1 and dim C2 = k2 have it in C1 \\ C2, and how
+    many pairs there are.  C1 \\ C2 = {y.G1 : y not in A} (the module doc),
+    y at position sum_j y_j q^j of a span of the unit rows (Packing.span)."""
+    coeffs = Packing(packing.p, k1)
+    everything = coeffs.span(coeffs.units())
+    outside = []
+    for rows in _rref_matrices(packing.p, k1, k2):
+        members = set(coeffs.span(coeffs.rows(rows)))
+        outside.append([i for i, y in enumerate(everything) if y not in members])
+    tally, pairs = Counter(), 0
+    for rows in _rref_matrices(packing.p, packing.n, k1):
+        span1 = packing.span(packing.rows(rows))
+        for positions in outside:
+            pairs += 1
+            tally.update(map(span1.__getitem__, positions))
+    return tally, pairs
 
 
 def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationReport:
-    """Visit every nested pair with dim C1 = k1, dim C2 = k2 exactly once and
-    tally, for each nonzero error vector, how many pairs fail to detect it
-    as a bit error and as a phase error (the walk is in the module doc)."""
+    """Visit every nested pair with dim C1 = k1, dim C2 = k2 and tally, for
+    each nonzero error vector, how many pairs fail to detect it as a bit
+    error and as a phase error.  Each pair is visited once per tally: as
+    itself for the bit errors, and as its dual image for the phase errors."""
     GF(q)   # the field is checked first, before the dimensions
     _check_pair_dims(n, k1, k2)
     e = k1 * (n - k1) + k2 * (k1 - k2)   # there are at least q^e pairs
@@ -213,18 +221,12 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
 
     packing = Packing(q, n)
-    units = packing.units()
-    coefficient_spaces = [_coefficient_indices(q, k1, *a) for a in _rref_matrices(q, k1, k2)]
-    per_x, per_z, total = Counter(), Counter(), 0
-    for pivots, rows in _rref_matrices(q, n, k1):
-        span1 = packing.span(packing.rows(rows))
-        c1_dual = packing.span(packing.rows(dual_rows(rows, pivots, q, n)))
-        lift = packing.span([units[j] for j in pivots])
-        for outside, dual_nonzero in coefficient_spaces:
-            total += 1
-            per_x.update(map(span1.__getitem__, outside))
-            per_z.update(chain.from_iterable(packing.shifted(lift[y], c1_dual) for y in dual_nonzero))
-    errors = packing.span(units)[1:]
+    per_x, total = _bit_tallies(packing, k1, k2)
+    # (C1, C2) -> (C2-dual, C1-dual) maps the pairs of dims (k1, k2) one to one
+    # onto those of dims (n - k2, n - k1), and C2-dual \ C1-dual is the image's
+    # C1 \ C2: the phase tallies are the bit tallies of the dual pairs
+    per_z, _ = _bit_tallies(packing, n - k2, n - k1)
+    errors = packing.span(packing.units())[1:]
     keys = list(map(packing.unpack, errors))
     return EnumerationReport(
         q=q, n=n, k1=k1, k2=k2, total_pairs=total,

@@ -129,6 +129,10 @@ def test_ball_sum_range_errors():
         ball_sum(5, 2, -1)
     with pytest.raises(ParameterRangeError):
         ball_sum(5, 1, 1)
+    # a size that is not a plain int is refused, not carried into the arithmetic
+    for args in ((5.0, 2, 2), (5, 2.0, 2), (5, 2, 2.0), (True, 2, 1), (5, 2, True)):
+        with pytest.raises(ParameterRangeError, match="must be an integer, got"):
+            ball_sum(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +180,11 @@ def test_gaussian_binomial_range_errors():
         gaussian_binomial(3, -1, 2)
     with pytest.raises(ParameterRangeError, match=r"^q must be >= 2, got 1$"):
         gaussian_binomial(5, 2, 1)
+    with pytest.raises(ParameterRangeError, match=r"^q must be an integer, got 2.5$"):
+        gaussian_binomial(3, 1, 2.5)
+    for args in ((3.0, 1, 2), (3, 1.0, 2), (3, True, 2), (3, 1, True)):
+        with pytest.raises(ParameterRangeError, match="must be an integer, got"):
+            gaussian_binomial(*args)
 
 
 # ---------------------------------------------------------------------------
@@ -212,6 +221,13 @@ def test_css_query_validation():
         CssBoundQuery(q=2, n=0, k1=0, k2=0, dx=1, dz=1)
     with pytest.raises(ParameterRangeError, match=r"^need 0 <= k <= n, got k=6, n=5$"):
         StabBoundQuery(q=2, n=5, k=6, dx=2, dz=2)
+    with pytest.raises(ParameterRangeError, match=r"^n must be an integer, got 5.5$"):
+        CssBoundQuery(q=2, n=5.5, k1=2, k2=1, dx=2, dz=2)
+    with pytest.raises(ParameterRangeError, match=r"^k must be an integer, got 2.5$"):
+        StabBoundQuery(q=2, n=5, k=2.5, dx=2, dz=2)
+    for sizes in ({"k1": 2.0}, {"k2": True}, {"dx": 2.0}, {"dz": False}, {"q": 2.0}):
+        with pytest.raises(ParameterRangeError):
+            CssBoundQuery(**{"q": 2, "n": 5, "k1": 2, "k2": 1, "dx": 2, "dz": 2, **sizes})
 
 
 def test_css_lhs_monotonicity_grid():
@@ -300,6 +316,11 @@ def test_max_k_stab():
     assert max_k_stab(4, 2, 3, 3) is None
     with pytest.raises(ParameterRangeError):
         max_k_stab(4, 2, 6, 1)
+    # sizes that are not plain ints: max_k_stab(True, 2, 1, 1) read n as 1
+    for search, args in ((max_k_stab, (5.0, 2, 2, 2)), (max_k_stab, (True, 2, 1, 1)),
+                         (best_css_params, (6, 2, 2.0, 2)), (best_css_params, (6, 2, 2, True))):
+        with pytest.raises(ParameterRangeError, match="must be an integer, got"):
+            search(*args)
 
 
 def test_max_k_stab_agrees_with_full_scan():

@@ -35,7 +35,6 @@ from aqgv.codesearch import (
     _capped_ball,
     _capped_pow,
     _check_draw_size,
-    _coefficient_indices,
 )
 from aqgv.errors import (
     EnumerationSizeError,
@@ -99,7 +98,10 @@ def test_enumeration_equal_dims_has_no_bit_errors():
     assert report.identities_hold  # expected x count is 0
 
 
-@pytest.mark.parametrize("q,n,k1,k2", [(2, 4, 2, 1), (2, 4, 3, 1), (3, 3, 2, 1)])
+@pytest.mark.parametrize("q,n,k1,k2", [
+    (2, 4, 2, 1), (2, 4, 3, 1), (3, 3, 2, 1),
+    (2, 6, 3, 1), (2, 5, 4, 2), (3, 5, 3, 0), (5, 3, 2, 1), (2, 4, 4, 1), (3, 4, 2, 1),
+])
 def test_enumeration_identities_exact(q, n, k1, k2):
     report = enumerate_nested_pairs(n, q, k1, k2)
     assert report.total_pairs == gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q)
@@ -186,27 +188,6 @@ def test_enumeration_matches_per_pair_subspace_oracle(dims):
     assert report.per_error_z == per_z
 
 
-@pytest.mark.parametrize("q,n,k1,k2,seed", [
-    (2, 6, 3, 1, 1), (2, 5, 4, 2, 2), (3, 4, 2, 1, 3), (3, 5, 3, 0, 4), (5, 3, 2, 1, 5), (2, 4, 4, 1, 6),
-])
-def test_pair_difference_sets_from_c1_spans_and_coefficient_indices(q, n, k1, k2, seed):
-    # C1 \ C2 = {y.G1 : y outside A}, and C2-dual = C1-dual (+) L(A-dual) with
-    # the cosets disjoint, against Subspace.dual() of a random pair
-    pair = random_nested_pair(n, q, k1, k2, seed)
-    c1, c2 = pair.c1, pair.c2
-    # C1 is RREF, so a codeword's coordinates in C1's basis are its pivot entries
-    a = Subspace(GF(q), k1, [[row[j] for j in c1.pivot_cols] for row in c2.basis])
-    outside, a_dual_nonzero = _coefficient_indices(q, k1, a.pivot_cols, [list(row) for row in a.basis])
-    packing = Packing(q, n)
-    span1 = packing.span(packing.rows(c1.basis))
-    c1_dual = packing.span(packing.rows(dual_rows(c1.basis, c1.pivot_cols, q, n)))
-    lift = packing.span([1 << packing.width * j for j in c1.pivot_cols])
-    assert sorted(packing.unpack(span1[i]) for i in outside) == sorted(set(members(c1)) - set(members(c2)))
-    assert {packing.unpack(x) for x in c1_dual} == set(members(c1.dual()))
-    cosets = [packing.unpack(x) for y in a_dual_nonzero for x in packing.shifted(lift[y], c1_dual)]
-    assert sorted(cosets) == sorted(set(members(c2.dual())) - set(members(c1.dual())))
-
-
 @pytest.mark.parametrize("q,n,k,spaces,undetected", [(2, 3, 1, 315, 60), (3, 2, 1, 40, 12)])
 def test_stabilizer_identities_exact(q, n, k, spaces, undetected):
     # The stabilizer counting identity, by enumeration: over all [[n, k]]_q
@@ -276,14 +257,14 @@ def test_guards_decide_huge_costs_without_building_them():
         enumerate_nested_pairs(10**8, 3, 10**8, 10**8)
     # S's 2 * 10^8 parity-check rows of 2 * 10^8 entries each, refused before S-dual is built
     with pytest.raises(EnumerationSizeError, match=f"^{4 * 10**16} parity-check entries exceeds the guard of {PROFILE_GUARD}$"), \
-            mock.patch("aqgv.codesearch.dual_rows", side_effect=AssertionError("built a row")), \
+            mock.patch("aqgv.fields.dual_rows", side_effect=AssertionError("built a row")), \
             mock.patch.object(Subspace, "symplectic_dual", side_effect=AssertionError("built S-dual")):
         stab_profile_matrix(IsotropicCode(c=zero_space(F3, 2 * 10**8)))
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more phase errors exceeds"):
         stab_detects_profile(IsotropicCode(c=zero_space(F3, 2 * 10**8)), 10**8, 10**8)
     # C2's 10^8 parity-check rows of 10^8 entries each are refused before one is built
     with pytest.raises(EnumerationSizeError, match=f"^{10**16} parity-check entries exceeds the guard of {PROFILE_GUARD}$"), \
-            mock.patch("aqgv.codesearch.dual_rows", side_effect=AssertionError("built a row")):
+            mock.patch("aqgv.fields.dual_rows", side_effect=AssertionError("built a row")):
         css_distances(NestedPair(c1=zero_space(F3, 10**8), c2=zero_space(F3, 10**8)))
 
 
@@ -350,10 +331,10 @@ def test_distances_match_oracle_property(shape, chunk):
 
 @given(css_shape())
 def test_walk_rows_come_from_parity_checks_property(shape):
-    # The lemma's lift L(y) over A-dual's parity-check rows is exactly C2's
-    # parity-check rows at N (C1's pivots that C2 lacks); C1's parity-check
-    # rows extended by those span C2-dual, and C2's rows extended by C1's
-    # rows at N span C1: the rows css_distances walks.
+    # The lift L(y), y placed at C1's pivot columns, over A-dual's parity-check
+    # rows is exactly C2's parity-check rows at N (C1's pivots that C2 lacks);
+    # C1's parity-check rows extended by those span C2-dual, and C2's rows
+    # extended by C1's rows at N span C1: the rows css_distances walks.
     n, q, k1, k2, _ = shape
     pair = random_nested_pair(*shape)
     c1, c2, field = pair.c1, pair.c2, GF(q)
@@ -649,7 +630,7 @@ def test_profile_matrix_builds_the_parity_check_rows_once():
     # S-dual is the twist of S's parity-check rows, and the checks at N are some of the same rows
     code = random_isotropic_code(6, 3, 2, seed=5)
     rows = mock.Mock(wraps=fields.dual_rows)
-    with mock.patch.object(fields, "dual_rows", rows), mock.patch("aqgv.codesearch.dual_rows", rows):
+    with mock.patch.object(fields, "dual_rows", rows):
         stab_profile_matrix(code)
     assert rows.call_count == 1
 
