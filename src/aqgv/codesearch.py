@@ -11,8 +11,11 @@ Both CSS difference sets are walked from rows at hand, with no elimination.
 With C1's RREF generator matrix G1 and C2 = A.G1 for a k2-subspace A of
 GF(q)^k1, C1 \\ C2 is {y.G1 : y not in A}: C2's rows extended by C1's rows
 at N, the columns where C1 has a pivot and C2 does not.  The pair
-enumeration walks this set for every pair, and gets the phase set C2-dual
-\\ C1-dual as the same set of the dual pair (C2-dual, C1-dual).
+enumeration takes every G1 and every A's basis as packed RREF rows, each
+row a unit row plus a combination of unit rows, so no matrix is built from
+list rows or eliminated; it walks this set for every pair, and gets the
+phase set C2-dual \\ C1-dual as the same set of the dual pair (C2-dual,
+C1-dual).
 css_distances reads the rows at N as membership tests: x in C1 is in C2 iff
 C2's parity-check rows at N vanish on it, and z in C2-dual is in C1-dual
 iff C1's rows at N do; stab_profile_matrix reads the nested pair S <= S-dual
@@ -40,6 +43,7 @@ from .bounds import (
     StabBoundQuery,
     _capped_ball,
     _capped_pow,
+    _check_ints,
     _digits,
     _guard,
     check_ranges,
@@ -157,47 +161,58 @@ def _check_draw_size(updates: int) -> None:
 
 
 def _check_pair_dims(n: int, k1: int, k2: int) -> None:
+    _check_ints(n=n, k1=k1, k2=k2)
     if not (n >= 1 and 0 <= k2 <= k1 <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k2 <= k1 <= n, got {(n, k1, k2)}")
 
 
-def _rref_matrices(q: int, n: int, k: int) -> Iterator[list[list[int]]]:
-    """The rows of every k x n RREF matrix over GF(q), each once: pivot
-    columns plus any entries in the free cells.  These are the canonical
-    bases of the k-subspaces of GF(q)^n, so no elimination is needed."""
+def _rref_matrices(q: int, n: int, k: int) -> Iterator[tuple[int, ...]]:
+    """Every k x n RREF matrix over GF(q), each once, as a tuple of rows
+    packed by ``Packing.plain(q, n)``: the canonical bases of the
+    k-subspaces of GF(q)^n, so no elimination is needed.  Row i is the unit
+    row at its pivot shifted by each combination of the unit rows at the
+    free columns after it, passed to ``Packing.span`` last column first, and
+    a pivot set's matrices are the product of its rows' lists: the last free
+    cell varies fastest.  Those lists are held per pivot set, at most
+    k q^(n-k) packed rows and at most k times the matrices the set yields.
+    k = 0 yields the empty matrix before a Packing is built: n may be huge."""
+    if not k:
+        yield ()
+        return
+    packing = Packing.plain(q, n)
+    units = packing.units()
     for pivots in combinations(range(n), k):
-        pivot_set = set(pivots)
-        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
-        for values in product(range(q), repeat=len(free)):
-            rows = [[0] * n for _ in range(k)]
-            for i, col in enumerate(pivots):
-                rows[i][col] = 1
-            for (i, j), v in zip(free, values):
-                rows[i][j] = v
-            yield rows
+        free = [[units[j] for j in reversed(range(col + 1, n)) if j not in pivots] for col in pivots]
+        yield from product(*(packing.shifted(units[col], packing.span(f)) for col, f in zip(pivots, free)))
 
 
 def iter_subspaces(field: GF, ambient_dim: int, dim: int) -> Iterator[Subspace]:
-    """Every dim-dimensional subspace of GF(p)^ambient_dim exactly once."""
+    """Every dim-dimensional subspace of GF(p)^ambient_dim exactly once, in
+    the order of ``_rref_matrices``, built from its packed rows.  Per pivot
+    set it holds at most dim p^(ambient_dim - dim) packed rows (at most dim
+    times the spaces that set yields), not one matrix at a time."""
+    _check_ints(ambient_dim=ambient_dim, dim=dim)
     if not 0 <= dim <= ambient_dim:
         raise ParameterRangeError(f"need 0 <= dim <= ambient, got dim={dim}, ambient={ambient_dim}")
-    return (Subspace(field, ambient_dim, rows) for rows in _rref_matrices(field.p, ambient_dim, dim))
+    return (Subspace.from_packed(field, ambient_dim, rows) for rows in _rref_matrices(field.p, ambient_dim, dim))
 
 
 def _bit_tallies(packing: Packing, k1: int, k2: int) -> tuple[Counter, int]:
     """For each packed vector, how many nested pairs C2 <= C1 in packing's
     space with dim C1 = k1 and dim C2 = k2 have it in C1 \\ C2, and how
     many pairs there are.  C1 \\ C2 = {y.G1 : y not in A} (the module doc),
-    y at position sum_j y_j q^j of a span of the unit rows (Packing.span)."""
-    coeffs = Packing(packing.p, k1)
+    y at position sum_j y_j q^j of a span of the unit rows (Packing.span).
+    packing has no checks: _rref_matrices packs its rows in that layout, so
+    they are spanned as they come."""
+    coeffs = Packing.plain(packing.p, k1)
     everything = coeffs.span(coeffs.units())
     outside = []
     for rows in _rref_matrices(packing.p, k1, k2):
-        members = set(coeffs.span(coeffs.rows(rows)))
+        members = set(coeffs.span(rows))
         outside.append([i for i, y in enumerate(everything) if y not in members])
     tally, pairs = Counter(), 0
     for rows in _rref_matrices(packing.p, packing.n, k1):
-        span1 = packing.span(packing.rows(rows))
+        span1 = packing.span(rows)
         for positions in outside:
             pairs += 1
             tally.update(map(span1.__getitem__, positions))
@@ -220,7 +235,7 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     walked = pairs * (_capped_pow(q, k1) + _capped_pow(q, n - k2))
     _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
 
-    packing = Packing(q, n)
+    packing = Packing.plain(q, n)
     per_x, total = _bit_tallies(packing, k1, k2)
     # (C1, C2) -> (C2-dual, C1-dual) maps the pairs of dims (k1, k2) one to one
     # onto those of dims (n - k2, n - k1), and C2-dual \ C1-dual is the image's
@@ -417,6 +432,7 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     once, by the Subspace they span.
     """
     field = GF(q)
+    _check_ints(n=n, k=k)
     if not (n >= 1 and 0 <= k <= n):
         raise ParameterRangeError(f"need 1 <= n and 0 <= k <= n, got {(n, k)}")
     _check_draw_size((n - k) * (2 * n) ** 2)
@@ -494,6 +510,7 @@ def gv_witness_search(
         StabBoundQuery(q=q, n=n, k=k, dx=dx, dz=dz)
     else:
         raise ParameterRangeError(f"kind must be 'css' or 'stab', got {kind!r}")
+    _check_ints(trials=trials, seed=seed)
     if trials < 1:
         raise ParameterRangeError(f"trials must be >= 1, got {trials}")
 

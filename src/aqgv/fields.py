@@ -415,8 +415,8 @@ class Subspace:
 
     def __post_init__(self) -> None:
         n = self.ambient_dim
-        if n < 0:
-            raise InputShapeError("ambient dimension must be >= 0")
+        if type(n) is not int or n < 0:   # type, not isinstance: bool is refused too
+            raise InputShapeError(f"ambient dimension must be an integer >= 0, got {n!r}")
         rows = [list(row) for row in self.basis]
         for row in rows:
             if len(row) != n:

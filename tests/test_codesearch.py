@@ -67,9 +67,49 @@ def test_iter_subspaces_counts_match_gaussian_binomial():
                 assert all(s.dim == k for s in spaces)
 
 
+def list_rref_matrices(q, n, k):
+    """Oracle for iter_subspaces' order: each k x n RREF matrix over GF(q)
+    built cell by cell as list rows, pivot sets in lexicographic order and
+    the last free cell varying fastest."""
+    for pivots in combinations(range(n), k):
+        pivot_set = set(pivots)
+        free = [(i, j) for i in range(k) for j in range(pivots[i] + 1, n) if j not in pivot_set]
+        for values in product(range(q), repeat=len(free)):
+            rows = [[0] * n for _ in range(k)]
+            for i, col in enumerate(pivots):
+                rows[i][col] = 1
+            for (i, j), v in zip(free, values):
+                rows[i][j] = v
+            yield rows
+
+
+def test_iter_subspaces_yields_the_rref_matrices_in_order():
+    for q, top in ((2, 5), (3, 4), (5, 4)):
+        for n in range(top + 1):
+            for k in range(n + 1):
+                bases = [space.basis for space in iter_subspaces(GF(q), n, k)]
+                assert bases == [tuple(map(tuple, rows)) for rows in list_rref_matrices(q, n, k)], (q, n, k)
+    # the zero space of a huge ambient space is yielded before any Packing is built
+    with mock.patch("aqgv.codesearch.Packing", side_effect=AssertionError("packed")):
+        (zero,) = iter_subspaces(F2, 10**8, 0)
+    assert zero == zero_space(F2, 10**8)
+
+
+def test_enumerations_pack_no_rows():
+    # the RREF matrices are generated packed: nothing is packed from list rows
+    with mock.patch.object(Packing, "rows", autospec=True, side_effect=Packing.rows) as rows:
+        report = enumerate_nested_pairs(4, 3, 2, 1)
+        spaces = list(iter_subspaces(F3, 4, 2))
+    assert rows.call_count == 0
+    assert report.identities_hold and len(spaces) == gaussian_binomial(4, 2, 3)
+
+
 def test_iter_subspaces_checks_its_range_at_the_call():
     with pytest.raises(ParameterRangeError, match="^need 0 <= dim <= ambient, got dim=4, ambient=3$"):
         iter_subspaces(F2, 3, 4)   # not iterated
+    for ambient, dim, name in ((3, 1.5, "dim"), (True, 1, "ambient_dim"), (3.0, 1, "ambient_dim")):
+        with pytest.raises(ParameterRangeError, match=f"^{name} must be an integer, got"):
+            iter_subspaces(F2, ambient, dim)   # not iterated
 
 
 # ---------------------------------------------------------------------------
@@ -230,6 +270,13 @@ def test_enumeration_guards():
         enumerate_nested_pairs(3, 4, 2, 1)
     with pytest.raises(ParameterRangeError):
         enumerate_nested_pairs(3, 2, 1, 2)
+    # a size that is no int is refused by its own name, by the enumeration and the pair sampler alike
+    with pytest.raises(ParameterRangeError, match=r"^k1 must be an integer, got 2.0$"):
+        enumerate_nested_pairs(4, 2, 2.0, 1)
+    with pytest.raises(ParameterRangeError, match=r"^n must be an integer, got 10.0$"):
+        random_nested_pair(10.0, 2, 5, 2, 1)
+    with pytest.raises(ParameterRangeError, match=r"^k1 must be an integer, got True$"):
+        random_nested_pair(10, 2, True, 0, 1)
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 40), st.data(), st.integers(1, 16))
@@ -850,6 +897,9 @@ def test_random_isotropic_code_invariants():
     for n, k in ((0, 0), (5, 6)):
         with pytest.raises(ParameterRangeError, match=rf"^need 1 <= n and 0 <= k <= n, got \({n}, {k}\)$"):
             random_isotropic_code(n, 2, k, 1)
+    for n, k, shown in ((5, 2.5, "k must be an integer, got 2.5"), (True, 0, "n must be an integer, got True")):
+        with pytest.raises(ParameterRangeError, match=f"^{shown}$"):
+            random_isotropic_code(n, 2, k, 1)
 
 
 def test_random_isotropic_code_trivial_k_equals_n():
@@ -1004,6 +1054,11 @@ def test_witness_search_argument_validation():
         gv_witness_search("spam", q=2, n=4, dx=2, dz=2, trials=5, seed=0, k=2)
     with pytest.raises(ParameterRangeError):
         gv_witness_search("css", q=2, n=4, dx=6, dz=2, trials=5, seed=0, k1=2, k2=1)
+    # a float seed would give every trial one seed, and a bool trials would read as 1
+    for name, value in (("trials", 2.5), ("trials", True), ("seed", 1.5), ("seed", "a")):
+        args = dict(q=2, n=4, dx=2, dz=2, trials=5, seed=0, k1=2, k2=1) | {name: value}
+        with pytest.raises(ParameterRangeError, match=f"^{name} must be an integer, got {re.escape(repr(value))}$"):
+            gv_witness_search("css", **args)
 
 
 def test_oversize_css_search_is_refused_by_its_draw_guard():

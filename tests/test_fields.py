@@ -401,6 +401,10 @@ def test_span_rejects_bad_shapes():
             make(F2, 3, [[True, False, True]])  # bool is no residue
         with pytest.raises(InputShapeError):
             make(F3, -1, [])  # negative ambient dimension
+        with pytest.raises(InputShapeError, match=r"^ambient dimension must be an integer >= 0, got 3.0$"):
+            make(F2, 3.0, [])
+        with pytest.raises(InputShapeError, match=r"^ambient dimension must be an integer >= 0, got True$"):
+            make(F2, True, [[1]])  # bool is no size
 
 
 @st.composite
