@@ -13,9 +13,10 @@ GF(q)^k1, C1 \\ C2 is {y.G1 : y not in A}: C2's rows extended by C1's rows
 at N, the columns where C1 has a pivot and C2 does not.  The pair
 enumeration takes every G1 and every A's basis as packed RREF rows, each
 row a unit row plus a combination of unit rows, so no matrix is built from
-list rows or eliminated; it walks this set for every pair, and gets the
-phase set C2-dual \\ C1-dual as the same set of the dual pair (C2-dual,
-C1-dual).
+list rows or eliminated.  Each A is spanned once, to count per
+coefficient vector y the A that leave it out, and each C1 once, each y.G1
+tallied by that count, so no pair's set is walked on its own; the phase set
+C2-dual \\ C1-dual is the same set of the dual pair (C2-dual, C1-dual).
 css_distances reads the rows at N as membership tests: x in C1 is in C2 iff
 C2's parity-check rows at N vanish on it, and z in C2-dual is in C1-dual
 iff C1's rows at N do; stab_profile_matrix reads the nested pair S <= S-dual
@@ -54,12 +55,14 @@ from .errors import InputShapeError, ParameterRangeError
 from .fields import GF, Packing, Subspace, Vec, draw, inverse
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
-PAIR_GUARD = 10**6          # nested pairs enumerated at once
+PAIR_GUARD = 10**6          # nested pairs counted at once; the lemma spans each C1 and
+                            # each A once, not each pair, so this bounds more than its work
 ERROR_TABLE_GUARD = 10**6   # nonzero error vectors tallied at once
 PROFILE_GUARD = 10**7       # vectors or row entries one kernel holds at once: a profile
                             # check's phase ball, a distance check's parity-check rows
 COSET_GUARD = 2**26         # vectors (and collisions) one walk builds as it goes, or
-                            # row entries one draw updates
+                            # row entries one draw updates; the lemma's count is per pair,
+                            # more than its spans of each C1 and each A build
 
 
 @dataclass(frozen=True)
@@ -201,29 +204,33 @@ def _bit_tallies(packing: Packing, k1: int, k2: int) -> tuple[Counter, int]:
     """For each packed vector, how many nested pairs C2 <= C1 in packing's
     space with dim C1 = k1 and dim C2 = k2 have it in C1 \\ C2, and how
     many pairs there are.  C1 \\ C2 = {y.G1 : y not in A} (the module doc),
-    y at position sum_j y_j q^j of a span of the unit rows (Packing.span).
+    y at position sum_j y_j q^j of a span of the unit rows (Packing.span),
+    and G1 has full rank, so y.G1 is y's position in the span of G1.  Each
+    A is spanned once to count, per coefficient vector y, the A that leave
+    it out; each C1 is then spanned once and each y.G1 tallied by that
+    count.  Nothing assumes the counts agree: that is what the lemma checks.
     packing has no checks: _rref_matrices packs its rows in that layout, so
     they are spanned as they come."""
     coeffs = Packing.plain(packing.p, k1)
-    everything = coeffs.span(coeffs.units())
-    outside = []
+    inside, spaces = Counter(), 0
     for rows in _rref_matrices(packing.p, k1, k2):
-        members = set(coeffs.span(rows))
-        outside.append([i for i, y in enumerate(everything) if y not in members])
+        inside.update(coeffs.span(rows))
+        spaces += 1
+    miss = [spaces - inside[y] for y in coeffs.span(coeffs.units())]
     tally, pairs = Counter(), 0
     for rows in _rref_matrices(packing.p, packing.n, k1):
-        span1 = packing.span(rows)
-        for positions in outside:
-            pairs += 1
-            tally.update(map(span1.__getitem__, positions))
+        pairs += spaces
+        for e, m in zip(packing.span(rows), miss):
+            tally[e] += m
     return tally, pairs
 
 
 def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationReport:
-    """Visit every nested pair with dim C1 = k1, dim C2 = k2 and tally, for
+    """Count every nested pair with dim C1 = k1, dim C2 = k2 and tally, for
     each nonzero error vector, how many pairs fail to detect it as a bit
-    error and as a phase error.  Each pair is visited once per tally: as
-    itself for the bit errors, and as its dual image for the phase errors."""
+    error and as a phase error.  Each pair counts once per tally: as itself
+    for the bit errors, and as its dual image for the phase errors; each
+    tally spans every C1 and every A once (_bit_tallies)."""
     GF(q)   # the field is checked first, before the dimensions
     _check_pair_dims(n, k1, k2)
     e = k1 * (n - k1) + k2 * (k1 - k2)   # there are at least q^e pairs
@@ -231,7 +238,8 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
              else gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q))
     _guard(pairs, PAIR_GUARD, "{} pairs exceeds the guard of {}")
     _guard(_capped_pow(q, n) - 1, ERROR_TABLE_GUARD, "{} error vectors exceed the tally guard of {}")
-    # each pair walks C1 \ C2 and C2-dual \ C1-dual, within q^k1 + q^(n-k2) vectors
+    # a per-pair walk of C1 \ C2 and C2-dual \ C1-dual, within q^k1 + q^(n-k2) vectors;
+    # the tallies span each C1 and each A once, less by about the number of A per C1
     walked = pairs * (_capped_pow(q, k1) + _capped_pow(q, n - k2))
     _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
 

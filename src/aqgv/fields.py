@@ -128,6 +128,7 @@ class Packing:
         self.width = b = 1 if p == 2 else next(b for b in (3, 4, 8, 16) if 1 << (b - 1) >= p)
         self._checks = list(zip(checks, range(b * n, b * (n + len(checks)), b)))   # (check, its shift)
         self._ones = ones = ((1 << (b * (n + len(checks)))) - 1) // ((1 << b) - 1)   # the low bit of every field
+        self._pones = p * ones
         top = 1 << (b - 1)
         self._wrap = (top - p) * ones
         self._top = top * ones
@@ -203,7 +204,7 @@ class Packing:
 
     def neg(self, v: int) -> int:
         """-v in GF(p): p - v field by field, then p -> 0 by adding 0."""
-        return v if self.p == 2 else self.add(self.p * self._ones - v, 0)
+        return v if self.p == 2 else self.add(self._pones - v, 0)
 
     def times(self, c: int, v: int) -> int:
         """c * v in GF(p), for c in [0, p), by doubling and adding."""
@@ -219,7 +220,10 @@ class Packing:
         return out
 
     def sub(self, a: int, c: int, b: int) -> int:
-        """a - c*b in GF(p), for c in [0, p)."""
+        """a - c*b in GF(p), for c in [0, p).  At c = 1 it is one add: p - b_j
+        lies in [1, p] with no borrow, and a_j + p - b_j < 2p <= 2M."""
+        if c == 1:
+            return a ^ b if self.p == 2 else self.add(a, self._pones - b)
         return self.add(a, self.times(-c % self.p, b))
 
     def combine(self, coeffs: Sequence[int], rows: Sequence[int]) -> int:

@@ -217,15 +217,29 @@ def lemma_dims(draw):
     return q, n, k1, draw(st.integers(0, k1))
 
 
-@settings(max_examples=60)
-@given(lemma_dims())
-def test_enumeration_matches_per_pair_subspace_oracle(dims):
-    q, n, k1, k2 = dims
+def assert_enumeration_matches_oracle(q, n, k1, k2):
     report = enumerate_nested_pairs(n, q, k1, k2)
     total, per_x, per_z = per_pair_subspace_oracle(n, q, k1, k2)
     assert report.total_pairs == total
     assert report.per_error_x == per_x
     assert report.per_error_z == per_z
+
+
+@settings(max_examples=60)
+@given(lemma_dims())
+def test_enumeration_matches_per_pair_subspace_oracle(dims):
+    assert_enumeration_matches_oracle(*dims)
+
+
+# every (q, n, k1, k2) of perfbench's lemma workload, then two where each
+# coefficient vector is left out by one A or none: k2 = 0 and k2 = k1
+@pytest.mark.parametrize("q,n,k1,k2", [
+    (2, 4, 2, 1), (2, 4, 3, 1), (2, 5, 2, 1), (2, 5, 3, 1), (2, 6, 1, 0), (2, 8, 1, 0),
+    (3, 3, 2, 1), (3, 4, 1, 0), (3, 4, 2, 1), (3, 5, 1, 0), (5, 3, 2, 1),
+    (5, 3, 2, 0), (5, 3, 2, 2),
+])
+def test_enumeration_matches_per_pair_subspace_oracle_at_benchmark_sizes(q, n, k1, k2):
+    assert_enumeration_matches_oracle(q, n, k1, k2)
 
 
 @pytest.mark.parametrize("q,n,k,spaces,undetected", [(2, 3, 1, 315, 60), (3, 2, 1, 40, 12)])

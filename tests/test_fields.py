@@ -228,6 +228,37 @@ def test_packed_scalar_arithmetic_matches_tuples(case):
         assert packing.unpack(packing.twist(packed[0])) == symplectic_twist(u, p)
 
 
+@st.composite
+def sub_operands(draw):
+    p = draw(st.sampled_from([2, 3, 5, 17, 251]))
+    n = draw(st.integers(0, 12))
+    return p, draw(vectors_of(p, n)), draw(vectors_of(p, n)), draw(st.lists(vectors_of(p, n), max_size=2))
+
+
+@given(sub_operands())
+def test_packed_sub_matches_formula_for_every_scalar(case):
+    # the syndromes under the checks are compared too: sub runs on checked rows
+    p, u, v, checks = case
+    packing = Packing(p, len(u), Packing.plain(p, len(u)).rows(checks))
+    a, b = packing.rows([u, v])
+    for c in range(p):
+        want = tuple((x - c * y) % p for x, y in zip(u, v))
+        assert packing.sub(a, c, b) == packing.rows([want])[0], c
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 17, 251])
+def test_packed_sub_by_one_is_one_add(p):
+    packing = Packing(p, 4)
+    u, v = (1, 0, p - 1, 2 % p), (p - 1, 1, p - 1, 0)
+    a, b = packing.rows([u, v])
+    with mock.patch.object(packing, "times", wraps=packing.times) as times, \
+            mock.patch.object(packing, "neg", wraps=packing.neg) as neg:
+        got = packing.sub(a, 1, b)
+    times.assert_not_called()
+    neg.assert_not_called()
+    assert packing.unpack(got) == tuple((x - y) % p for x, y in zip(u, v))
+
+
 @pytest.mark.parametrize("p", PRIMES)
 def test_draw_matches_one_randrange_per_value_for_every_prime(p):
     for seed, count in ((p, 0), (p, 1), (p + 1, 37), (p + 2, 300)):
