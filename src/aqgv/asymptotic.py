@@ -235,7 +235,7 @@ def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[Front
 def frontier_grid(q: int, num_points: int) -> list[float]:
     """num_points evenly spaced delta_x values from 0 to exactly 1 - 1/q."""
     _check_q(q)
-    if not 1 <= num_points <= MAX_POINTS:
+    if type(num_points) is not int or not 1 <= num_points <= MAX_POINTS:
         raise DomainError(f"need 1 to {MAX_POINTS} grid points, got {num_points}")
     dmax = 1.0 - 1.0 / q
     if num_points == 1:

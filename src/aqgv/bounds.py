@@ -170,6 +170,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:
     """Exact decimal rendering of a fraction to ``digits`` places (half-even)."""
+    _check_ints(digits=digits)
     if not 1 <= digits <= MAX_DIGITS:
         raise ParameterRangeError(f"digits must be in [1, {MAX_DIGITS}], got {digits}")
     whole = decimal.Decimal(abs(fr.numerator) // fr.denominator)   # exact, of any length

@@ -45,7 +45,6 @@ from .bounds import (
     _capped_ball,
     _capped_pow,
     _check_ints,
-    _digits,
     _guard,
     check_ranges,
     css_lhs_ints,
@@ -55,14 +54,12 @@ from .errors import InputShapeError, ParameterRangeError
 from .fields import GF, Packing, Subspace, Vec, draw, inverse
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
-PAIR_GUARD = 10**6          # nested pairs counted at once; the lemma spans each C1 and
-                            # each A once, not each pair, so this bounds more than its work
 ERROR_TABLE_GUARD = 10**6   # nonzero error vectors tallied at once
 PROFILE_GUARD = 10**7       # vectors or row entries one kernel holds at once: a profile
                             # check's phase ball, a distance check's parity-check rows
-COSET_GUARD = 2**26         # vectors (and collisions) one walk builds as it goes, or
-                            # row entries one draw updates; the lemma's count is per pair,
-                            # more than its spans of each C1 and each A build
+COSET_GUARD = 2**26         # vectors (and collisions) one walk builds as it goes, row
+                            # entries one draw updates, or vectors the lemma's tallies
+                            # span over every C1 and every A
 
 
 @dataclass(frozen=True)
@@ -230,25 +227,22 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     each nonzero error vector, how many pairs fail to detect it as a bit
     error and as a phase error.  Each pair counts once per tally: as itself
     for the bit errors, and as its dual image for the phase errors; each
-    tally spans every C1 and every A once (_bit_tallies)."""
+    tally spans every C1 and every A once (_bit_tallies).  Before anything
+    is spanned it refuses past ERROR_TABLE_GUARD nonzero errors, then past
+    COSET_GUARD spanned vectors: the tally at dims (a, b) spans
+    [n, a]_q q^a + [a, b]_q q^b, exact since q^n is capped by then."""
     GF(q)   # the field is checked first, before the dimensions
     _check_pair_dims(n, k1, k2)
-    e = k1 * (n - k1) + k2 * (k1 - k2)   # there are at least q^e pairs
-    pairs = (_capped_pow(q, e) if e > 4 * _digits()
-             else gaussian_binomial(n, k1, q) * gaussian_binomial(k1, k2, q))
-    _guard(pairs, PAIR_GUARD, "{} pairs exceeds the guard of {}")
-    _guard(_capped_pow(q, n) - 1, ERROR_TABLE_GUARD, "{} error vectors exceed the tally guard of {}")
-    # a per-pair walk of C1 \ C2 and C2-dual \ C1-dual, within q^k1 + q^(n-k2) vectors;
-    # the tallies span each C1 and each A once, less by about the number of A per C1
-    walked = pairs * (_capped_pow(q, k1) + _capped_pow(q, n - k2))
-    _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
-
-    packing = Packing.plain(q, n)
-    per_x, total = _bit_tallies(packing, k1, k2)
+    _guard(_capped_pow(q, n) - 1, ERROR_TABLE_GUARD, "{} error vectors exceeds the guard of {}")
     # (C1, C2) -> (C2-dual, C1-dual) maps the pairs of dims (k1, k2) one to one
     # onto those of dims (n - k2, n - k1), and C2-dual \ C1-dual is the image's
     # C1 \ C2: the phase tallies are the bit tallies of the dual pairs
-    per_z, _ = _bit_tallies(packing, n - k2, n - k1)
+    tallies = ((k1, k2), (n - k2, n - k1))
+    spanned = sum(gaussian_binomial(n, a, q) * q**a + gaussian_binomial(a, b, q) * q**b for a, b in tallies)
+    _guard(spanned, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
+
+    packing = Packing.plain(q, n)
+    (per_x, total), (per_z, _) = (_bit_tallies(packing, a, b) for a, b in tallies)
     errors = packing.span(packing.units())[1:]
     keys = list(map(packing.unpack, errors))
     return EnumerationReport(

@@ -448,6 +448,10 @@ def test_frontier_grid():
     assert len(frontier_grid(2, MAX_POINTS)) == MAX_POINTS
     with pytest.raises(DomainError, match=f"^need 1 to {MAX_POINTS} grid points, got {MAX_POINTS + 1}$"):
         frontier_grid(2, MAX_POINTS + 1)
+    # a count that is no int is refused, not rounded or read as 1
+    for num_points in (5.5, 3.0, True):
+        with pytest.raises(DomainError, match=f"^need 1 to {MAX_POINTS} grid points, got {num_points}$"):
+            frontier_grid(2, num_points)
 
 
 def test_frontier_grid_ends_at_dmax():

@@ -535,3 +535,7 @@ def test_fraction_decimal_str():
     assert fraction_decimal_str(Fraction(1, 3), MAX_DIGITS) == "0." + "3" * MAX_DIGITS
     with pytest.raises(ParameterRangeError, match=f"^digits must be in \\[1, {MAX_DIGITS}\\], got {MAX_DIGITS + 1}$"):
         fraction_decimal_str(Fraction(1, 3), MAX_DIGITS + 1)
+    # a count that is no int is refused by name, not read as a number of places
+    for digits in (2.5, 3.0, True):
+        with pytest.raises(ParameterRangeError, match=f"^digits must be an integer, got {digits!r}$"):
+            fraction_decimal_str(Fraction(1, 3), digits)

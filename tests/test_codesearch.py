@@ -15,7 +15,7 @@ from aqgv import fields
 from aqgv.bounds import CssBoundQuery, ball_sum, css_gv_lhs, gaussian_binomial, stab_lhs_ints
 from aqgv.codesearch import (
     COSET_GUARD,
-    PAIR_GUARD,
+    ERROR_TABLE_GUARD,
     PROFILE_GUARD,
     DistancePair,
     EnumerationReport,
@@ -272,11 +272,12 @@ def test_stabilizer_identities_exact(q, n, k, spaces, undetected):
 
 
 def test_enumeration_guards():
-    pairs = gaussian_binomial(30, 15, 2) * gaussian_binomial(15, 5, 2)
-    with pytest.raises(EnumerationSizeError, match=f"^{pairs} pairs exceeds the guard of {PAIR_GUARD}$"):
+    with pytest.raises(EnumerationSizeError,
+                       match=f"^{2**30 - 1} error vectors exceeds the guard of {ERROR_TABLE_GUARD}$"):
         enumerate_nested_pairs(30, 2, 15, 5)
-    # pairs and error vectors each pass their guard, but the walks do not
-    walked = (3**12 - 1) // 2 * (3 + 3**12)
+    # the error vectors pass their guard, but the spans do not: at dims (1, 0)
+    # every line C1 and the zero A, at (12, 11) the whole space and every hyperplane A
+    walked = (3**12 - 1) // 2 * 3 + 1 + 3**12 + (3**12 - 1) // 2 * 3**11
     with pytest.raises(EnumerationSizeError,
                        match=f"^{walked} walked vectors exceeds the guard of {COSET_GUARD}$"):
         enumerate_nested_pairs(12, 3, 1, 0)
@@ -291,6 +292,24 @@ def test_enumeration_guards():
         random_nested_pair(10.0, 2, 5, 2, 1)
     with pytest.raises(ParameterRangeError, match=r"^k1 must be an integer, got True$"):
         random_nested_pair(10, 2, True, 0, 1)
+
+
+def test_enumeration_admits_many_pairs_with_small_spans():
+    # 680085 pairs, but the tallies span only 734,314 vectors: well within the span guard
+    report = enumerate_nested_pairs(8, 2, 6, 1)
+    assert report.total_pairs == 680085
+    assert (set(report.per_error_x.values()), set(report.per_error_z.values())) == ({165354}, {330708})
+    assert report.identities_hold
+
+
+def test_enumeration_span_guard_counts_every_span():
+    # [7, 3]_2 2^3 + [3, 1]_2 2 + [7, 6]_2 2^6 + [6, 4]_2 2^4 = 94488 + 14 + 8128 + 10416
+    with mock.patch("aqgv.codesearch.COSET_GUARD", 113046):
+        assert enumerate_nested_pairs(7, 2, 3, 1).identities_hold
+    with mock.patch("aqgv.codesearch.COSET_GUARD", 113045), \
+            pytest.raises(EnumerationSizeError) as refused:
+        enumerate_nested_pairs(7, 2, 3, 1)
+    assert str(refused.value) == "113046 walked vectors exceeds the guard of 113045"
 
 
 @given(st.sampled_from([2, 3, 5]), st.integers(0, 40), st.data(), st.integers(1, 16))
@@ -312,10 +331,9 @@ def test_guard_message_shows_a_cost_in_full_up_to_the_digit_limit():
 
 def test_guards_decide_huge_costs_without_building_them():
     # each cost below has millions of digits; the message gives its size only
-    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more pairs exceeds"):
-        enumerate_nested_pairs(10**8, 2, 1, 0)
-    with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceed the tally"):
-        enumerate_nested_pairs(10**8, 3, 10**8, 10**8)
+    for n, q, k1, k2 in ((10**8, 2, 1, 0), (10**8, 3, 10**8, 10**8)):
+        with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more error vectors exceeds the guard of"):
+            enumerate_nested_pairs(n, q, k1, k2)
     # S's 2 * 10^8 parity-check rows of 2 * 10^8 entries each, refused before S-dual is built
     with pytest.raises(EnumerationSizeError, match=f"^{4 * 10**16} parity-check entries exceeds the guard of {PROFILE_GUARD}$"), \
             mock.patch("aqgv.fields.dual_rows", side_effect=AssertionError("built a row")), \
