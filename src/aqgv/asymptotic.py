@@ -85,7 +85,8 @@ def _hq_inverse(y: float, dmax: float, log_q1: float, log_q: float) -> float:
 
     It runs hq_inverse's bisection but evaluates h = h_q only at the mids
     inside a window [a, b] around the root: a mid below a becomes lo and a
-    mid above b becomes hi, as an evaluation would decide.
+    mid above b becomes hi, as an evaluation would decide.  The first mids
+    above b, the halvings of dmax, are taken in one step (_top).
 
     Window.  h is concave with h(0) = 0 and h(dmax) = 1, so h(y dmax) >= y,
     a Newton step from y dmax lands left of the root, and later steps rise
@@ -124,7 +125,7 @@ def _hq_inverse(y: float, dmax: float, log_q1: float, log_q: float) -> float:
     if y == 1.0:
         return dmax
     a, b = _window(y, dmax, log_q1, log_q)
-    lo, hi = 0.0, dmax
+    lo, hi = 0.0, _top(dmax, b)
     while True:
         mid = (lo + hi) / 2
         if mid == lo or mid == hi:
@@ -135,6 +136,20 @@ def _hq_inverse(y: float, dmax: float, log_q1: float, log_q: float) -> float:
             lo = mid
         else:
             hi = mid
+
+
+def _top(dmax: float, b: float) -> float:
+    """The hi at which _hq_inverse's bisection first evaluates or passes
+    below b: while lo = 0 each mid is hi / 2, and a mid above b becomes hi.
+    So it is where `hi = dmax; while hi / 2 > b: hi /= 2` ends, the least
+    dmax 2^-j above b, for b = dmax or b >= _NORMAL (each halving exact).
+    Write b = m 2^e with 1/2 <= m < 1, and dmax likewise: dmax 2^-j with
+    j = e(dmax) - e lies in [2^(e-1), 2^e), as b does, so the least one
+    above b is it or its double, and one exact comparison tells which."""
+    if dmax / 2 <= b:
+        return dmax
+    hi = math.ldexp(dmax, math.frexp(b)[1] - math.frexp(dmax)[1])
+    return hi if hi > b else 2 * hi
 
 
 def _window(y: float, dmax: float, log_q1: float, log_q: float) -> tuple[float, float]:

@@ -146,8 +146,9 @@ def _guard(cost: int, guard: int, message: str) -> None:
 
 def _check_scan_size(q: int, n: int) -> None:
     """One exact comparison of a bound costs about n * q.bit_length() bit
-    operations; a ball sum makes up to n of them, a parameter scan about
-    2 log2(n).  The guard still charges n of them."""
+    operations; a ball sum makes up to n of them, a parameter scan a few
+    (at most about 2 log2(n), see _first_true).  The guard still charges n
+    of them."""
     _guard(n * n * q.bit_length(), SCAN_GUARD, "{} scan bit operations exceed the guard of {}")
 
 
@@ -298,13 +299,37 @@ def stab_gv_lhs(query: StabBoundQuery) -> BoundReport:
     return BoundReport(lhs=terms[0] * terms[1] * terms[2], terms=terms)
 
 
+def _first_true(pred, lo: int, hi: int, guess: int) -> int:
+    """The least x in [lo, hi) where pred holds, or hi if it holds nowhere,
+    for a pred that is False and then True on the range.
+
+    pred is evaluated first at the guess, clamped into the range, and at the
+    neighbour that settles whether the boundary lies there; only then is the
+    side that remains bisected.  A good guess costs two evaluations and a
+    wrong one at most two more than bisecting [lo, hi) would.
+    """
+    if lo >= hi:
+        return hi
+    x = min(max(guess, lo), hi - 1)
+    if pred(x):
+        if x == lo or not pred(x - 1):
+            return x
+        return bisect_left(range(lo, x - 1), True, key=pred) + lo
+    if x + 1 == hi or pred(x + 1):
+        return x + 1
+    return bisect_left(range(x + 2, hi), True, key=pred) + x + 2
+
+
 def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:
     """Largest k in [1, n] whose stabilizer bound is feasible, or None.
 
     The LHS is strictly increasing in k (its ratio is q^(n+k) - q^(n-k)
     over a constant) or 0 for every k, so the feasible k form a prefix of
-    1..n and a bisection finds its end in O(log n) exact integer
-    comparisons of numerator against denominator.
+    1..n.  Its end is where q^(n+k) times the error patterns P first
+    reaches q^(2n), about k = n - log_q P, the finite form of
+    R < 1 - h(dx) - h(dz); _first_true starts there and certifies the end
+    by exact integer comparisons of numerator against denominator, about
+    two of them.
     """
     check_ranges(q, n, dx, dz)
     _check_scan_size(q, n)
@@ -314,7 +339,8 @@ def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:
         numerator, denom = stab_lhs_ints(q, n, k, patterns)
         return numerator >= denom
 
-    return bisect_left(range(1, n + 1), True, key=infeasible) or None
+    guess = int(n - math.log(patterns, q)) if patterns else n
+    return _first_true(infeasible, 1, n + 1, guess) - 1 or None
 
 
 def _css_turn(q: int, n: int, bx: int, bz: int):
@@ -328,50 +354,56 @@ def _css_turn(q: int, n: int, bx: int, bz: int):
     def reaches(e: int) -> bool:  # q^e * Bx >= Bz, in integers for either sign of e
         return bx * q**e >= bz if e >= 0 else bx >= bz * q**-e
 
-    e = math.ceil((math.log(bz) - math.log(bx)) / math.log(q))
-    while not reaches(e):
-        e += 1
-    while reaches(e - 1):
-        e -= 1
+    guess = math.ceil((math.log(bz) - math.log(bx)) / math.log(q))
+    e = _first_true(reaches, -bx.bit_length(), bz.bit_length() + 1, guess)
     return lambda t: min(max((n - t + e) // 2, 0), n - t)
 
 
 def best_css_params(n: int, q: int, dx: int, dz: int) -> tuple[int, int] | None:
     """Feasible (k1, k2) with k1 > k2 maximizing k1 - k2, or None.
 
-    Ties break toward the smallest k1, then the smallest k2.  Two
-    bisections find it in about 2 log2(n) exact integer comparisons of
-    numerator against denominator, each through css_lhs_ints:
+    Ties break toward the smallest k1, then the smallest k2.  Two scans by
+    _first_true find it, each started at a closed-form estimate and
+    certified by exact integer comparisons of numerator against
+    denominator through css_lhs_ints, about three in all:
 
     - Write k1 = k2 + t.  With Bx, Bz the two ball sums the numerator is
       N(t, k2) = (q^t - 1)(q^k2 Bx + q^(n-t-k2) Bz), against q^n - 1.
     - N is convex in k2: for fixed t it falls strictly until m(t), the
       least k2 with q^(2 k2 + 1) Bx >= q^(n-t) Bz, and does not fall after.
-      With e the least integer with q^e Bx >= Bz (a math.log estimate,
-      corrected by exact comparisons, once per call),
+      With e the least integer with q^e Bx >= Bz (found once per call by
+      _first_true from log_q(Bz / Bx); q^e Bx >= Bz fails below
+      -Bx.bit_length() and holds at Bz.bit_length()),
       m(t) = clamp(ceil((n - t + e - 1) / 2), 0, n - t); m(t) = n - t if
       Bx = 0 and m(t) = 0 if Bz = 0.
     - The feasible nets form a prefix of 1..n: for fixed k2, N does not
       fall as t grows, and k2's range [0, n - t] shrinks.  So the largest
-      feasible net t* is where N(t, m(t)) < q^n - 1 first fails, found by
-      bisect_left as in max_k_stab; t* = 0 gives None.
-    - N is non-increasing on [0, m(t*)], so a second bisection there finds
-      the least feasible k2, and the answer is (k2 + t*, k2).
+      feasible net t* is one below where N(t, m(t)) < q^n - 1 first fails;
+      t* = 0 gives None.  As the least of q^k2 Bx + q^(n-t-k2) Bz over real
+      k2 is 2 sqrt(q^(n-t) Bx Bz), that is near t = n - log_q(4 Bx Bz), or
+      n - log_q of the ball that is not empty, and the scan starts there.
+    - N is non-increasing on [0, m(t*)], so a second scan there finds the
+      least feasible k2, and the answer is (k2 + t*, k2).  There
+      q^k2 Bx + q^(n-t*-k2) Bz < q^(n-t*) first holds for q^k2 between Bz
+      and 2 Bz, so that scan starts at ceil(log_q Bz).
 
     Each comparison costs about n * q.bit_length() bit operations, so the
     search refuses n times that above SCAN_GUARD, as every bound does.
     """
     check_ranges(q, n, dx, dz)
     _check_scan_size(q, n)
-    balls = ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)
+    bx, bz = balls = ball_sum(n, q, dx - 1), ball_sum(n, q, dz - 1)
     turn = _css_turn(q, n, *balls)
 
     def feasible(t: int, k2: int) -> bool:
         addends, denom = css_lhs_ints(q, n, k2 + t, k2, *balls)
         return sum(addends) < denom
 
-    net = bisect_left(range(1, n + 1), True, key=lambda t: not feasible(t, turn(t)))
+    spread = 4 * bx * bz or bx + bz
+    guess = int(n - math.log(spread, q)) if spread else n
+    net = _first_true(lambda t: not feasible(t, turn(t)), 1, n + 1, guess) - 1
     if net == 0:
         return None
-    k2 = bisect_left(range(turn(net)), True, key=lambda k2: feasible(net, k2))
+    guess = math.ceil(math.log(bz, q)) if bz else 0
+    k2 = _first_true(lambda k2: feasible(net, k2), 0, turn(net), guess)
     return k2 + net, k2

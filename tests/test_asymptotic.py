@@ -240,6 +240,19 @@ def test_hq_inverse_window_branches(monkeypatch, q, y, a_is_0, b_is_dmax, newton
     assert hq_inverse(y, q) == want
 
 
+@pytest.mark.parametrize("q", (2, 3, 5, 16, 251))
+def test_hq_inverse_skips_the_halving_from_dmax(q):
+    # while lo = 0 the bisection halves hi down to the window; _top lands where that loop does
+    constants = asymptotic._constants(q)
+    dmax = constants[0]
+    for y in [10.0**-k for k in range(1, 308)] + [0.3, 0.9, math.nextafter(1.0, 0.0)]:
+        b = asymptotic._window(y, *constants)[1]
+        hi = dmax
+        while hi / 2 > b:
+            hi /= 2
+        assert asymptotic._top(dmax, b) == hi, (q, y)
+
+
 def test_hq_inverse_window_is_whole_where_the_float_slope_is_not_positive():
     # log(q - 1) far too small makes h' < 0 at the first iterate; no q does
     # this, but rounding could at the flat top, next to dmax

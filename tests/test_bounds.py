@@ -1,6 +1,7 @@
 import decimal
 import math
 import random
+from bisect import bisect_left
 from fractions import Fraction
 from itertools import product
 
@@ -18,6 +19,7 @@ from aqgv.bounds import (
     CssBoundQuery,
     StabBoundQuery,
     _css_turn,
+    _first_true,
     ball_sum,
     best_css_params,
     css_gv_lhs,
@@ -405,17 +407,72 @@ def test_css_turn_is_the_first_minimizer_of_the_numerator():
         assert _css_turn(q, n, bx, bz)(t) == first_min, (q, n, t, bx, bz)
 
 
+def count_comparisons(monkeypatch):
+    """Make bounds count its exact comparisons, one per css_lhs_ints or
+    stab_lhs_ints call.  Returns the counter."""
+    calls = [0]
+    for name in ("css_lhs_ints", "stab_lhs_ints"):
+        def counted(*args, _real=getattr(bounds, name)):
+            calls[0] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("n", [200, 6400])
 def test_best_css_params_makes_logarithmically_many_comparisons(n, monkeypatch):
-    calls = []
-
-    def counted(*args):
-        calls.append(args)
-        return css_lhs_ints(*args)
-
-    monkeypatch.setattr(bounds, "css_lhs_ints", counted)
+    calls = count_comparisons(monkeypatch)
     assert best_css_params(n, 2, n // 40, n // 40) is not None
-    assert len(calls) <= 2 * n.bit_length() + 4
+    assert calls[0] <= 2 * n.bit_length() + 4
+    calls[0] = 0
+    assert max_k_stab(n, 2, n // 40, n // 40) is not None
+    assert calls[0] <= 2 * n.bit_length() + 4
+
+
+def test_scans_start_at_their_estimates(monkeypatch):
+    # a bisection of 1..n makes about 10.9 and 6.9 comparisons on this grid;
+    # the closed-form estimates are right or one off nearly everywhere
+    calls = count_comparisons(monkeypatch)
+    cells = [(n, q, dx, dz) for n in range(38, 203) for q in (2, 3) for dx in range(2, 15) for dz in range(2, 15)]
+    for search, mean in ((best_css_params, 4), (max_k_stab, 2.5)):
+        calls[0] = 0
+        for cell in cells:
+            search(*cell)
+        assert calls[0] / len(cells) <= mean, search.__name__
+
+
+@st.composite
+def monotone_predicates(draw):
+    """A range [lo, hi), the x where a monotone predicate on it turns True
+    (hi for never), and a guess anywhere, in the range or out of it."""
+    lo = draw(st.integers(-1000, 1000))
+    hi = lo + draw(st.integers(0, 2000))
+    turn = draw(st.integers(lo, hi))
+    guess = draw(st.one_of(st.integers(lo - 5, hi + 5), st.integers(-10**6, 10**6), st.sampled_from([turn - 1, turn])))
+    return lo, hi, turn, guess
+
+
+@settings(max_examples=500)
+@given(monotone_predicates())
+@example((0, 0, 0, 0))
+@example((5, 6, 6, -10))
+@example((0, 1024, 1024, 0))
+@example((0, 1024, 0, 1023))
+def test_first_true_is_bisect_left_from_any_guess_property(case):
+    lo, hi, turn, guess = case
+    evaluated = []
+
+    def pred(x):
+        assert lo <= x < hi
+        evaluated.append(x)
+        return x >= turn
+
+    want = bisect_left(range(lo, hi), True, key=lambda x: x >= turn) + lo
+    assert _first_true(pred, lo, hi, guess) == want == turn
+    assert len(evaluated) <= 2 * (hi - lo).bit_length() + 3
+    if lo <= guess < hi and guess in (turn - 1, turn):
+        assert len(evaluated) <= 2
 
 
 @st.composite
