@@ -9,9 +9,9 @@ clamp.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Iterable, Sequence, TextIO
 
+from ._value import Value
 from .bounds import is_prime_power
 from .errors import DomainError
 
@@ -219,13 +219,15 @@ def css_rate1_interval(
     return (lo, hi) if lo < hi else None
 
 
-@dataclass(frozen=True)
-class FrontierPoint:
+class FrontierPoint(Value):
     """A point on the delta_z-versus-delta_x tradeoff boundary at rate r."""
 
-    delta_x: float
-    delta_z_max: float
-    r: float
+    __slots__ = _fields = ("delta_x", "delta_z_max", "r")
+
+    def __init__(self, delta_x: float, delta_z_max: float, r: float) -> None:
+        object.__setattr__(self, "delta_x", delta_x)
+        object.__setattr__(self, "delta_z_max", delta_z_max)
+        object.__setattr__(self, "r", r)
 
 
 def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[FrontierPoint]:

@@ -12,9 +12,9 @@ import decimal
 import math
 import sys
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._value import Value
 from .errors import EnumerationSizeError, ParameterRangeError
 
 SCAN_GUARD = 2**30  # n^2 * q.bit_length(): bit operations one bound evaluation or scan may spend
@@ -196,52 +196,52 @@ def check_ranges(q: int, n: int, dx: int, dz: int) -> None:
             raise ParameterRangeError(f"need 1 <= {name} <= n+1, got {d}")
 
 
-@dataclass(frozen=True)
-class CssBoundQuery:
+class CssBoundQuery(Value):
     """Parameters of the nested-pair (CSS) bound."""
 
-    q: int
-    n: int
-    k1: int
-    k2: int
-    dx: int
-    dz: int
+    __slots__ = _fields = ("q", "n", "k1", "k2", "dx", "dz")
 
-    def __post_init__(self) -> None:
-        check_ranges(self.q, self.n, self.dx, self.dz)
-        _check_ints(k1=self.k1, k2=self.k2)
-        if not 0 <= self.k2 <= self.k1 <= self.n:
-            raise ParameterRangeError(
-                f"need 0 <= k2 <= k1 <= n, got k1={self.k1}, k2={self.k2}, n={self.n}"
-            )
+    def __init__(self, q: int, n: int, k1: int, k2: int, dx: int, dz: int) -> None:
+        check_ranges(q, n, dx, dz)
+        _check_ints(k1=k1, k2=k2)
+        if not 0 <= k2 <= k1 <= n:
+            raise ParameterRangeError(f"need 0 <= k2 <= k1 <= n, got k1={k1}, k2={k2}, n={n}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dz", dz)
 
 
-@dataclass(frozen=True)
-class StabBoundQuery:
+class StabBoundQuery(Value):
     """Parameters of the stabilizer bound."""
 
-    q: int
-    n: int
-    k: int
-    dx: int
-    dz: int
+    __slots__ = _fields = ("q", "n", "k", "dx", "dz")
 
-    def __post_init__(self) -> None:
-        check_ranges(self.q, self.n, self.dx, self.dz)
-        _check_ints(k=self.k)
-        if not 0 <= self.k <= self.n:
-            raise ParameterRangeError(f"need 0 <= k <= n, got k={self.k}, n={self.n}")
+    def __init__(self, q: int, n: int, k: int, dx: int, dz: int) -> None:
+        check_ranges(q, n, dx, dz)
+        _check_ints(k=k)
+        if not 0 <= k <= n:
+            raise ParameterRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dz", dz)
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(Value):
     """Exact LHS of a bound with its addends/factors.
 
     ``feasible`` means lhs < 1 strictly; lhs = 1 exactly is infeasible.
     """
 
-    lhs: Fraction
-    terms: tuple[Fraction, ...]
+    __slots__ = _fields = ("lhs", "terms")
+
+    def __init__(self, lhs: Fraction, terms: tuple[Fraction, ...]) -> None:
+        object.__setattr__(self, "lhs", lhs)
+        object.__setattr__(self, "terms", terms)
 
     @property
     def feasible(self) -> bool:
@@ -303,21 +303,38 @@ def _first_true(pred, lo: int, hi: int, guess: int) -> int:
     """The least x in [lo, hi) where pred holds, or hi if it holds nowhere,
     for a pred that is False and then True on the range.
 
-    pred is evaluated first at the guess, clamped into the range, and at the
-    neighbour that settles whether the boundary lies there; only then is the
-    side that remains bisected.  A good guess costs two evaluations and a
-    wrong one at most two more than bisecting [lo, hi) would.
+    pred is evaluated first at the guess x, clamped into the range, and then
+    at steps of 1, 2, 4, ... away from it, toward the boundary and clamped
+    at the range's end, until it flips; only the last gap is bisected.  So
+    a guess that misses the boundary by d costs at most 2 d.bit_length() + 2
+    evaluations, two when the boundary is at x or just above it, and no
+    guess costs more than 2 (hi - lo).bit_length() + 2.
     """
     if lo >= hi:
         return hi
     x = min(max(guess, lo), hi - 1)
-    if pred(x):
+    if pred(x):   # the boundary is at x or below it
         if x == lo or not pred(x - 1):
             return x
-        return bisect_left(range(lo, x - 1), True, key=pred) + lo
-    if x + 1 == hi or pred(x + 1):
-        return x + 1
-    return bisect_left(range(x + 2, hi), True, key=pred) + x + 2
+        hi, step = x - 1, 2
+        while lo < hi:
+            y = x - step if x - step > lo else lo
+            if not pred(y):
+                lo = y + 1
+                break
+            hi, step = y, 2 * step
+    else:   # the boundary is above x
+        if x + 1 == hi or pred(x + 1):
+            return x + 1
+        lo, step = x + 2, 2
+        while lo < hi:
+            y = x + step if x + step < hi else hi - 1
+            if pred(y):
+                hi = y
+                break
+            lo, step = y + 1, 2 * step
+    # the boundary lies in [lo, hi]: only that last gap is bisected
+    return lo if lo == hi else bisect_left(range(lo, hi), True, key=pred) + lo
 
 
 def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:

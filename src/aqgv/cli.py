@@ -27,18 +27,25 @@ import argparse
 import decimal
 import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import bounds
+from ._value import Value
 from .errors import AqgvError
 
 
-@dataclass
-class CommandResult:
-    status: str  # ok | infeasible | not_found | error
-    payload: dict
-    exit_code: int
+class CommandResult(Value):
+    """What one command did; unlike aqgv's other values, it is mutable and
+    so unhashable."""
+
+    __slots__ = _fields = ("status", "payload", "exit_code")
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, status: str, payload: dict, exit_code: int) -> None:
+        self.status = status  # ok | infeasible | not_found | error
+        self.payload = payload
+        self.exit_code = exit_code
 
 
 class _Parser(argparse.ArgumentParser):

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate, chain, combinations, islice, product
 from pathlib import Path
 from random import Random
@@ -50,6 +49,7 @@ from .bounds import (
     css_lhs_ints,
     gaussian_binomial,
 )
+from ._value import Value
 from .errors import InputShapeError, ParameterRangeError
 from .fields import GF, Packing, Subspace, Vec, draw, inverse
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
@@ -62,18 +62,18 @@ COSET_GUARD = 2**26         # vectors (and collisions) one walk builds as it goe
                             # span over every C1 and every A
 
 
-@dataclass(frozen=True)
-class NestedPair:
+class NestedPair(Value):
     """A nested pair C2 <= C1 of codes in GF(q)^n (the CSS ingredient)."""
 
-    c1: Subspace
-    c2: Subspace
+    __slots__ = _fields = ("c1", "c2")
 
-    def __post_init__(self) -> None:
-        if self.c1.field != self.c2.field or self.c1.ambient_dim != self.c2.ambient_dim:
+    def __init__(self, c1: Subspace, c2: Subspace) -> None:
+        if c1.field != c2.field or c1.ambient_dim != c2.ambient_dim:
             raise InputShapeError("C1 and C2 must share field and length")
-        if not self.c1.contains_space(self.c2):
+        if not c1.contains_space(c2):
             raise InputShapeError("C2 must be a subspace of C1")
+        object.__setattr__(self, "c1", c1)
+        object.__setattr__(self, "c2", c2)
 
     @property
     def n(self) -> int:
@@ -84,19 +84,19 @@ class NestedPair:
         return self.c1.field.p
 
 
-@dataclass(frozen=True)
-class IsotropicCode:
+class IsotropicCode(Value):
     """A symplectic self-orthogonal subspace of GF(q)^{2n}: an [[n, k]]_q
     stabilizer code with k = n - dim."""
 
-    c: Subspace
+    __slots__ = _fields = ("c",)
 
-    def __post_init__(self) -> None:
-        if self.c.ambient_dim != 2 * self.n:
+    def __init__(self, c: Subspace) -> None:
+        object.__setattr__(self, "c", c)
+        if c.ambient_dim != 2 * self.n:
             raise InputShapeError("stabilizer space needs an even ambient dimension")
-        rows = self.c.packed
+        rows = c.packed
         if rows:   # no Packing without generators, whose n may be huge
-            packing = self.c.packing
+            packing = c.packing
             if any(any(packing.products(packing.twist(u), rows[i + 1:])) for i, u in enumerate(rows)):
                 raise InputShapeError("generators are not symplectic self-orthogonal")
 
@@ -113,29 +113,34 @@ class IsotropicCode:
         return self.c.field.p
 
 
-@dataclass(frozen=True)
-class DistancePair:
+class DistancePair(Value):
     """Minimum undetectable weights; None means the undetectable set is empty."""
 
-    dx: int | None
-    dz: int | None
+    __slots__ = _fields = ("dx", "dz")
+
+    def __init__(self, dx: int | None, dz: int | None) -> None:
+        object.__setattr__(self, "dx", dx)
+        object.__setattr__(self, "dz", dz)
 
     def meets(self, dx: int, dz: int) -> bool:
         """Whether the code qualifies at design distances (dx, dz)."""
         return (self.dx is None or self.dx >= dx) and (self.dz is None or self.dz >= dz)
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
+class EnumerationReport(Value):
     """Exact tallies over every nested pair with the given dimensions."""
 
-    q: int
-    n: int
-    k1: int
-    k2: int
-    total_pairs: int
-    per_error_x: Mapping[Vec, int]
-    per_error_z: Mapping[Vec, int]
+    __slots__ = _fields = ("q", "n", "k1", "k2", "total_pairs", "per_error_x", "per_error_z")
+
+    def __init__(self, q: int, n: int, k1: int, k2: int, total_pairs: int,
+                 per_error_x: Mapping[Vec, int], per_error_z: Mapping[Vec, int]) -> None:
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "k1", k1)
+        object.__setattr__(self, "k2", k2)
+        object.__setattr__(self, "total_pairs", total_pairs)
+        object.__setattr__(self, "per_error_x", per_error_x)
+        object.__setattr__(self, "per_error_z", per_error_z)
 
     def expected_counts(self) -> tuple[int, int]:
         """Per-error counts implied by the counting identities (exact): the
@@ -458,15 +463,18 @@ def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:
     return IsotropicCode(c=Subspace.from_packed(field, m, gens))
 
 
-@dataclass(frozen=True)
-class SearchHit:
+class SearchHit(Value):
     """A verified witness: the code, its verified distances (for stabilizer
     witnesses the requested profile, verified as met), and the 1-based
     trial that produced it."""
 
-    code: Union[NestedPair, IsotropicCode]
-    distances: DistancePair
-    trial_index: int
+    __slots__ = _fields = ("code", "distances", "trial_index")
+
+    def __init__(self, code: Union[NestedPair, IsotropicCode], distances: DistancePair,
+                 trial_index: int) -> None:
+        object.__setattr__(self, "code", code)
+        object.__setattr__(self, "distances", distances)
+        object.__setattr__(self, "trial_index", trial_index)
 
 
 def derive_trial_seed(seed: int, trial: int) -> int:

@@ -5,8 +5,10 @@ modules reduce nothing mod p and place no coordinate in a packed int.
 Vectors in the API are plain tuples of residues in ``[0, p)``.  Building a
 subspace makes its rows canonical: it is held in reduced row-echelon form,
 so two equal subspaces compare equal structurally and can be used as dict
-keys.  Everything is immutable and pure; sizes are desk scale (ambient
-dimension up to a few thousand, as in a search at n = 2100 over GF(41)).
+keys.  GF and Subspace are frozen slotted values (assigning or deleting an
+attribute raises AttributeError) and the functions are pure; sizes are desk
+scale (ambient dimension up to a few thousand, as in a search at n = 2100
+over GF(41)).
 
 Row work does not use tuples: :class:`Packing` packs each vector into one
 Python int, a fixed-width bit field per coordinate, with its syndrome under
@@ -21,14 +23,13 @@ that one ``randrange`` per entry would give, and build their codes packed.
 
 from __future__ import annotations
 
-import dataclasses
-from dataclasses import dataclass
 from functools import lru_cache, reduce
 from itertools import chain, compress
 from operator import xor
 from random import Random
 from typing import Callable, Iterator, Sequence
 
+from ._value import Value
 from .errors import InputShapeError, UnsupportedFieldError
 
 MAX_PRIME = 251
@@ -37,18 +38,18 @@ SPAN_CHUNK = 1 << 16   # packed vectors one list of Packing.levels holds (or p -
 Vec = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class GF:
+class GF(Value):
     """A prime field GF(p), 2 <= p <= 251."""
 
-    p: int
+    __slots__ = _fields = ("p",)
 
-    def __post_init__(self) -> None:
-        p = self.p  # range first: trial division below MAX_PRIME is instant
+    def __init__(self, p: int) -> None:
+        # range first: trial division below MAX_PRIME is instant
         if not isinstance(p, int) or not 2 <= p <= MAX_PRIME or any(p % d == 0 for d in range(2, p)):
             raise UnsupportedFieldError(
                 f"field order must be a prime in [2, {MAX_PRIME}], got {p!r}"
             )
+        object.__setattr__(self, "p", p)
 
 
 def weight(v: Sequence[int]) -> int:
@@ -397,8 +398,7 @@ def _rref(packing: Packing, rows: Sequence[int]) -> tuple[
     return tuple(map(packing.unpack, packed)), tuple(columns), packed, (marks, pivots)
 
 
-@dataclass(frozen=True)
-class Subspace:
+class Subspace(Value):
     """A linear code C <= GF(p)^n, held in its canonical RREF basis.
 
     Construction makes the rows canonical: ``Subspace(field, n, rows)``
@@ -407,21 +407,21 @@ class Subspace:
     So equality is structural: two Subspace values represent the same
     space iff they are equal.  The same rows, packed by ``packing``, are
     kept as ``packed``, and by pivot column in ``_table`` (``_rref``).
+    Those attributes, ``pivot_cols`` and the parity-check rows ``_parity``
+    are derived from the basis: slots outside ``_fields``, so no argument,
+    comparison, hash or repr reads them.
     """
 
-    field: GF
-    ambient_dim: int
-    basis: tuple[Vec, ...]
-    pivot_cols: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    packed: tuple[int, ...] = dataclasses.field(init=False, repr=False, compare=False)
-    _table: tuple[int, dict[int, int]] = dataclasses.field(init=False, repr=False, compare=False)
-    _parity: tuple[int, ...] | None = dataclasses.field(init=False, repr=False, compare=False)
+    _fields = ("field", "ambient_dim", "basis")
+    __slots__ = (*_fields, "pivot_cols", "packed", "_table", "_parity")
 
-    def __post_init__(self) -> None:
-        n = self.ambient_dim
+    def __init__(self, field: GF, ambient_dim: int, basis: Sequence[Sequence[int]]) -> None:
+        object.__setattr__(self, "field", field)
+        object.__setattr__(self, "ambient_dim", ambient_dim)
+        n = ambient_dim
         if type(n) is not int or n < 0:   # type, not isinstance: bool is refused too
             raise InputShapeError(f"ambient dimension must be an integer >= 0, got {n!r}")
-        rows = [list(row) for row in self.basis]
+        rows = [list(row) for row in basis]
         for row in rows:
             if len(row) != n:
                 raise InputShapeError(f"row length {len(row)} differs from ambient dimension {n}")

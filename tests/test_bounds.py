@@ -476,6 +476,58 @@ def test_first_true_is_bisect_left_from_any_guess_property(case):
 
 
 @st.composite
+def in_range_guesses(draw):
+    """A non-empty range [lo, hi), the x where a monotone predicate on it
+    turns True (hi for never), and a guess in the range."""
+    lo = draw(st.integers(-1000, 1000))
+    hi = lo + draw(st.integers(1, 2000))
+    return lo, hi, draw(st.integers(lo, hi)), draw(st.integers(lo, hi - 1))
+
+
+@settings(max_examples=500)
+@given(in_range_guesses())
+@example((0, 1, 0, 0))
+@example((0, 1, 1, 0))
+@example((0, 2000, 2000, 0))
+@example((0, 2000, 0, 1999))
+@example((0, 2000, 1000, 1001))
+def test_first_true_costs_grow_with_the_distance_of_the_guess_property(case):
+    lo, hi, turn, guess = case
+    evaluated = []
+
+    def pred(x):
+        evaluated.append(x)
+        return x >= turn
+
+    assert _first_true(pred, lo, hi, guess) == turn
+    assert len(evaluated) <= 2 * abs(guess - turn).bit_length() + 2
+
+
+def test_scans_that_guess_near_the_boundary_make_three_evaluations(monkeypatch):
+    # (38, 2, 2, 10): the net scan guesses 2 where the first infeasible net
+    # is 4.  (63, 2, 2, 3): Bz / Bx = 2016 / 63 = 2^5, and _css_turn's float
+    # estimate of the exponent is 6.  A bisection of the side that remains
+    # took 8 and 5.
+    costs = []
+
+    def counted(pred, lo, hi, guess):
+        costs.append(0)
+
+        def counted_pred(x):
+            costs[-1] += 1
+            return pred(x)
+
+        return _first_true(counted_pred, lo, hi, guess)
+
+    monkeypatch.setattr(bounds, "_first_true", counted)
+    assert best_css_params(38, 2, 2, 10) == (32, 29)
+    assert costs[1] == 3   # costs[0] is _css_turn's, costs[2] the k2 scan's
+    costs.clear()
+    assert best_css_params(63, 2, 2, 3) == (56, 12)
+    assert costs[0] == 3
+
+
+@st.composite
 def scan_rows(draw):
     """(q, n, dx, dz) with n <= 30; each distance is drawn as 1 (empty
     ball), n+1 (every nonzero vector, so nothing is feasible when k1 > k2

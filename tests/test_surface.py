@@ -8,20 +8,27 @@ hooks installed and removed on the live package, so deleting a name it
 patches fails here rather than in the benchmark.  The benchmark's reference
 code, which checks every benchmark output, has its own tests; they run here
 too, as the standalone script they are.  And ``codesearch`` does no GF(p)
-arithmetic and reads no packed layout: those stay behind ``fields``.
+arithmetic and reads no packed layout: those stay behind ``fields``.  The
+value classes behave as frozen, compared-by-field values (``CommandResult``
+as a mutable one), and no module imports ``dataclasses``, whose import
+takes ``inspect`` and ``ast`` into every cold command.
 """
 
 import ast
+import copy
 import importlib.util
 import os
+import pickle
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 import aqgv
+from aqgv.cli import CommandResult
 
 PUBLIC_NAMES = [
     "BoundReport",
@@ -136,4 +143,82 @@ def test_codesearch_leaves_field_arithmetic_and_packed_layout_to_fields():
             found.append((node.id, node.lineno))
         elif isinstance(node, ast.alias) and node.name in ("symplectic_twist", "mul"):
             found.append((node.name, node.lineno))
+    assert found == []
+
+
+F2 = aqgv.GF(2)
+PAIR = aqgv.NestedPair(aqgv.Subspace(F2, 2, [[1, 0], [0, 1]]), aqgv.Subspace(F2, 2, [[1, 1]]))
+PAIR_REPR = ("NestedPair(c1=Subspace(field=GF(p=2), ambient_dim=2, basis=((1, 0), (0, 1))), "
+             "c2=Subspace(field=GF(p=2), ambient_dim=2, basis=((1, 1),)))")
+VALUES = [   # class, its fields in order, repr, frozen, hashable
+    (aqgv.GF, dict(p=3), "GF(p=3)", True, True),
+    (aqgv.Subspace, dict(field=F2, ambient_dim=3, basis=((1, 0, 1),)),
+     "Subspace(field=GF(p=2), ambient_dim=3, basis=((1, 0, 1),))", True, True),
+    (aqgv.CssBoundQuery, dict(q=2, n=12, k1=7, k2=5, dx=2, dz=2),
+     "CssBoundQuery(q=2, n=12, k1=7, k2=5, dx=2, dz=2)", True, True),
+    (aqgv.StabBoundQuery, dict(q=2, n=10, k=3, dx=2, dz=2), "StabBoundQuery(q=2, n=10, k=3, dx=2, dz=2)",
+     True, True),
+    (aqgv.BoundReport, dict(lhs=Fraction(1, 2), terms=(Fraction(1, 4), Fraction(1, 4))),
+     "BoundReport(lhs=Fraction(1, 2), terms=(Fraction(1, 4), Fraction(1, 4)))", True, True),
+    (aqgv.FrontierPoint, dict(delta_x=0.1, delta_z_max=0.25, r=0.5),
+     "FrontierPoint(delta_x=0.1, delta_z_max=0.25, r=0.5)", True, True),
+    (aqgv.NestedPair, dict(c1=PAIR.c1, c2=PAIR.c2), PAIR_REPR, True, True),
+    (aqgv.IsotropicCode, dict(c=aqgv.Subspace(F2, 2, [[1, 0]])),
+     "IsotropicCode(c=Subspace(field=GF(p=2), ambient_dim=2, basis=((1, 0),)))", True, True),
+    (aqgv.DistancePair, dict(dx=2, dz=None), "DistancePair(dx=2, dz=None)", True, True),
+    (aqgv.EnumerationReport, dict(q=2, n=1, k1=1, k2=0, total_pairs=1, per_error_x={(1,): 1},
+                                  per_error_z={(1,): 0}),
+     "EnumerationReport(q=2, n=1, k1=1, k2=0, total_pairs=1, per_error_x={(1,): 1}, per_error_z={(1,): 0})",
+     True, False),
+    (aqgv.SearchHit, dict(code=PAIR, distances=aqgv.DistancePair(2, 1), trial_index=4),
+     f"SearchHit(code={PAIR_REPR}, distances=DistancePair(dx=2, dz=1), trial_index=4)", True, True),
+    (CommandResult, dict(status="ok", payload={"lhs": "1/2"}, exit_code=0),
+     "CommandResult(status='ok', payload={'lhs': '1/2'}, exit_code=0)", False, False),
+]
+
+
+@pytest.mark.parametrize("cls, fields, shown, frozen, hashable", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_classes_construct_compare_show_copy_and_freeze(cls, fields, shown, frozen, hashable):
+    args = list(fields.values())
+    value = cls(**fields)
+    assert cls(*args) == value and not cls(*args) != value
+    assert repr(value) == shown
+    with pytest.raises(TypeError):
+        cls(*args[:-1])
+    with pytest.raises(TypeError):
+        cls(*args, nope=1)
+    with pytest.raises(TypeError):
+        cls(*args, **{next(iter(fields)): args[0]})
+    # equal only to a value of its own class: not to its fields, nor to a subclass's value
+    twin = type("Twin", (cls,), {"__slots__": ()})
+    assert value != tuple(args) and value != twin(*args) and twin(*args) != value
+    if hashable:
+        assert hash(value) == hash(cls(*args))
+    else:
+        with pytest.raises(TypeError):
+            hash(value)
+    for copied in (copy.deepcopy(value), pickle.loads(pickle.dumps(value))):
+        assert type(copied) is cls and copied == value and repr(copied) == shown
+    name = next(reversed(fields))
+    if frozen:
+        with pytest.raises(AttributeError):
+            setattr(value, name, args[-1])
+        with pytest.raises(AttributeError):
+            delattr(value, name)
+        assert value == cls(*args)
+    else:
+        setattr(value, name, 7)
+        assert getattr(value, name) == 7 and value != cls(*args)
+        delattr(value, name)
+        assert not hasattr(value, name)
+
+
+def test_no_module_imports_dataclasses():
+    found = []
+    for path in sorted(Path(aqgv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                found += [(path.name, alias.name) for alias in node.names if alias.name.split(".")[0] == "dataclasses"]
+            elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
+                found.append((path.name, node.module))
     assert found == []
