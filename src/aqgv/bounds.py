@@ -303,38 +303,22 @@ def _first_true(pred, lo: int, hi: int, guess: int) -> int:
     """The least x in [lo, hi) where pred holds, or hi if it holds nowhere,
     for a pred that is False and then True on the range.
 
-    pred is evaluated first at the guess x, clamped into the range, and then
-    at steps of 1, 2, 4, ... away from it, toward the boundary and clamped
-    at the range's end, until it flips; only the last gap is bisected.  So
-    a guess that misses the boundary by d costs at most 2 d.bit_length() + 2
-    evaluations, two when the boundary is at x or just above it, and no
-    guess costs more than 2 (hi - lo).bit_length() + 2.
+    pred is evaluated first at the guess, clamped into the range, and at the
+    neighbour that settles whether the boundary lies there; only then is the
+    side that remains bisected.  A good guess costs two evaluations and a
+    wrong one at most two more than bisecting [lo, hi) would, so no guess
+    costs more than (hi - lo).bit_length() + 2.
     """
     if lo >= hi:
         return hi
     x = min(max(guess, lo), hi - 1)
-    if pred(x):   # the boundary is at x or below it
+    if pred(x):
         if x == lo or not pred(x - 1):
             return x
-        hi, step = x - 1, 2
-        while lo < hi:
-            y = x - step if x - step > lo else lo
-            if not pred(y):
-                lo = y + 1
-                break
-            hi, step = y, 2 * step
-    else:   # the boundary is above x
-        if x + 1 == hi or pred(x + 1):
-            return x + 1
-        lo, step = x + 2, 2
-        while lo < hi:
-            y = x + step if x + step < hi else hi - 1
-            if pred(y):
-                hi = y
-                break
-            lo, step = y + 1, 2 * step
-    # the boundary lies in [lo, hi]: only that last gap is bisected
-    return lo if lo == hi else bisect_left(range(lo, hi), True, key=pred) + lo
+        return bisect_left(range(lo, x - 1), True, key=pred) + lo
+    if x + 1 == hi or pred(x + 1):
+        return x + 1
+    return bisect_left(range(x + 2, hi), True, key=pred) + x + 2
 
 
 def max_k_stab(n: int, q: int, dx: int, dz: int) -> int | None:

@@ -35,17 +35,14 @@ from .errors import AqgvError
 
 
 class CommandResult(Value):
-    """What one command did; unlike aqgv's other values, it is mutable and
-    so unhashable."""
+    """What one command did."""
 
     __slots__ = _fields = ("status", "payload", "exit_code")
-    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
-    __hash__ = None
 
     def __init__(self, status: str, payload: dict, exit_code: int) -> None:
-        self.status = status  # ok | infeasible | not_found | error
-        self.payload = payload
-        self.exit_code = exit_code
+        object.__setattr__(self, "status", status)  # ok | infeasible | not_found | error
+        object.__setattr__(self, "payload", payload)
+        object.__setattr__(self, "exit_code", exit_code)
 
 
 class _Parser(argparse.ArgumentParser):

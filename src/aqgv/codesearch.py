@@ -298,10 +298,11 @@ def css_distances(pair: NestedPair) -> DistancePair:
     the module doc and no elimination."""
     c1, c2, q, n = pair.c1, pair.c2, pair.q, pair.n
     _guard((n - c2.dim) * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
-    free2 = [f for f in range(n) if f not in c2.pivot_cols]   # one parity-check row of C2 each
-    c2_parity = c2.parity_rows                                # systematic on free2
-    at_n1 = [row for row, j in zip(c1.packed, c1.pivot_cols) if j not in c2.pivot_cols]
-    at_n2 = [row for row, f in zip(c2_parity, free2) if f in c1.pivot_cols]
+    pivots1, pivots2 = set(c1.pivot_cols), set(c2.pivot_cols)
+    free2 = [f for f in range(n) if f not in pivots2]   # one parity-check row of C2 each
+    c2_parity = c2.parity_rows                          # systematic on free2
+    at_n1 = [row for row, j in zip(c1.packed, c1.pivot_cols) if j not in pivots2]
+    at_n2 = [row for row, f in zip(c2_parity, free2) if f in pivots1]
     return DistancePair(dx=_min_weight_failing(q, n, c1.packed, at_n2),
                         dz=_min_weight_failing(q, n, c2_parity, at_n1))
 
@@ -363,8 +364,9 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     n, q, k, s = code.n, code.q, code.k, code.c
     _guard((n + k) * 2 * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
     dual = s.symplectic_dual()   # twists s.parity_rows, which the checks below reuse
-    free = [f for f in range(2 * n) if f not in s.pivot_cols]   # one parity-check row of S each
-    at_n = [row for row, f in zip(s.parity_rows, free) if f in dual.pivot_cols]
+    pivots, dual_pivots = set(s.pivot_cols), set(dual.pivot_cols)
+    free = [f for f in range(2 * n) if f not in pivots]   # one parity-check row of S each
+    at_n = [row for row, f in zip(s.parity_rows, free) if f in dual_pivots]
     half = Packing(q, n)
     x_half = sum(half.supports(half.units()))   # the support bits of ex
     least_wz = [n + 1] * (n + 1)   # n + 1: no undetectable error with that wx

@@ -211,8 +211,6 @@ class Packing:
         """c * v in GF(p), for c in [0, p), by doubling and adding."""
         if c < 2:
             return v if c else 0
-        if c == self.p - 1:
-            return self.neg(v)
         out, add = v, self.add
         for bit in bin(c)[3:]:   # below the top bit
             out = add(out, out)
@@ -494,8 +492,7 @@ class Subspace(Value):
         built once: a basis of the dual, systematic on the free columns."""
         if self._parity is None:
             rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
-            # no Packing is built for no rows: a full space's may be a million fields wide
-            object.__setattr__(self, "_parity", tuple(self.packing.rows(rows)) if rows else ())
+            object.__setattr__(self, "_parity", tuple(self.packing.rows(rows)))
         return self._parity
 
     def dual(self) -> "Subspace":
@@ -507,5 +504,4 @@ class Subspace(Value):
         is spanned by the twists (``Packing.twist``) of dual()'s rows."""
         if self.ambient_dim % 2:
             raise InputShapeError("symplectic dual needs an even ambient dimension")
-        rows = self.parity_rows
-        return Subspace.from_packed(self.field, self.ambient_dim, list(map(self.packing.twist, rows)) if rows else [])
+        return Subspace.from_packed(self.field, self.ambient_dim, list(map(self.packing.twist, self.parity_rows)))
