@@ -20,7 +20,10 @@ C2-dual \\ C1-dual is the same set of the dual pair (C2-dual, C1-dual).
 css_distances reads the rows at N as membership tests: x in C1 is in C2 iff
 C2's parity-check rows at N vanish on it, and z in C2-dual is in C1-dual
 iff C1's rows at N do; stab_profile_matrix reads the nested pair S <= S-dual
-the same way.
+the same way.  Weight and membership do not change under a nonzero scalar,
+so these walks, and the bit ball of a profile check, take one vector per
+scalar class: the combinations whose first nonzero coefficient is 1, a
+(q - 1)-th of the vectors.
 
 All enumerations are guarded; this module is for desk-scale verification,
 not scalability.  Its GF(p) arithmetic and packed layout are all in fields:
@@ -258,11 +261,15 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
 
 
 def _failing_levels(q: int, n: int, rows: Sequence[int], checks: Sequence[int]) -> Iterator[Iterator[list[int]]]:
-    """Level i = 1, 2, ... of packed ``rows`` (Packing.levels: i nonzero coefficients),
-    list by list, as the supports of its vectors that fail a packed check (none
-    without checks).  Systematic rows, an identity on an information set,
-    make a level-i vector weigh at least i.  Nothing of a level is built
-    before its first list is asked for; past COSET_GUARD built, the walk refuses."""
+    """Level i = 1, 2, ... of packed ``rows``, one vector per scalar class
+    (Packing.levels with classes: i nonzero coefficients, the first of them
+    1), list by list, as the supports of its vectors that fail a packed check
+    (none without checks).  A nonzero multiple of a vector has its weight and
+    fails the same checks, so the classes give every weight and verdict the
+    whole level would, at 1/(q - 1) of its vectors.  Systematic rows, an
+    identity on an information set, make a level-i vector weigh at least i.
+    Nothing of a level is built before its first list is asked for; past
+    COSET_GUARD built (class vectors), the walk refuses."""
     packing, walked = Packing(q, n, checks), 0   # walked: vectors built
 
     def failing(level: Iterator[list[int]]) -> Iterator[list[int]]:
@@ -272,14 +279,17 @@ def _failing_levels(q: int, n: int, rows: Sequence[int], checks: Sequence[int]) 
             _guard(walked, COSET_GUARD, "{} walked vectors exceeds the guard of {}")
             yield packing.failing(chunk)
 
-    return map(failing, packing.levels(packing.checked(rows)) if checks else ())
+    return map(failing, packing.levels(packing.checked(rows), classes=True) if checks else ())
 
 
 def _min_weight_failing(q: int, n: int, rows: Sequence[int], checks: Sequence[int]) -> int | None:
     """Least weight over span(rows) \\ {x : checks.x = 0}, or None when no
-    vector of the span fails a check.  The walk stops once the best weight
-    found is <= i: no vector of level i or later can beat it (Brouwer's
-    bound, with one information set)."""
+    vector of the span fails a check.  The walk takes one vector per scalar
+    class (_failing_levels): weight and check failure do not change under a
+    nonzero scalar, so each class's least weight is its one vector's.  The
+    walk stops once the best weight found is <= i: no vector of level i or
+    later can beat it, as a class vector of level i still weighs at least i
+    (Brouwer's bound, with one information set)."""
     best = n + 1   # heavier than any vector
     for i, level in enumerate(_failing_levels(q, n, rows, checks), 1):
         if best <= i:
@@ -317,9 +327,12 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     The balls are {0} and the first levels of the unit rows of a Packing,
     checked by b for bit errors and by a for phase errors; they are joined on
     syndrome, and only collisions (pairs whose sum lies in S-dual) are tested
-    for membership in S.  The phase ball, held in a dict, and the unit rows
-    are guarded by PROFILE_GUARD up front; the bit ball and the collisions
-    are counted against COSET_GUARD as they are walked."""
+    for membership in S.  The bit errors ex != 0 are walked one per scalar
+    class (Packing.levels with classes): (ex|ez) and l(ex|ez) are detected
+    together, and every l.ez is in the full phase ball.  The phase ball,
+    held in a dict, and the unit rows are guarded by PROFILE_GUARD up front;
+    the bit ball's classes and the collisions are counted against
+    COSET_GUARD as they are walked."""
     n, q = code.n, code.q
     check_ranges(q, n, dx, dz)
     if dx == dz == 1:
@@ -334,7 +347,7 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     for ez in chain.from_iterable(chain([[0]], *islice(phase.levels(phase.units()), dz - 1))):
         phase_by_syndrome.setdefault(syndrome(ez), []).append(ez)
     walked, message = 0, "{} bit errors and collisions exceeds the guard of {}"
-    for chunk in chain([[0]], *islice(bit.levels(bit.units()), dx - 1)):
+    for chunk in chain([[0]], *islice(bit.levels(bit.units(), classes=True), dx - 1)):
         walked += len(chunk)
         _guard(walked, COSET_GUARD, message)
         for ex in chunk:
@@ -358,9 +371,11 @@ def stab_profile_matrix(code: IsotropicCode) -> list[list[bool]]:
     The walk keeps, for each bit weight wx, the least phase weight of an
     undetectable (ex|ez) with wt(ex) = wx.  The profile (dx, dz) fails
     exactly when some wx <= dx-1 has that least weight <= dz-1, so row wx
-    of the matrix is read off a prefix minimum, its cap.  An error of level
-    i or later weighs wx + wz >= i, so the walk stops once wx + cap <= i for
-    every wx whose cap is above 0: no such error lowers a cap."""
+    of the matrix is read off a prefix minimum, its cap.  The walk takes one
+    error per scalar class (_failing_levels), which has the wx and wz of
+    every multiple.  An error of level i or later weighs wx + wz >= i, so
+    the walk stops once wx + cap <= i for every wx whose cap is above 0: no
+    such error lowers a cap."""
     n, q, k, s = code.n, code.q, code.k, code.c
     _guard((n + k) * 2 * n, PROFILE_GUARD, "{} parity-check entries exceeds the guard of {}")
     dual = s.symplectic_dual()   # twists s.parity_rows, which the checks below reuse

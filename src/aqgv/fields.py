@@ -298,55 +298,67 @@ class Packing:
                 out.extend(block)
         return out
 
-    def levels(self, rows: Sequence[int]) -> Iterator[Iterator[list[int]]]:
+    def levels(self, rows: Sequence[int], classes: bool = False) -> Iterator[Iterator[list[int]]]:
         """For i = 1, ..., len(rows), the combinations of ``rows`` with exactly
         i nonzero coefficients, in lists of at most max(SPAN_CHUNK, p - 1)
         vectors; nothing of a level is built before its first list is asked for.
+        With ``classes``, one combination per scalar class: those whose first
+        nonzero coefficient is 1, 1/(p - 1) of each level (all of it at p = 2).
 
         The rows are cut into blocks whose spans fit in SPAN_CHUNK (one row
         at least), and each block keeps its own levels.  Level i joins level
         w >= 1 of the first block j that a combination uses with level i - w
-        of the blocks after j, so the join is at most i deep.  One vector of
-        the shorter list shifts the whole longer list: each list is at most
-        as long as one of its sides, and each joined vector costs one add."""
+        of the blocks after j, so the join is at most i deep; only block j
+        holds the first nonzero coefficient, so only its levels are taken by
+        class.  One vector of the shorter list shifts the whole longer list:
+        each list is at most as long as one of its sides, and each joined
+        vector costs one add."""
         size = 1   # rows per block
         while self.p ** (size + 1) <= SPAN_CHUNK:
             size += 1
-        blocks = [_BlockLevels(self, rows[start:start + size]) for start in range(0, len(rows), size)]
-        return (self._joined_level(blocks, i) for i in range(1, len(rows) + 1))
+        cuts = [rows[start:start + size] for start in range(0, len(rows), size)]
+        blocks = [_BlockLevels(self, cut) for cut in cuts]
+        firsts = [_BlockLevels(self, cut, classes=True) for cut in cuts] if classes and self.p > 2 else blocks
+        return (self._joined_level(firsts, blocks, i) for i in range(1, len(rows) + 1))
 
-    def _joined_level(self, blocks: list[_BlockLevels], i: int, start: int = 0) -> Iterator[list[int]]:
+    def _joined_level(self, firsts: list[_BlockLevels], blocks: list[_BlockLevels], i: int,
+                      start: int = 0) -> Iterator[list[int]]:
         # last block first: block weights in lexicographic order, which decides where a walk stops
         for j in reversed(range(start, len(blocks))):
             for w in range(1, min(i, len(blocks[j].rows)) + 1):
-                inner = blocks[j].level(w)
+                inner = firsts[j].level(w)
                 if w == i:
                     yield inner
                     continue
-                for outer in self._joined_level(blocks, i - w, j + 1):
+                for outer in self._joined_level(blocks, blocks, i - w, j + 1):
                     short, long = sorted((inner, outer), key=len)
                     for v in short:
                         yield self.shifted(v, long)
 
 
 class _BlockLevels:
-    """The levels of one block of rows, each built once, on first use.
+    """The levels of one block of rows, each built once, on first use; with
+    ``classes``, the combinations whose first nonzero coefficient is 1.
 
     Level w is ordered by the last row each vector uses, so the vectors of
     level w - 1 that use no row from j on are a prefix of it; level w's
     vectors that end in row j are that prefix shifted by each nonzero
-    multiple of row j, one packed add per vector."""
+    multiple of row j, one packed add per vector.  Level 1 of the classes
+    is the rows themselves, one multiple each, and the later levels recurse
+    the same way: each vector's first coefficient stays the 1 it began with."""
 
-    def __init__(self, packing: Packing, rows: Sequence[int]):
+    def __init__(self, packing: Packing, rows: Sequence[int], classes: bool = False):
         self.packing = packing
         self.rows = rows
         self._levels = [[0]]
         self._ends = [1] * len(rows)   # per row j, the last level's vectors that use no row >= j
+        self._first = 1 if classes else packing.p - 1   # multiples of each row at level 1
 
     def level(self, w: int) -> list[int]:
-        shifted, multiples = self.packing.shifted, range(self.packing.p - 1)
+        shifted, p = self.packing.shifted, self.packing.p
         while len(self._levels) <= w:
             prev, level, ends = self._levels[-1], [], []
+            multiples = range(self._first if len(self._levels) == 1 else p - 1)
             for row, end in zip(self.rows, self._ends):
                 ends.append(len(level))
                 block = prev[:end]

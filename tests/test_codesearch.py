@@ -482,8 +482,8 @@ def test_distance_walk_stops_at_the_first_list_past_its_guard():
         lengths.append(len(chunk))
         return chunk
 
-    def recorded_levels(self, rows):
-        return (map(record, level) for level in levels(self, rows))
+    def recorded_levels(self, rows, **classes):
+        return (map(record, level) for level in levels(self, rows, **classes))
 
     with mock.patch.object(fields, "SPAN_CHUNK", 27), \
             mock.patch.object(Packing, "levels", recorded_levels), \
@@ -549,21 +549,29 @@ def test_css_distances_run_no_coset_walk(q, n, k1, k2, seed):
 
 
 def test_css_distances_stop_at_the_information_set_bound():
-    # At the witness workload's median set the walk visits q^k1 + q^(n-k2)
-    # minus q^k2 + q^(n-k1) vectors, over 6,500; rising weight stops at the
-    # distances, within a tenth of q^k1.
+    # At the witness workload's median set the walk's difference sets hold
+    # q^k1 + q^(n-k2) minus q^k2 + q^(n-k1) vectors, 4,536; rising weight
+    # stops at the distances, and one vector per scalar class halves what is
+    # built: 129, against 258 with full levels.
     pair = random_nested_pair(12, 3, 8, 7, derive_trial_seed(1, 1))
     expected = walk_oracle(pair)
-    shifted, built = Packing.shifted, []
+    shifted, levels, built = Packing.shifted, Packing.levels, []
 
     def counted(self, r, vs):
         out = shifted(self, r, vs)
         built.append(len(out))
         return out
 
+    def full_levels(self, rows, classes):
+        return levels(self, rows)
+
     with mock.patch.object(Packing, "shifted", counted):
         assert css_distances(pair) == expected
-    assert sum(built) <= 3**8 // 10
+        assert sum(built) == 129
+        built.clear()
+        with mock.patch.object(Packing, "levels", full_levels):
+            assert css_distances(pair) == expected
+        assert sum(built) == 258
 
 
 @pytest.mark.parametrize("c1_rows,c2_rows,expected", [
@@ -594,8 +602,8 @@ def test_distances_hold_no_list_beyond_the_chunk_bound(q, n, k1, k2, seed):
         lengths.append(len(chunk))
         return chunk
 
-    def recorded_levels(self, rows):
-        return (map(record, level) for level in levels(self, rows))
+    def recorded_levels(self, rows, **classes):
+        return (map(record, level) for level in levels(self, rows, **classes))
 
     with mock.patch.object(fields, "SPAN_CHUNK", 27), \
             mock.patch.object(Packing, "shifted", recorded_shifted), \

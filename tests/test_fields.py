@@ -168,6 +168,25 @@ def test_packed_levels_match_tuple_combinations_by_coefficient_count(case):
         assert sorted(packing.unpack(x) for c in level for x in c) == sorted(expected)
 
 
+@given(span_case())
+def test_class_levels_take_one_vector_per_scalar_class(case):
+    # over the unit rows a vector is its own coefficient vector
+    p, n, _, chunk = case
+    packing = Packing(p, n)
+    with mock.patch.object(fields, "SPAN_CHUNK", chunk):
+        full = [list(level) for level in packing.levels(packing.units())]
+        classes = [list(level) for level in packing.levels(packing.units(), classes=True)]
+    assert len(classes) == len(full) == n
+    assert all(len(c) <= max(chunk, p - 1) for level in classes for c in level)
+    for level, whole in zip(classes, full):
+        vectors = [x for c in level for x in c]
+        assert all(next(filter(None, packing.unpack(x))) == 1 for x in vectors)
+        multiples = [packing.times(c, x) for x in vectors for c in range(1, p)]
+        assert sorted(multiples) == sorted(x for c in whole for x in c)
+    if p == 2:
+        assert classes == full
+
+
 def test_packed_levels_keep_their_list_order():
     # the order decides where a rising-weight walk stops and what it counts;
     # with SPAN_CHUNK = 4 the units fall into blocks of 2, 2, 1 rows (p = 2) and of 1 row (p = 3)
