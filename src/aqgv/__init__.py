@@ -6,7 +6,8 @@ randomized witness search.
 name is declared there once; ``__all__`` is read off it.  Nothing is
 imported up front: a submodule is loaded the first time one of its names,
 or the submodule itself, is asked for (PEP 562).  So a command that only
-evaluates a bound loads ``bounds`` and never compiles the code search.
+evaluates a bound loads ``bounds`` and never compiles the code search, and
+``distances``, which evaluates no bound, never compiles ``bounds``.
 """
 
 __version__ = "0.1.0"

@@ -8,14 +8,15 @@ integers.  Decimal renderings are for display only.
 
 from __future__ import annotations
 
-import decimal
 import math
-import sys
 from bisect import bisect_left
-from fractions import Fraction
 
 from ._value import Value
-from .errors import EnumerationSizeError, ParameterRangeError
+from .errors import ParameterRangeError, _capped_ball, _check_ints, _guard
+
+TYPE_CHECKING = False   # typing's flag, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 SCAN_GUARD = 2**30  # n^2 * q.bit_length(): bit operations one bound evaluation or scan may spend
 MAX_DIGITS = 10**6  # decimal places fraction_decimal_str renders at most
@@ -101,49 +102,6 @@ def ball_sum(n: int, q: int, t: int) -> int:
     return _capped_ball(n, q, t, math.inf)
 
 
-def _check_ints(**sizes: object) -> None:
-    """Refuse a size that is not a plain int: a float passes the range
-    checks and then fails inside the arithmetic, and a bool reads as 0 or 1
-    (as in a code file, true is not 1)."""
-    for name, value in sizes.items():
-        if type(value) is not int:
-            raise ParameterRangeError(f"{name} must be an integer, got {value!r}")
-
-
-def _digits() -> int:
-    return sys.get_int_max_str_digits() or 4300   # 0 is no limit: keep messages short
-
-
-def _capped_pow(q: int, e: int) -> int:
-    return q ** min(e, 4 * _digits() + 1)
-
-
-def _capped_ball(n: int, q: int, t: int, bits: float | None = None) -> int:
-    """ball_sum's terms C(n, i) (q-1)^i, each from the one before by
-    C(n,i) = C(n,i-1)(n-i+1)/i, added until the sum passes 2^bits (by
-    default B = 4d, as in _guard)."""
-    bits = 4 * _digits() if bits is None else bits
-    total, term = 0, 1
-    for i in range(1, t + 1):
-        term = term * (n - i + 1) * (q - 1) // i
-        total += term
-        if total.bit_length() > bits:
-            break
-    return total
-
-
-def _guard(cost: int, guard: int, message: str) -> None:
-    """Raise EnumerationSizeError(message) if ``cost`` exceeds ``guard``.
-
-    A cost is built with the _capped_* helpers: exact below 2^B, B = 4d for
-    the interpreter's int-to-str digit limit d, and at least 2^B past it, so
-    their sums and products decide a guard without building huge numbers.
-    As 2^B > 10^d, a cost the message shows in full is exact."""
-    if cost > guard:
-        d = _digits()
-        raise EnumerationSizeError(message.format(cost if cost < 10**d else f"10^{d} or more", guard))
-
-
 def _check_scan_size(q: int, n: int) -> None:
     """One exact comparison of a bound costs about n * q.bit_length() bit
     operations; a ball sum makes up to n of them, a parameter scan a few
@@ -171,6 +129,7 @@ def gaussian_binomial(n: int, k: int, q: int) -> int:
 
 def fraction_decimal_str(fr: Fraction, digits: int = 6) -> str:
     """Exact decimal rendering of a fraction to ``digits`` places (half-even)."""
+    import decimal   # loaded by the first rendering, not by every import of bounds
     _check_ints(digits=digits)
     if not 1 <= digits <= MAX_DIGITS:
         raise ParameterRangeError(f"digits must be in [1, {MAX_DIGITS}], got {digits}")
@@ -275,6 +234,7 @@ def css_gv_lhs(query: CssBoundQuery) -> BoundReport:
 
     If lhs < 1, an [[n, k1-k2, dx, dz]]_q CSS code exists.
     """
+    from fractions import Fraction
     _check_scan_size(query.q, query.n)
     balls = (ball_sum(query.n, query.q, d - 1) for d in (query.dx, query.dz))
     addends, denom = css_lhs_ints(query.q, query.n, query.k1, query.k2, *balls)
@@ -292,6 +252,7 @@ def stab_gv_lhs(query: StabBoundQuery) -> BoundReport:
     detect any one fixed error.  If lhs < 1, an [[n, k, dx, dz]]_q
     stabilizer code exists.  ``terms`` holds the three factors.
     """
+    from fractions import Fraction
     _check_scan_size(query.q, query.n)
     ratio, denom = stab_lhs_ints(query.q, query.n, query.k, 1)
     balls = (ball_sum(query.n, query.q, d - 1) for d in (query.dx, query.dz))

@@ -16,22 +16,28 @@ to the handler, which returns (status, result, rows) and prints nothing.
 otherwise the rows as a two-column table.  frontier, which has neither,
 prints its one sentence itself.
 
-Only ``bounds``, which every command's imports load anyway, is imported at
-the top.  Each handler imports the submodule it calls, so a bound command
-never loads the code search.
+No submodule that computes is imported at the top: each handler imports
+the one it calls, so a bound command never loads the code search and a
+``distances`` command never loads the bounds.  ``decimal`` and ``fractions``
+are loaded only by the calls that render or build a fraction, and the
+parser is built for the one command that argv names: every command's
+parser is added with its help, but only that command's leaves and flags.
 """
 
 from __future__ import annotations
 
 import argparse
-import decimal
 import json
 import sys
-from fractions import Fraction
 
-from . import bounds
 from ._value import Value
 from .errors import AqgvError
+
+TYPE_CHECKING = False   # typing's flag, without importing typing
+if TYPE_CHECKING:
+    from fractions import Fraction
+
+    from .bounds import BoundReport
 
 
 class CommandResult(Value):
@@ -57,7 +63,7 @@ _Outcome = tuple[str, dict, list[tuple[str, object]]]  # (status, result, rows)
 
 
 def _frac_str(fr: Fraction) -> str:
-    # a Decimal prints an int's digits with no limit on their number
+    import decimal   # a Decimal prints an int's digits with no limit on their number
     return f"{decimal.Decimal(fr.numerator)}/{decimal.Decimal(fr.denominator)}"
 
 
@@ -65,7 +71,7 @@ def _dist_value(d: int | None):
     return "inf" if d is None else d
 
 
-def _lhs(report: bounds.BoundReport, digits: int = 6) -> dict:
+def _lhs(report: BoundReport, digits: int = 6) -> dict:
     return {"lhs": _frac_str(report.lhs), "lhs_decimal": report.decimal_str(digits)}
 
 
@@ -79,15 +85,14 @@ def _pick(payload: dict, *keys: str) -> list[tuple[str, object]]:
 
 _DIMENSIONS = {"css": ("k1", "k2"), "stab": ("k",)}  # family -> its dimension flags
 
-_BOUNDS = {  # family -> its query class, its bound and the joiner of its terms
-    "css": (bounds.CssBoundQuery, bounds.css_gv_lhs, " + "),
-    "stab": (bounds.StabBoundQuery, bounds.stab_gv_lhs, " * "),
-}
-
 _JSON = ("--json", {"action": "store_true", "help": "emit one JSON object on stdout"})
 
 
-def _build_parser() -> _Parser:
+def _build_parser(argv: list[str]) -> _Parser:
+    """The parser of every command, with the leaves and flags of only the
+    one that argv names: the first argument that is not an option, as
+    argparse reads the command.  Any other command's parser stays empty."""
+    chosen = next((arg for arg in argv if not arg.startswith("-")), None)
     parser = _Parser(prog="aqgv", description="GV-type existence bounds for asymmetric quantum codes")
     commands = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
@@ -97,6 +102,8 @@ def _build_parser() -> _Parser:
         flags), whose names it keeps as its ``ints`` default, and then
         taking ``options``, each a (flag, keywords) pair."""
         leaves = {None: commands.add_parser(name, help=help)}
+        if name != chosen:
+            return
         if families:
             sub = leaves[None].add_subparsers(dest="family", required=True, parser_class=_Parser)
             leaves = {family: sub.add_parser(family) for family in families}
@@ -136,7 +143,11 @@ def _build_parser() -> _Parser:
 
 
 def _cmd_bound(args, flags) -> _Outcome:
-    query, bound, term_join = _BOUNDS[args.family]
+    from . import bounds
+    query, bound, term_join = {  # family -> its query class, its bound and the joiner of its terms
+        "css": (bounds.CssBoundQuery, bounds.css_gv_lhs, " + "),
+        "stab": (bounds.StabBoundQuery, bounds.stab_gv_lhs, " * "),
+    }[args.family]
     report = bound(query(**flags))
     result = {
         **_lhs(report, args.digits),
@@ -153,6 +164,7 @@ def _cmd_bound(args, flags) -> _Outcome:
 
 
 def _cmd_maxk(args, flags) -> _Outcome:
+    from . import bounds
     k_max = bounds.max_k_stab(**flags)
     if k_max is None:
         return "not_found", {"k_max": None}, [("k_max", "none")]
@@ -161,6 +173,7 @@ def _cmd_maxk(args, flags) -> _Outcome:
 
 
 def _cmd_best(args, flags) -> _Outcome:
+    from . import bounds
     pair = bounds.best_css_params(**flags)
     if pair is None:
         return "not_found", {"k1": None, "k2": None, "net_k": None}, [("result", "none feasible")]
@@ -174,7 +187,7 @@ def _cmd_frontier(args, flags) -> _Outcome:
     from . import asymptotic
     grid = asymptotic.frontier_grid(args.q, args.points)
     points = asymptotic.stab_frontier(args.q, args.r, grid)
-    with open(args.out, "w", newline="") as handle:
+    with open(args.out, "w", encoding="utf-8", newline="") as handle:
         asymptotic.write_frontier_csv(points, args.q, handle)
     print(f"wrote {len(points)} frontier points to {args.out}")  # no --json, no table
     return "ok", {"r": args.r, "points": len(points), "out": args.out}, []
@@ -253,7 +266,7 @@ def _cmd_distances(args, flags) -> _Outcome:
 def run(argv: list[str]) -> CommandResult:
     """Parse argv, dispatch, print the result, and return it."""
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser(argv).parse_args(argv)
         flags = {name: getattr(args, name) for name in args.ints}
         status, result, rows = args.handler(args, flags)
     except (AqgvError, OSError) as exc:

@@ -41,19 +41,8 @@ from pathlib import Path
 from random import Random
 from typing import Iterator, Mapping, Sequence, Union
 
-from .bounds import (
-    CssBoundQuery,
-    StabBoundQuery,
-    _capped_ball,
-    _capped_pow,
-    _check_ints,
-    _guard,
-    check_ranges,
-    css_lhs_ints,
-    gaussian_binomial,
-)
 from ._value import Value
-from .errors import InputShapeError, ParameterRangeError
+from .errors import InputShapeError, ParameterRangeError, _capped_ball, _capped_pow, _check_ints, _guard
 from .fields import GF, Packing, Subspace, Vec, draw, inverse
 from .fields import weight  # noqa: F401  (perfbench/tracing.py patches codesearch.weight by name)
 
@@ -148,6 +137,7 @@ class EnumerationReport(Value):
     def expected_counts(self) -> tuple[int, int]:
         """Per-error counts implied by the counting identities (exact): the
         CSS LHS numerators over its denominator, at total_pairs errors each."""
+        from .bounds import css_lhs_ints
         addends, denom = css_lhs_ints(self.q, self.n, self.k1, self.k2, self.total_pairs, self.total_pairs)
         (x, x_rem), (z, z_rem) = (divmod(a, denom) for a in addends)
         if x_rem or z_rem:
@@ -239,6 +229,7 @@ def enumerate_nested_pairs(n: int, q: int, k1: int, k2: int) -> EnumerationRepor
     is spanned it refuses past ERROR_TABLE_GUARD nonzero errors, then past
     COSET_GUARD spanned vectors: the tally at dims (a, b) spans
     [n, a]_q q^a + [a, b]_q q^b, exact since q^n is capped by then."""
+    from .bounds import gaussian_binomial
     GF(q)   # the field is checked first, before the dimensions
     _check_pair_dims(n, k1, k2)
     _guard(_capped_pow(q, n) - 1, ERROR_TABLE_GUARD, "{} error vectors exceeds the guard of {}")
@@ -333,6 +324,7 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     held in a dict, and the unit rows are guarded by PROFILE_GUARD up front;
     the bit ball's classes and the collisions are counted against
     COSET_GUARD as they are walked."""
+    from .bounds import check_ranges
     n, q = code.n, code.q
     check_ranges(q, n, dx, dz)
     if dx == dz == 1:
@@ -526,6 +518,7 @@ def gv_witness_search(
     working: a search that hits in about one trial gains nothing from a
     worker pool but its start-up and shutdown.
     """
+    from .bounds import CssBoundQuery, StabBoundQuery
     GF(q)  # a search needs a prime field; checked first, so a huge q is refused at once
     if kind == "css":
         if k1 is None or k2 is None:
@@ -573,7 +566,7 @@ def code_to_json_dict(code: Union[NestedPair, IsotropicCode]) -> dict:
 
 
 def write_code_file(code: Union[NestedPair, IsotropicCode], path: str | Path) -> None:
-    Path(path).write_text(json.dumps(code_to_json_dict(code), sort_keys=True) + "\n")
+    Path(path).write_text(json.dumps(code_to_json_dict(code), sort_keys=True) + "\n", encoding="utf-8")
 
 
 def _json_rows(data: dict, key: str) -> list[list]:

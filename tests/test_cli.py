@@ -424,6 +424,48 @@ def test_leaf_usage_is_pinned(leaf, monkeypatch, capsys):
     assert captured.out.split("\n\n")[0] + "\n" == LEAF_USAGES[leaf]
 
 
+TOP_HELP = """\
+usage: aqgv [-h] {bound,maxk,best,frontier,lemma,search,distances} ...
+
+GV-type existence bounds for asymmetric quantum codes
+
+positional arguments:
+  {bound,maxk,best,frontier,lemma,search,distances}
+    bound               evaluate a finite-length bound exactly
+    maxk                largest feasible k
+    best                feasible (k1, k2) maximizing k1 - k2
+    frontier            trace the asymptotic delta_z frontier to CSV
+    lemma               verify the pair-counting identities by enumeration
+    search              randomized witness search with verification
+    distances           verified distances / profile of a code file
+
+options:
+  -h, --help            show this help message and exit
+"""
+
+
+def test_top_level_help_is_pinned(monkeypatch, capsys):
+    # the parser adds only the named command's leaves; the top level lists every command
+    monkeypatch.setenv("COLUMNS", "80")
+    with pytest.raises(SystemExit) as exit_info:
+        run(["--help"])
+    captured = capsys.readouterr()
+    assert (exit_info.value.code, captured.err, captured.out) == (0, "", TOP_HELP)
+
+
+@pytest.mark.parametrize("argv, err", [
+    ("nonsense", "error: argument command: invalid choice: 'nonsense' (choose from 'bound', 'maxk', "
+                 "'best', 'frontier', 'lemma', 'search', 'distances')\n"),
+    ("bound bogus", "error: argument family: invalid choice: 'bogus' (choose from 'css', 'stab')\n"),
+    ("bound", "error: the following arguments are required: family\n"),
+    ("", "error: the following arguments are required: command\n"),
+])
+def test_top_level_errors_are_pinned(argv, err, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    result = run(argv.split())
+    assert (result.exit_code, capsys.readouterr().err) == (1, err)
+
+
 # ---------------------------------------------------------------------------
 # error handling
 # ---------------------------------------------------------------------------
@@ -608,6 +650,16 @@ def test_python_m_aqgv_cli_runs_the_command():
     )
 
 
+def test_written_files_name_their_encoding(tmp_path):
+    # the code file and the frontier CSV are written as UTF-8, as load_code_file reads
+    # them, not in the locale's encoding: no EncodingWarning, even as an error
+    for argv in ("search css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2 --trials 5 --seed 1 --out w.json",
+                 "frontier --q 2 --r 0.5 --points 5 --out frontier.csv"):
+        proc = run_python("-X", "warn_default_encoding", "-W", "error::EncodingWarning",
+                          "-m", "aqgv.cli", *argv.split(), timeout=60, cwd=tmp_path)
+        assert (proc.returncode, proc.stderr) == (0, ""), argv
+
+
 def test_cli_import_starts_no_process_machinery():
     proc = run_python("-c", "import sys, aqgv.cli; "
                             "print(sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules))")
@@ -616,20 +668,29 @@ def test_cli_import_starts_no_process_machinery():
 
 
 SEARCH_MODULES = ("aqgv.codesearch", "aqgv.fields")
+FRACTION_MODULES = ("decimal", "fractions")   # only a command that prints a fraction loads these
 
 
 @pytest.mark.parametrize("argv, loaded, unloaded", [
-    ("bound css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
-    ("bound stab --q 2 --n 10 --k 3 --dx 2 --dz 2 --json", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
-    ("maxk stab --q 2 --n 30 --dx 3 --dz 3", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
-    ("best css --q 2 --n 30 --dx 3 --dz 3 --json", (), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("bound css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2", ("aqgv.bounds",), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("bound stab --q 2 --n 10 --k 3 --dx 2 --dz 2 --json", ("aqgv.bounds",), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("maxk stab --q 2 --n 30 --dx 3 --dz 3", ("aqgv.bounds",), (*SEARCH_MODULES, "aqgv.asymptotic")),
+    ("best css --q 2 --n 30 --dx 3 --dz 3 --json", ("aqgv.bounds",), (*SEARCH_MODULES, "aqgv.asymptotic")),
     ("frontier --q 2 --r 0.5 --points 5 --out frontier.csv", ("aqgv.asymptotic",), SEARCH_MODULES),
-    ("lemma --q 2 --n 3 --k1 2 --k2 1", SEARCH_MODULES, ()),
+    ("lemma --q 2 --n 3 --k1 2 --k2 1", SEARCH_MODULES, FRACTION_MODULES),
+    ("search css --q 2 --n 12 --k1 7 --k2 5 --dx 2 --dz 2 --trials 5 --seed 1", SEARCH_MODULES, FRACTION_MODULES),
+    ("search stab --q 2 --n 8 --k 1 --dx 2 --dz 2 --trials 5 --seed 1", SEARCH_MODULES, FRACTION_MODULES),
+    ("distances --in steane.json", SEARCH_MODULES, ("aqgv.bounds", *FRACTION_MODULES)),
+    ("distances --in five.json --json", SEARCH_MODULES, ("aqgv.bounds", *FRACTION_MODULES)),
 ])
-def test_a_cold_command_loads_only_the_modules_its_handler_calls(argv, loaded, unloaded, tmp_path):
+def test_a_cold_command_loads_only_the_modules_its_handler_calls(argv, loaded, unloaded, tmp_path,
+                                                                 steane_pair, five_qubit):
     # a fresh interpreter with no bytecode written, as a first run of the console script;
     # the modules counted are those the command loads, not those site loaded at start-up.
-    # No command loads dataclasses, whose import takes inspect, ast and dis with it.
+    # No command loads dataclasses, whose import takes inspect, ast and dis with it, and
+    # distances, which evaluates no bound, compiles no bound code.
+    write_code_file(steane_pair, tmp_path / "steane.json")
+    write_code_file(five_qubit, tmp_path / "five.json")
     script = ("import json, sys; before = set(sys.modules); import aqgv.cli; "
               "code = aqgv.cli.run(sys.argv[1:]).exit_code; "
               "print(json.dumps([m for m in sys.modules if m not in before])); sys.exit(code)")
