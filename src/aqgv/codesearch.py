@@ -406,16 +406,24 @@ def random_nested_pair(n: int, q: int, k1: int, k2: int, seed: int) -> NestedPai
     """Uniform draw from the set of nested pairs with dims (k1, k2).
 
     C1 is the row space of a uniform full-rank k1 x n matrix; C2 is drawn
-    the same way inside C1's coordinates.  Deterministic in ``seed``.
+    the same way inside C1's coordinates: C2 = span(A.G1) for a uniform
+    k2 x k1 matrix A of coefficients (one ``fields.draw`` call), with G1
+    C1's packed RREF rows, redrawn while dim C2 < k2.  G1 has full rank, so
+    rank(A.G1) = rank A: C2 is eliminated, A is not, and a draw is kept
+    exactly when A has full rank.  Deterministic in ``seed``.
     """
     field = GF(q)
     _check_pair_dims(n, k1, k2)
     _check_draw_size(k1 * n**2)
     rng = Random(seed)
     c1 = _random_full_rank(rng, field, k1, n)
-    coeffs = _random_full_rank(rng, field, k2, k1)   # its basis spans the same rows as the draw
-    rows = [c1.packing.combine(y, c1.packed) for y in coeffs.basis]   # y.G1, packed
-    return NestedPair(c1=c1, c2=Subspace.from_packed(field, n, rows))
+    while True:
+        a = draw(rng, q, k2 * k1)
+        rows = [c1.packing.combine(a[i * k1:(i + 1) * k1], c1.packed) for i in range(k2)]   # A.G1, packed
+        c2 = Subspace.from_packed(field, n, rows)
+        if c2.dim == k2:
+            return NestedPair(c1=c1, c2=c2)
+        # reject rank-deficient draws
 
 
 def random_isotropic_code(n: int, q: int, k: int, seed: int) -> IsotropicCode:

@@ -15,16 +15,18 @@ Python int, a fixed-width bit field per coordinate, with its syndrome under
 any packed check rows appended (each entry a ``products``), so that adding
 two vectors or taking a weight is a handful of big-int operations.  The one
 elimination, ``_rref``, keeps each pivot row as its packed row; a Subspace
-keeps those rows, by pivot column too, and its parity-check rows, so that
-membership, containment, isotropy, duals and codesearch read them as they are.
-The samplers draw a whole matrix per call of :func:`draw`, with the values
-that one ``randrange`` per entry would give, and build their codes packed.
+keeps those rows, by pivot column too, and its parity-check rows, built
+from the packed rows (``_parity_rows``), so that membership, containment,
+isotropy, duals and codesearch read them as they are.  A basis is unpacked
+into tuples only when ``basis`` is first read.  The samplers draw a whole
+matrix per call of :func:`draw`, with the values that one ``randrange`` per
+entry would give, and build their codes packed.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from itertools import chain, compress
+from itertools import accumulate, chain, compress
 from operator import xor
 from random import Random
 from typing import Callable, Iterator, Sequence
@@ -82,19 +84,6 @@ def draw(rng: Random, p: int, count: int) -> bytes:
         words = count - len(out)
         out += rng.getrandbits(32 * words).to_bytes(4 * words, "little")[3::4].translate(table, reject)
     return out
-
-
-def dual_rows(basis: Sequence[Sequence[int]], pivots: Sequence[int], p: int, n: int) -> list[list[int]]:
-    """The parity-check rows of an RREF basis, a basis of its dual: per free
-    column f, 1 at f and -basis[i][f] at pivots[i]."""
-    rows = []
-    for f in sorted(set(range(n)) - set(pivots)):
-        x = [0] * n
-        x[f] = 1
-        for row, j in zip(basis, pivots):
-            x[j] = (-row[f]) % p
-        rows.append(x)
-    return rows
 
 
 _TO_DIGITS = bytes.maketrans(bytes(range(16)), b"0123456789abcdef")   # entry -> its binary, octal or hex digit
@@ -184,10 +173,14 @@ class Packing:
 
     def unpack(self, x: int) -> Vec:
         """The vector part of a packed row, as a tuple."""
+        return tuple(self._entries(x))
+
+    def _entries(self, x: int) -> bytes:
+        """The vector part of a packed row, one byte per entry."""
         x &= self._mask
         if not self._slot:
-            return tuple(format(x, self._format).encode()[self._lowest_first].translate(_FROM_DIGITS))
-        return tuple(x.to_bytes(self._slot * self.n, "little")[::self._slot])
+            return format(x, self._format).encode()[self._lowest_first].translate(_FROM_DIGITS)
+        return x.to_bytes(self._slot * self.n, "little")[::self._slot]
 
     def draw_rows(self, rng: Random, count: int) -> list[int]:
         """count uniform vectors, packed: the values of count * n calls of
@@ -341,33 +334,55 @@ class _BlockLevels:
     ``classes``, the combinations whose first nonzero coefficient is 1.
 
     Level w is ordered by the last row each vector uses, so the vectors of
-    level w - 1 that use no row from j on are a prefix of it; level w's
-    vectors that end in row j are that prefix shifted by each nonzero
-    multiple of row j, one packed add per vector.  Level 1 of the classes
-    is the rows themselves, one multiple each, and the later levels recurse
-    the same way: each vector's first coefficient stays the 1 it began with."""
+    level w - 1 that use no row from j on are a prefix of it, ``prev[:end]``;
+    level w's vectors that end in row j are that prefix shifted by each
+    nonzero multiple of row j, 1, 2, ..., p - 1 times it in turn.  A level is
+    one list pass over (row, multiple, prefix), one packed add per vector;
+    each row's multiples are made once per block, and the next level's ends
+    are the running sums of its sections.  Level 1 is the multiples
+    themselves; of the classes, the rows alone, one multiple each, and the
+    later levels recurse the same way: each vector's first coefficient stays
+    the 1 it began with."""
 
     def __init__(self, packing: Packing, rows: Sequence[int], classes: bool = False):
         self.packing = packing
         self.rows = rows
+        self._classes = classes
         self._levels = [[0]]
-        self._ends = [1] * len(rows)   # per row j, the last level's vectors that use no row >= j
-        self._first = 1 if classes else packing.p - 1   # multiples of each row at level 1
+        self._ends: list[int] = []   # per row j, the last level's vectors that use no row >= j
+        self._multiples: list[list[int]] | None = None   # per row, its p - 1 nonzero multiples
+
+    def _row_multiples(self) -> list[list[int]]:
+        if self._multiples is None:
+            add, multiples = self.packing.add, []
+            for row in self.rows:
+                ms = [row]
+                for _ in range(self.packing.p - 2):
+                    ms.append(add(ms[-1], row))
+                multiples.append(ms)
+            self._multiples = multiples
+        return self._multiples
 
     def level(self, w: int) -> list[int]:
-        shifted, p = self.packing.shifted, self.packing.p
-        while len(self._levels) <= w:
-            prev, level, ends = self._levels[-1], [], []
-            multiples = range(self._first if len(self._levels) == 1 else p - 1)
-            for row, end in zip(self.rows, self._ends):
-                ends.append(len(level))
-                block = prev[:end]
-                for _ in multiples:
-                    block = shifted(row, block)
-                    level.extend(block)
-            self._levels.append(level)
-            self._ends = ends
-        return self._levels[w]
+        levels, packing = self._levels, self.packing
+        while len(levels) <= w:
+            if len(levels) == 1:
+                multiples = [[row] for row in self.rows] if self._classes else self._row_multiples()
+                level = list(chain.from_iterable(multiples))
+                sizes = map(len, multiples)
+            else:
+                multiples, prev, ends = self._row_multiples(), levels[-1], self._ends
+                prefixes = map(prev.__getitem__, map(slice, ends))
+                if packing.p == 2:
+                    level = [m ^ v for ms, prefix in zip(multiples, prefixes) for m in ms for v in prefix]
+                else:   # Packing.shifted's add, inline
+                    wrap, top, shift, p = packing._wrap, packing._top, packing.width - 1, packing.p
+                    level = [(s := m + v) - (((s + wrap) & top) >> shift) * p
+                             for ms, prefix in zip(multiples, prefixes) for m in ms for v in prefix]
+                sizes = (len(ms) * end for ms, end in zip(multiples, ends))
+            levels.append(level)
+            self._ends = list(accumulate(sizes, initial=0))   # the last is the level's length
+        return levels[w]
 
 
 def _clear(packing: Packing, v: int, marks: int, pivots: dict[int, int]) -> int:
@@ -384,10 +399,10 @@ def _clear(packing: Packing, v: int, marks: int, pivots: dict[int, int]) -> int:
 
 
 def _rref(packing: Packing, rows: Sequence[int]) -> tuple[
-        tuple[Vec, ...], tuple[int, ...], tuple[int, ...], tuple[int, dict[int, int]]]:
-    """Reduced row echelon form of packed rows: (nonzero rows as tuples,
-    pivot columns, the same rows packed, and the table ``_clear`` takes:
-    marks and {pivot column: packed row}).  Each row in turn is cleared at
+        tuple[int, ...], tuple[int, ...], tuple[int, dict[int, int]]]:
+    """Reduced row echelon form of packed rows: (pivot columns, the nonzero
+    rows packed, and the table ``_clear`` takes: marks and {pivot column:
+    packed row}); nothing is unpacked.  Each row in turn is cleared at
     the pivots found so far, and its lowest nonzero field, scaled to 1,
     becomes a new pivot; then each pivot row, last pivot first, is cleared
     at the pivots after its own.  A row costs one packed operation per
@@ -404,8 +419,34 @@ def _rref(packing: Packing, rows: Sequence[int]) -> tuple[
     for j in reversed(columns):
         row = pivots[j]
         pivots[j] = _clear(packing, row, marks & ~packing.lowest(row)[0], pivots)
-    packed = tuple(pivots[j] for j in columns)
-    return tuple(map(packing.unpack, packed)), tuple(columns), packed, (marks, pivots)
+    return tuple(columns), tuple(pivots[j] for j in columns), (marks, pivots)
+
+
+@lru_cache(maxsize=None)
+def _negation(p: int) -> bytes:
+    """The table that takes a byte x < p to -x mod p."""
+    return bytes(-x % p for x in range(256))
+
+
+def _parity_rows(packing: Packing, rows: Sequence[int], pivots: Sequence[int]) -> tuple[int, ...]:
+    """The parity-check rows of packed RREF rows with these pivot columns, a
+    basis of their dual, packed: per free column f, 1 at f and -rows[i][f]
+    at pivots[i].  They are built by columns, as bytes, one per entry, with
+    no entry touched in Python: the rows' entries read as one k x n matrix,
+    its free columns (strided slices) read as one matrix, negated, whose
+    column i is column pivots[i] of the checks, each free column of the
+    checks a unit, and the checks the strided slices of those columns."""
+    n, k = packing.n, len(rows)
+    pivot_set = set(pivots)
+    free = [f for f in range(n) if f not in pivot_set]
+    m = len(free)
+    entries = b"".join(map(packing._entries, rows))
+    at_free = b"".join(entries[f::n] for f in free).translate(_negation(packing.p))
+    columns = [at_free[i::k] for i in range(k)]   # the checks' columns at the pivots, in pivot order
+    for r, f in enumerate(free):
+        columns.insert(f, bytes(r) + b"\x01" + bytes(m - r - 1))
+    checks = b"".join(columns)
+    return tuple(packing.rows([checks[r::m] for r in range(m)]))
 
 
 class Subspace(Value):
@@ -415,15 +456,17 @@ class Subspace(Value):
     takes any rows (dependent, shuffled or zero ones included) and stores
     the reduced row-echelon basis of their span, with its pivot columns.
     So equality is structural: two Subspace values represent the same
-    space iff they are equal.  The same rows, packed by ``packing``, are
-    kept as ``packed``, and by pivot column in ``_table`` (``_rref``).
-    Those attributes, ``pivot_cols`` and the parity-check rows ``_parity``
-    are derived from the basis: slots outside ``_fields``, so no argument,
-    comparison, hash or repr reads them.
+    space iff they are equal.  The rows are kept packed by ``packing``, as
+    ``packed``, and by pivot column in ``_table`` (``_rref``); ``basis``,
+    the same rows as tuples, is unpacked from ``packed`` when first read
+    and kept in ``_basis``.  Those attributes, ``pivot_cols`` and the
+    parity-check rows ``_parity`` are slots outside ``_fields``, derived
+    from the canonical rows, so no argument, comparison, hash or repr reads
+    them; ``basis`` stays a field, read through its property.
     """
 
     _fields = ("field", "ambient_dim", "basis")
-    __slots__ = (*_fields, "pivot_cols", "packed", "_table", "_parity")
+    __slots__ = ("field", "ambient_dim", "_basis", "pivot_cols", "packed", "_table", "_parity")
 
     def __init__(self, field: GF, ambient_dim: int, basis: Sequence[Sequence[int]]) -> None:
         object.__setattr__(self, "field", field)
@@ -446,8 +489,8 @@ class Subspace(Value):
             raise InputShapeError(f"entries must be integer residues in [0, {self.field.p})")
 
     def _canonical(self, packed: Sequence[int]) -> None:
-        basis, pivots, packed, table = _rref(self.packing, packed) if packed else ((), (), (), (0, {}))
-        object.__setattr__(self, "basis", basis)
+        pivots, packed, table = _rref(self.packing, packed) if packed else ((), (), (0, {}))
+        object.__setattr__(self, "_basis", None)   # basis, once asked for
         object.__setattr__(self, "pivot_cols", pivots)
         object.__setattr__(self, "packed", packed)
         object.__setattr__(self, "_table", table)
@@ -474,8 +517,15 @@ class Subspace(Value):
         return Packing.plain(self.field.p, self.ambient_dim)
 
     @property
+    def basis(self) -> tuple[Vec, ...]:
+        """The canonical RREF rows as tuples, unpacked from ``packed`` on first use."""
+        if self._basis is None:   # no Packing without rows: n may be huge
+            object.__setattr__(self, "_basis", tuple(map(self.packing.unpack, self.packed)) if self.packed else ())
+        return self._basis
+
+    @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self.packed)
 
     def reduce(self, v: Sequence[int]) -> Vec:
         """Residual of v after elimination against the basis, zero iff v is a
@@ -500,11 +550,10 @@ class Subspace(Value):
 
     @property
     def parity_rows(self) -> tuple[int, ...]:
-        """The parity-check rows of the basis (``dual_rows``), packed and
-        built once: a basis of the dual, systematic on the free columns."""
+        """The parity-check rows of the packed basis (``_parity_rows``), built
+        once: a basis of the dual, systematic on the free columns."""
         if self._parity is None:
-            rows = dual_rows(self.basis, self.pivot_cols, self.field.p, self.ambient_dim)
-            object.__setattr__(self, "_parity", tuple(self.packing.rows(rows)))
+            object.__setattr__(self, "_parity", _parity_rows(self.packing, self.packed, self.pivot_cols))
         return self._parity
 
     def dual(self) -> "Subspace":

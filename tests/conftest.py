@@ -34,6 +34,19 @@ def combine(coeffs, rows, p, n):
     return tuple(a % p for a in acc)
 
 
+def dual_rows(basis, pivots, p, n):
+    """The parity-check rows of an RREF basis, a basis of its dual, as lists:
+    per free column f, 1 at f and -basis[i][f] at pivots[i]."""
+    rows = []
+    for f in sorted(set(range(n)) - set(pivots)):
+        x = [0] * n
+        x[f] = 1
+        for row, j in zip(basis, pivots):
+            x[j] = (-row[f]) % p
+        rows.append(x)
+    return rows
+
+
 def zero_space(field: GF, n: int) -> Subspace:
     return Subspace(field, n, ())
 

@@ -42,8 +42,8 @@ from aqgv.errors import (
     ParameterRangeError,
     UnsupportedFieldError,
 )
-from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, dual_rows, weight
-from conftest import combine, full_space, members, zero_space
+from aqgv.fields import GF, SPAN_CHUNK, Packing, Subspace, weight
+from conftest import combine, dual_rows, full_space, members, zero_space
 
 F2 = GF(2)
 F3 = GF(3)
@@ -336,14 +336,14 @@ def test_guards_decide_huge_costs_without_building_them():
             enumerate_nested_pairs(n, q, k1, k2)
     # S's 2 * 10^8 parity-check rows of 2 * 10^8 entries each, refused before S-dual is built
     with pytest.raises(EnumerationSizeError, match=f"^{4 * 10**16} parity-check entries exceeds the guard of {PROFILE_GUARD}$"), \
-            mock.patch("aqgv.fields.dual_rows", side_effect=AssertionError("built a row")), \
+            mock.patch("aqgv.fields._parity_rows", side_effect=AssertionError("built a row")), \
             mock.patch.object(Subspace, "symplectic_dual", side_effect=AssertionError("built S-dual")):
         stab_profile_matrix(IsotropicCode(c=zero_space(F3, 2 * 10**8)))
     with pytest.raises(EnumerationSizeError, match=r"^10\^\d+ or more phase errors exceeds"):
         stab_detects_profile(IsotropicCode(c=zero_space(F3, 2 * 10**8)), 10**8, 10**8)
     # C2's 10^8 parity-check rows of 10^8 entries each are refused before one is built
     with pytest.raises(EnumerationSizeError, match=f"^{10**16} parity-check entries exceeds the guard of {PROFILE_GUARD}$"), \
-            mock.patch("aqgv.fields.dual_rows", side_effect=AssertionError("built a row")):
+            mock.patch("aqgv.fields._parity_rows", side_effect=AssertionError("built a row")):
         css_distances(NestedPair(c1=zero_space(F3, 10**8), c2=zero_space(F3, 10**8)))
 
 
@@ -552,26 +552,40 @@ def test_css_distances_stop_at_the_information_set_bound():
     # At the witness workload's median set the walk's difference sets hold
     # q^k1 + q^(n-k2) minus q^k2 + q^(n-k1) vectors, 4,536; rising weight
     # stops at the distances, and one vector per scalar class halves what is
-    # built: 129, against 258 with full levels.
+    # built: 129, against 258 with full levels.  Each block's levels are
+    # counted as they are built.
     pair = random_nested_pair(12, 3, 8, 7, derive_trial_seed(1, 1))
     expected = walk_oracle(pair)
-    shifted, levels, built = Packing.shifted, Packing.levels, []
+    level, levels, built = fields._BlockLevels.level, Packing.levels, []
 
-    def counted(self, r, vs):
-        out = shifted(self, r, vs)
-        built.append(len(out))
+    def counted(self, w):
+        known = len(self._levels)
+        out = level(self, w)
+        built.extend(map(len, self._levels[known:]))
         return out
 
     def full_levels(self, rows, classes):
         return levels(self, rows)
 
-    with mock.patch.object(Packing, "shifted", counted):
+    with mock.patch.object(fields._BlockLevels, "level", counted):
         assert css_distances(pair) == expected
         assert sum(built) == 129
         built.clear()
         with mock.patch.object(Packing, "levels", full_levels):
             assert css_distances(pair) == expected
         assert sum(built) == 258
+
+
+@pytest.mark.parametrize("q,n,k1,k2,dx,dz", [(2, 20, 10, 9, 3, 3), (3, 12, 8, 7, 2, 3)])
+def test_css_search_path_builds_no_tuples(q, n, k1, k2, dx, dz):
+    # the samplers, the eliminations, the parity-check rows and the walks all
+    # read packed rows: no row is unpacked until a basis is read
+    with mock.patch.object(Packing, "unpack", side_effect=AssertionError("unpacked a row")):
+        hit = gv_witness_search("css", q=q, n=n, k1=k1, k2=k2, dx=dx, dz=dz, trials=50, seed=1)
+        assert hit is not None
+        distances = css_distances(hit.code)
+    assert distances == hit.distances == walk_oracle(hit.code)
+    assert distances.meets(dx, dz)
 
 
 @pytest.mark.parametrize("c1_rows,c2_rows,expected", [
@@ -716,8 +730,8 @@ def test_profile_matrix_runs_one_elimination():
 def test_profile_matrix_builds_the_parity_check_rows_once():
     # S-dual is the twist of S's parity-check rows, and the checks at N are some of the same rows
     code = random_isotropic_code(6, 3, 2, seed=5)
-    rows = mock.Mock(wraps=fields.dual_rows)
-    with mock.patch.object(fields, "dual_rows", rows):
+    rows = mock.Mock(wraps=fields._parity_rows)
+    with mock.patch.object(fields, "_parity_rows", rows):
         stab_profile_matrix(code)
     assert rows.call_count == 1
 

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from aqgv import fields
 from aqgv.errors import InputShapeError, UnsupportedFieldError
 from aqgv.fields import GF, Packing, Subspace, weight
-from conftest import combine, full_space, members, zero_space
+from conftest import combine, dual_rows, full_space, members, zero_space
 
 F2 = GF(2)
 F3 = GF(3)
@@ -211,6 +211,47 @@ def test_packed_levels_keep_their_list_order():
             assert [list(level) for level in packing.levels(packing.units())] == expected[p]
 
 
+def shifted_levels(packing, rows, classes, top):
+    """Levels 0, ..., top of one block of rows by one Packing.shifted call
+    per row and per nonzero multiple, the oracle of _BlockLevels' list pass:
+    row j shifts, once per multiple, the prefix of level w - 1 that uses no
+    row from j on, each time the block the last shift gave."""
+    levels, ends = [[0]], [1] * len(rows)
+    for w in range(1, top + 1):
+        prev, level, next_ends = levels[-1], [], []
+        for row, end in zip(rows, ends):
+            next_ends.append(len(level))
+            block = prev[:end]
+            for _ in range(1 if classes and w == 1 else packing.p - 1):
+                block = packing.shifted(row, block)
+                level.extend(block)
+        levels.append(level)
+        ends = next_ends
+    return levels
+
+
+@st.composite
+def block_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 41]))
+    n = draw(st.integers(1, 6))
+    checks = draw(st.lists(vectors_of(p, n), max_size=2))
+    rows = draw(st.lists(vectors_of(p, n), min_size=1, max_size=2 if p == 41 else 4))
+    return p, n, checks, rows, draw(st.booleans())
+
+
+@given(block_case())
+def test_block_levels_match_the_per_row_shifted_loop(case):
+    # list for list, in the same order, with syndromes appended or not, each
+    # level asked for in turn and the top one first
+    p, n, checks, rows, classes = case
+    packing = Packing(p, n, Packing(p, n).rows(checks))
+    packed = packing.rows(rows)
+    expected = shifted_levels(packing, packed, classes, len(rows))
+    block = fields._BlockLevels(packing, packed, classes)
+    assert [block.level(w) for w in range(len(rows) + 1)] == expected
+    assert fields._BlockLevels(packing, packed, classes).level(len(rows)) == expected[-1]
+
+
 def test_packed_levels_join_many_blocks():
     # at p = 251 a block holds 2 rows, so 2100 rows make 1050 blocks: more
     # than the recursion limit allows frames if the join recursed once per block
@@ -349,12 +390,37 @@ def elimination_rows(draw):
 def test_packed_rref_matches_tuple_oracle(case):
     p, n, rows = case
     packing = Packing(p, n)
-    basis, pivots, packed, (_, table) = fields._rref(packing, packing.rows(rows))
+    pivots, packed, (_, table) = fields._rref(packing, packing.rows(rows))
+    basis = tuple(map(packing.unpack, packed))
     assert (basis, pivots) == tuple_rref(rows, p, n)
-    assert list(packed) == packing.rows(basis)
     assert table == dict(zip(pivots, packed))
     space = Subspace(GF(p), n, rows)
     assert (space.basis, space.pivot_cols, space.packed) == (basis, pivots, packed)
+
+
+@given(elimination_rows())
+def test_basis_is_unpacked_from_the_packed_rows_on_first_read(case):
+    p, n, rows = case
+    space = Subspace(GF(p), n, rows)
+    assert space._basis is None and space.dim == len(space.packed)
+    assert space.basis == tuple(map(space.packing.unpack, space.packed))
+    assert space.basis is space.basis
+
+
+@st.composite
+def parity_case(draw):
+    p = draw(st.sampled_from([2, 3, 5, 41, 251]))
+    n = draw(st.integers(0, 9))
+    return p, n, draw(st.lists(vectors_of(p, n), max_size=n + 1))
+
+
+@given(parity_case())
+def test_packed_parity_rows_match_the_tuple_dual_rows(case):
+    p, n, rows = case
+    field = GF(p)
+    for space in (Subspace(field, n, rows), zero_space(field, n), full_space(field, n)):
+        expected = dual_rows(space.basis, space.pivot_cols, p, n)
+        assert space.parity_rows == tuple(space.packing.rows(expected))
 
 
 @st.composite
