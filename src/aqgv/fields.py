@@ -29,7 +29,7 @@ from functools import lru_cache, reduce
 from itertools import accumulate, chain, compress
 from operator import xor
 from random import Random
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from ._value import Value
 from .errors import InputShapeError, UnsupportedFieldError
@@ -265,7 +265,17 @@ class Packing:
         if self.p == 2:
             return list(map(r.__xor__, vs))
         wrap, top, shift, p = self._wrap, self._top, self.width - 1, self.p
-        return [s - (((s + wrap) & top) >> shift) * p for s in map(r.__add__, vs)]
+        return [(s := r + v) - (((s + wrap) & top) >> shift) * p for v in vs]
+
+    def _shifted_sections(self, shifts: Iterable[Sequence[int]], blocks: Iterable[Sequence[int]]) -> list[int]:
+        """``shifted(r, vs)`` for each r of rs in turn, for each pair (rs, vs)
+        of zip(shifts, blocks), joined in that order: one list pass, with no
+        call per shift (``_BlockLevels.level``)."""
+        sections = zip(shifts, blocks)
+        if self.p == 2:
+            return [r ^ v for rs, vs in sections for r in rs for v in vs]
+        wrap, top, shift, p = self._wrap, self._top, self.width - 1, self.p
+        return [(s := r + v) - (((s + wrap) & top) >> shift) * p for rs, vs in sections for r in rs for v in vs]
 
     def supports(self, vs: Sequence[int]) -> Iterator[int]:
         """For each packed vector, an int with one set bit per nonzero
@@ -337,12 +347,12 @@ class _BlockLevels:
     level w - 1 that use no row from j on are a prefix of it, ``prev[:end]``;
     level w's vectors that end in row j are that prefix shifted by each
     nonzero multiple of row j, 1, 2, ..., p - 1 times it in turn.  A level is
-    one list pass over (row, multiple, prefix), one packed add per vector;
-    each row's multiples are made once per block, and the next level's ends
-    are the running sums of its sections.  Level 1 is the multiples
-    themselves; of the classes, the rows alone, one multiple each, and the
-    later levels recurse the same way: each vector's first coefficient stays
-    the 1 it began with."""
+    one list pass over (row, multiple, prefix), one packed add per vector
+    (``Packing._shifted_sections``); each row's multiples are made once per
+    block, and the next level's ends are the running sums of its sections.
+    Level 1 is the multiples themselves; of the classes, the rows alone, one
+    multiple each, and the later levels recurse the same way: each vector's
+    first coefficient stays the 1 it began with."""
 
     def __init__(self, packing: Packing, rows: Sequence[int], classes: bool = False):
         self.packing = packing
@@ -364,7 +374,7 @@ class _BlockLevels:
         return self._multiples
 
     def level(self, w: int) -> list[int]:
-        levels, packing = self._levels, self.packing
+        levels = self._levels
         while len(levels) <= w:
             if len(levels) == 1:
                 multiples = [[row] for row in self.rows] if self._classes else self._row_multiples()
@@ -372,13 +382,7 @@ class _BlockLevels:
                 sizes = map(len, multiples)
             else:
                 multiples, prev, ends = self._row_multiples(), levels[-1], self._ends
-                prefixes = map(prev.__getitem__, map(slice, ends))
-                if packing.p == 2:
-                    level = [m ^ v for ms, prefix in zip(multiples, prefixes) for m in ms for v in prefix]
-                else:   # Packing.shifted's add, inline
-                    wrap, top, shift, p = packing._wrap, packing._top, packing.width - 1, packing.p
-                    level = [(s := m + v) - (((s + wrap) & top) >> shift) * p
-                             for ms, prefix in zip(multiples, prefixes) for m in ms for v in prefix]
+                level = self.packing._shifted_sections(multiples, map(prev.__getitem__, map(slice, ends)))
                 sizes = (len(ms) * end for ms, end in zip(multiples, ends))
             levels.append(level)
             self._ends = list(accumulate(sizes, initial=0))   # the last is the level's length
@@ -422,26 +426,20 @@ def _rref(packing: Packing, rows: Sequence[int]) -> tuple[
     return tuple(columns), tuple(pivots[j] for j in columns), (marks, pivots)
 
 
-@lru_cache(maxsize=None)
-def _negation(p: int) -> bytes:
-    """The table that takes a byte x < p to -x mod p."""
-    return bytes(-x % p for x in range(256))
-
-
 def _parity_rows(packing: Packing, rows: Sequence[int], pivots: Sequence[int]) -> tuple[int, ...]:
     """The parity-check rows of packed RREF rows with these pivot columns, a
     basis of their dual, packed: per free column f, 1 at f and -rows[i][f]
     at pivots[i].  They are built by columns, as bytes, one per entry, with
-    no entry touched in Python: the rows' entries read as one k x n matrix,
-    its free columns (strided slices) read as one matrix, negated, whose
+    no entry touched in Python: the negated rows' entries read as one k x n
+    matrix, its free columns (strided slices) read as one matrix whose
     column i is column pivots[i] of the checks, each free column of the
     checks a unit, and the checks the strided slices of those columns."""
     n, k = packing.n, len(rows)
     pivot_set = set(pivots)
     free = [f for f in range(n) if f not in pivot_set]
     m = len(free)
-    entries = b"".join(map(packing._entries, rows))
-    at_free = b"".join(entries[f::n] for f in free).translate(_negation(packing.p))
+    entries = b"".join(packing._entries(packing.neg(r)) for r in rows)
+    at_free = b"".join(entries[f::n] for f in free)
     columns = [at_free[i::k] for i in range(k)]   # the checks' columns at the pivots, in pivot order
     for r, f in enumerate(free):
         columns.insert(f, bytes(r) + b"\x01" + bytes(m - r - 1))

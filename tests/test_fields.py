@@ -393,6 +393,8 @@ def test_packed_rref_matches_tuple_oracle(case):
     pivots, packed, (_, table) = fields._rref(packing, packing.rows(rows))
     basis = tuple(map(packing.unpack, packed))
     assert (basis, pivots) == tuple_rref(rows, p, n)
+    # the packed rows repack exactly: no bit outside the vector's fields, none in a slot's high byte
+    assert list(packed) == packing.rows(tuple_rref(rows, p, n)[0])
     assert table == dict(zip(pivots, packed))
     space = Subspace(GF(p), n, rows)
     assert (space.basis, space.pivot_cols, space.packed) == (basis, pivots, packed)
