@@ -318,12 +318,13 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     The balls are {0} and the first levels of the unit rows of a Packing,
     checked by b for bit errors and by a for phase errors; they are joined on
     syndrome, and only collisions (pairs whose sum lies in S-dual) are tested
-    for membership in S.  The bit errors ex != 0 are walked one per scalar
-    class (Packing.levels with classes): (ex|ez) and l(ex|ez) are detected
-    together, and every l.ez is in the full phase ball.  The phase ball,
-    held in a dict, and the unit rows are guarded by PROFILE_GUARD up front;
-    the bit ball's classes and the collisions are counted against
-    COSET_GUARD as they are walked."""
+    for membership in S, on packed rows (``Subspace.holds``): (ex|ez) is
+    (ex|0) or'd with (0|ez), the twist of (ez|0) in GF(q)^2n.  The bit errors
+    ex != 0 are walked one per scalar class (Packing.levels with classes):
+    (ex|ez) and l(ex|ez) are detected together, and every l.ez is in the
+    full phase ball.  The phase ball, held in a dict, and the unit rows are
+    guarded by PROFILE_GUARD up front; the bit ball's classes and the
+    collisions are counted against COSET_GUARD as they are walked."""
     from .bounds import check_ranges
     n, q = code.n, code.q
     check_ranges(q, n, dx, dz)
@@ -334,7 +335,8 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
     rows, half = code.c.packed, Packing.plain(q, n)   # half splits a packed (a|b) as its vector a and syndrome b
     phase = Packing(q, n, list(map(half.vector, rows)))
     bit = Packing(q, n, list(map(half.syndrome, rows)))
-    syndrome, unpack = phase.syndrome, phase.unpack   # bit's split is the same
+    syndrome, vector = phase.syndrome, phase.vector   # bit's split is the same
+    lift = code.c.packing.twist   # (ez|0) -> (0|ez) in GF(q)^2n
     phase_by_syndrome: dict[int, list[int]] = {}
     for ez in chain.from_iterable(chain([[0]], *islice(phase.levels(phase.units()), dz - 1))):
         phase_by_syndrome.setdefault(syndrome(ez), []).append(ez)
@@ -348,7 +350,7 @@ def stab_detects_profile(code: IsotropicCode, dx: int, dz: int) -> bool:
                 walked += len(collisions)
                 _guard(walked, COSET_GUARD, message)
                 for ez in collisions:
-                    if (ex or ez) and not code.c.contains(unpack(ex) + unpack(ez)):
+                    if (ex or ez) and not code.c.holds(vector(ex) | lift(vector(ez))):
                         return False
     return True
 

@@ -17,10 +17,11 @@ two vectors or taking a weight is a handful of big-int operations.  The one
 elimination, ``_rref``, keeps each pivot row as its packed row; a Subspace
 keeps those rows, by pivot column too, and its parity-check rows, built
 from the packed rows (``_parity_rows``), so that membership, containment,
-isotropy, duals and codesearch read them as they are.  A basis is unpacked
-into tuples only when ``basis`` is first read.  The samplers draw a whole
-matrix per call of :func:`draw`, with the values that one ``randrange`` per
-entry would give, and build their codes packed.
+isotropy, duals and codesearch read them as they are; ``Subspace.holds``
+is the one membership test of a packed row.  A basis is unpacked into
+tuples only when ``basis`` is first read.  The samplers draw a whole matrix
+per call of :func:`draw`, with the values that one ``randrange`` per entry
+would give, and build their codes packed.
 """
 
 from __future__ import annotations
@@ -163,11 +164,12 @@ class Packing:
 
     def units(self) -> list[int]:
         """e_j with column j of the checks appended, for j < n, packed: a
-        check's product with e_j is its entry j, so each syndrome is a column."""
+        check's product with e_j is its entry j, so each syndrome is a column
+        of the checks' ``_entries``."""
         units = [1 << (self.width * j) for j in range(self.n)]
         if not self._checks:
             return units
-        columns = zip(*(self.unpack(check) for check, _ in self._checks))
+        columns = zip(*(self._entries(check) for check, _ in self._checks))
         syndromes = Packing.plain(self.p, len(self._checks))._vectors(columns)
         return [u + (x << self._cut) for u, x in zip(units, syndromes)]
 
@@ -460,7 +462,8 @@ class Subspace(Value):
     and kept in ``_basis``.  Those attributes, ``pivot_cols`` and the
     parity-check rows ``_parity`` are slots outside ``_fields``, derived
     from the canonical rows, so no argument, comparison, hash or repr reads
-    them; ``basis`` stays a field, read through its property.
+    them; ``basis`` stays a field, read through its property.  ``holds``
+    tests a packed row for membership; ``contains`` checks a tuple first.
     """
 
     _fields = ("field", "ambient_dim", "basis")
@@ -537,14 +540,17 @@ class Subspace(Value):
     def contains(self, v: Sequence[int]) -> bool:
         return not any(self.reduce(v))
 
+    def holds(self, v: int) -> bool:
+        """Whether v, packed by ``packing`` from packed arithmetic and so not
+        checked, is a member: cleared at the pivots (``_clear``), it vanishes."""
+        return not _clear(self.packing, v, *self._table)
+
     def contains_space(self, other: "Subspace") -> bool:
-        """Whether other <= self: each of other's packed rows is cleared at
-        self's pivot columns, and must vanish."""
+        """Whether other <= self: each of other's packed rows ``holds``; no
+        Packing is built when other has none."""
         if other.ambient_dim != self.ambient_dim or other.field != self.field:
             raise InputShapeError("subspaces live in different ambient spaces")
-        if not other.packed:
-            return True
-        return not any(_clear(self.packing, v, *self._table) for v in other.packed)
+        return all(map(self.holds, other.packed))
 
     @property
     def parity_rows(self) -> tuple[int, ...]:

@@ -751,8 +751,8 @@ def test_profile_matrix_consistent_and_monotone(five_qubit):
 
 @st.composite
 def stab_shape(draw):
-    q = draw(st.sampled_from([2, 3, 5]))
-    n = draw(st.integers(1, {2: 4, 3: 3, 5: 2}[q]))
+    q = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(1, {2: 4, 3: 3, 5: 2, 7: 2}[q]))
     return n, q, draw(st.integers(0, n)), draw(st.integers(0, 2**32))
 
 
@@ -822,6 +822,19 @@ def test_profile_join_matches_ball_oracle_property(shape, chunk):
         for dx in cells:
             for dz in cells:
                 assert stab_detects_profile(code, dx, dz) == ball_profile_oracle(code, dx, dz), (dx, dz)
+
+
+@pytest.mark.parametrize("q,n,k,dx,dz,seed,trial", [(2, 10, 1, 2, 3, 1, 12), (5, 12, 5, 2, 3, 2, 3)])
+def test_stab_search_path_builds_no_tuples(q, n, k, dx, dz, seed, trial):
+    # the sampler, the join's unit rows and its membership tests of the
+    # collisions all read packed rows; the earlier trials fail on a collision
+    with mock.patch.object(Packing, "unpack", side_effect=AssertionError("unpacked a row")):
+        hit = gv_witness_search("stab", q=q, n=n, k=k, dx=dx, dz=dz, trials=20, seed=seed)
+        assert hit is not None and hit.trial_index == trial
+        matrix = stab_profile_matrix(hit.code)
+    assert matrix[dx - 1][dz - 1] == ball_profile_oracle(hit.code, dx, dz) is True
+    for t in range(1, trial):
+        assert not ball_profile_oracle(random_isotropic_code(n, q, k, derive_trial_seed(seed, t)), dx, dz)
 
 
 @given(stab_shape())

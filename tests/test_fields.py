@@ -726,6 +726,32 @@ def test_packed_reduce_and_contains_space_match_tuple_reduce(case):
     assert a.contains_space(b) == all(not any(r) for r in residuals)
 
 
+@st.composite
+def holds_case(draw):
+    """(space, v) with the zero space, the full space or a random one, and v
+    a combination of its rows, sometimes plus one more vector."""
+    p = draw(st.sampled_from([2, 3, 5, 41, 251]))
+    n = draw(st.integers(0, 8))
+    kind = draw(st.sampled_from(["zero", "full", "rows"]))
+    if kind == "zero":
+        space = zero_space(GF(p), n)
+    elif kind == "full":
+        space = full_space(GF(p), n)
+    else:
+        space = Subspace(GF(p), n, draw(st.lists(vectors_of(p, n), max_size=4)))
+    coeffs = draw(st.lists(st.integers(0, p - 1), min_size=space.dim, max_size=space.dim))
+    v = combine(coeffs, space.basis, p, n)
+    if draw(st.booleans()):
+        v = combine([1, 1], [v, draw(vectors_of(p, n))], p, n)
+    return space, v
+
+
+@given(holds_case())
+def test_holds_matches_contains_on_the_packed_row(case):
+    space, v = case
+    assert space.holds(space.packing.rows([v])[0]) == space.contains(v)
+
+
 def test_reduce_rejects_entries_outside_the_field():
     s = Subspace.span(F3, 3, [[1, 2, 0]])
     for v in ([0, 3, 0], [-1, 0, 0], [1.0, 0, 0], ["a", 0, 0], [True, 2, 0]):
