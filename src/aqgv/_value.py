@@ -1,12 +1,14 @@
 """The base of aqgv's value classes.
 
 A value class names its compared fields in ``_fields``, gives them (and
-any derived attributes) slots, and sets each one in its own ``__init__``
-with ``object.__setattr__``, after or among its checks.  The base makes two
-values equal when they are of one class with equal fields, hashes them by
-those fields and shows them as ``Name(field=value, ...)``, refuses
-assignment and deletion, and pickles and copies a value by calling its
-class on its fields, so a copy is checked as the original was.
+any derived attributes) slots, and sets them in its own ``__init__``, after
+its checks, by one call of the base's ``_set``, as it fills a cache slot
+later: ``_set`` is the one writer past the refusal of ``__setattr__``.
+The base makes two values equal when they are of one class with equal
+fields (``!=`` is Python's inverse of that), hashes them by those fields
+and shows them as ``Name(field=value, ...)``, refuses assignment and
+deletion, and pickles and copies a value by calling its class on its
+fields, so a copy is checked as the original was.
 
 Nothing here generates code, so a cold command compiles no methods and
 imports neither ``inspect`` nor ``ast``, as the standard library's
@@ -32,18 +34,17 @@ class Value:
             return key(self) == key(other)
         return NotImplemented
 
-    def __ne__(self, other):   # defined, not derived from __eq__: one call fewer where fields are checked
-        if other.__class__ is self.__class__:
-            key = self._key
-            return key(self) != key(other)
-        return NotImplemented
-
     def __hash__(self) -> int:
         return hash(self._key(self))
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({shown})"
+
+    def _set(self, **attributes) -> None:
+        """Set each named slot, past the refusal of ``__setattr__``."""
+        for name, value in attributes.items():
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name: str, value) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")

@@ -210,9 +210,7 @@ class FrontierPoint(Value):
     __slots__ = _fields = ("delta_x", "delta_z_max", "r")
 
     def __init__(self, delta_x: float, delta_z_max: float, r: float) -> None:
-        object.__setattr__(self, "delta_x", delta_x)
-        object.__setattr__(self, "delta_z_max", delta_z_max)
-        object.__setattr__(self, "r", r)
+        self._set(delta_x=delta_x, delta_z_max=delta_z_max, r=r)
 
 
 def stab_frontier(q: int, r: float, delta_x_grid: Iterable[float]) -> list[FrontierPoint]:

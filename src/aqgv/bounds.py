@@ -165,12 +165,7 @@ class CssBoundQuery(Value):
         _check_ints(k1=k1, k2=k2)
         if not 0 <= k2 <= k1 <= n:
             raise ParameterRangeError(f"need 0 <= k2 <= k1 <= n, got k1={k1}, k2={k2}, n={n}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dz", dz)
+        self._set(q=q, n=n, k1=k1, k2=k2, dx=dx, dz=dz)
 
 
 class StabBoundQuery(Value):
@@ -183,11 +178,7 @@ class StabBoundQuery(Value):
         _check_ints(k=k)
         if not 0 <= k <= n:
             raise ParameterRangeError(f"need 0 <= k <= n, got k={k}, n={n}")
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dz", dz)
+        self._set(q=q, n=n, k=k, dx=dx, dz=dz)
 
 
 class BoundReport(Value):
@@ -199,8 +190,7 @@ class BoundReport(Value):
     __slots__ = _fields = ("lhs", "terms")
 
     def __init__(self, lhs: Fraction, terms: tuple[Fraction, ...]) -> None:
-        object.__setattr__(self, "lhs", lhs)
-        object.__setattr__(self, "terms", terms)
+        self._set(lhs=lhs, terms=terms)
 
     @property
     def feasible(self) -> bool:

@@ -41,14 +41,12 @@ if TYPE_CHECKING:
 
 
 class CommandResult(Value):
-    """What one command did."""
+    """What one command did; its status is ok, infeasible, not_found or error."""
 
     __slots__ = _fields = ("status", "payload", "exit_code")
 
     def __init__(self, status: str, payload: dict, exit_code: int) -> None:
-        object.__setattr__(self, "status", status)  # ok | infeasible | not_found | error
-        object.__setattr__(self, "payload", payload)
-        object.__setattr__(self, "exit_code", exit_code)
+        self._set(status=status, payload=payload, exit_code=exit_code)
 
 
 class _Parser(argparse.ArgumentParser):

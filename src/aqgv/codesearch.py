@@ -64,8 +64,7 @@ class NestedPair(Value):
             raise InputShapeError("C1 and C2 must share field and length")
         if not c1.contains_space(c2):
             raise InputShapeError("C2 must be a subspace of C1")
-        object.__setattr__(self, "c1", c1)
-        object.__setattr__(self, "c2", c2)
+        self._set(c1=c1, c2=c2)
 
     @property
     def n(self) -> int:
@@ -83,14 +82,14 @@ class IsotropicCode(Value):
     __slots__ = _fields = ("c",)
 
     def __init__(self, c: Subspace) -> None:
-        object.__setattr__(self, "c", c)
-        if c.ambient_dim != 2 * self.n:
+        if c.ambient_dim & 1:
             raise InputShapeError("stabilizer space needs an even ambient dimension")
         rows = c.packed
         if rows:   # no Packing without generators, whose n may be huge
             packing = c.packing
             if any(any(packing.products(packing.twist(u), rows[i + 1:])) for i, u in enumerate(rows)):
                 raise InputShapeError("generators are not symplectic self-orthogonal")
+        self._set(c=c)
 
     @property
     def n(self) -> int:
@@ -111,8 +110,7 @@ class DistancePair(Value):
     __slots__ = _fields = ("dx", "dz")
 
     def __init__(self, dx: int | None, dz: int | None) -> None:
-        object.__setattr__(self, "dx", dx)
-        object.__setattr__(self, "dz", dz)
+        self._set(dx=dx, dz=dz)
 
     def meets(self, dx: int, dz: int) -> bool:
         """Whether the code qualifies at design distances (dx, dz)."""
@@ -126,13 +124,8 @@ class EnumerationReport(Value):
 
     def __init__(self, q: int, n: int, k1: int, k2: int, total_pairs: int,
                  per_error_x: Mapping[Vec, int], per_error_z: Mapping[Vec, int]) -> None:
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "n", n)
-        object.__setattr__(self, "k1", k1)
-        object.__setattr__(self, "k2", k2)
-        object.__setattr__(self, "total_pairs", total_pairs)
-        object.__setattr__(self, "per_error_x", per_error_x)
-        object.__setattr__(self, "per_error_z", per_error_z)
+        self._set(q=q, n=n, k1=k1, k2=k2, total_pairs=total_pairs,
+                  per_error_x=per_error_x, per_error_z=per_error_z)
 
     def expected_counts(self) -> tuple[int, int]:
         """Per-error counts implied by the counting identities (exact): the
@@ -491,9 +484,7 @@ class SearchHit(Value):
 
     def __init__(self, code: Union[NestedPair, IsotropicCode], distances: DistancePair,
                  trial_index: int) -> None:
-        object.__setattr__(self, "code", code)
-        object.__setattr__(self, "distances", distances)
-        object.__setattr__(self, "trial_index", trial_index)
+        self._set(code=code, distances=distances, trial_index=trial_index)
 
 
 def derive_trial_seed(seed: int, trial: int) -> int:

@@ -52,7 +52,7 @@ class GF(Value):
             raise UnsupportedFieldError(
                 f"field order must be a prime in [2, {MAX_PRIME}], got {p!r}"
             )
-        object.__setattr__(self, "p", p)
+        self._set(p=p)
 
 
 def weight(v: Sequence[int]) -> int:
@@ -428,6 +428,14 @@ def _rref(packing: Packing, rows: Sequence[int]) -> tuple[
     return tuple(columns), tuple(pivots[j] for j in columns), (marks, pivots)
 
 
+def _check_entries(field: GF, n: int, rows: Sequence[Sequence[int]]) -> None:
+    """Refuse rows of length n unless each entry is an int residue mod p, by
+    C-level passes; type, not isinstance, so that bool is refused too."""
+    if rows and n and (set(map(type, chain.from_iterable(rows))) != {int}
+                       or min(map(min, rows)) < 0 or max(map(max, rows)) >= field.p):
+        raise InputShapeError(f"entries must be integer residues in [0, {field.p})")
+
+
 def _parity_rows(packing: Packing, rows: Sequence[int], pivots: Sequence[int]) -> tuple[int, ...]:
     """The parity-check rows of packed RREF rows with these pivot columns, a
     basis of their dual, packed: per free column f, 1 at f and -rows[i][f]
@@ -463,15 +471,14 @@ class Subspace(Value):
     parity-check rows ``_parity`` are slots outside ``_fields``, derived
     from the canonical rows, so no argument, comparison, hash or repr reads
     them; ``basis`` stays a field, read through its property.  ``holds``
-    tests a packed row for membership; ``contains`` checks a tuple first.
+    tests a packed row for membership; ``contains`` checks and packs a
+    tuple, then ``holds`` it.
     """
 
     _fields = ("field", "ambient_dim", "basis")
     __slots__ = ("field", "ambient_dim", "_basis", "pivot_cols", "packed", "_table", "_parity")
 
     def __init__(self, field: GF, ambient_dim: int, basis: Sequence[Sequence[int]]) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
         n = ambient_dim
         if type(n) is not int or n < 0:   # type, not isinstance: bool is refused too
             raise InputShapeError(f"ambient dimension must be an integer >= 0, got {n!r}")
@@ -479,23 +486,13 @@ class Subspace(Value):
         for row in rows:
             if len(row) != n:
                 raise InputShapeError(f"row length {len(row)} differs from ambient dimension {n}")
-        self._check_entries(rows)
-        self._canonical(self.packing.rows(rows) if rows else [])
+        _check_entries(field, n, rows)
+        self._canonical(field, n, Packing.plain(field.p, n).rows(rows) if rows else [])
 
-    def _check_entries(self, rows: Sequence[Sequence[int]]) -> None:
-        """Refuse rows of length n unless each entry is an int residue mod p, by
-        C-level passes; type, not isinstance, so that bool is refused too."""
-        if rows and self.ambient_dim and (set(map(type, chain.from_iterable(rows))) != {int}
-                                          or min(map(min, rows)) < 0 or max(map(max, rows)) >= self.field.p):
-            raise InputShapeError(f"entries must be integer residues in [0, {self.field.p})")
-
-    def _canonical(self, packed: Sequence[int]) -> None:
-        pivots, packed, table = _rref(self.packing, packed) if packed else ((), (), (0, {}))
-        object.__setattr__(self, "_basis", None)   # basis, once asked for
-        object.__setattr__(self, "pivot_cols", pivots)
-        object.__setattr__(self, "packed", packed)
-        object.__setattr__(self, "_table", table)
-        object.__setattr__(self, "_parity", None)   # parity_rows, once asked for
+    def _canonical(self, field: GF, n: int, packed: Sequence[int]) -> None:
+        pivots, packed, table = _rref(Packing.plain(field.p, n), packed) if packed else ((), (), (0, {}))
+        self._set(field=field, ambient_dim=n, pivot_cols=pivots, packed=packed, _table=table,
+                  _basis=None, _parity=None)   # basis and parity_rows, once asked for
 
     @classmethod
     def span(cls, field: GF, ambient_dim: int, rows: Sequence[Sequence[int]]) -> "Subspace":
@@ -507,9 +504,7 @@ class Subspace(Value):
         """Row space of rows packed by ``packing``, which come from packed
         arithmetic and so are not checked."""
         space = object.__new__(cls)
-        object.__setattr__(space, "field", field)
-        object.__setattr__(space, "ambient_dim", ambient_dim)
-        space._canonical(rows)
+        space._canonical(field, ambient_dim, rows)
         return space
 
     @property
@@ -521,24 +516,30 @@ class Subspace(Value):
     def basis(self) -> tuple[Vec, ...]:
         """The canonical RREF rows as tuples, unpacked from ``packed`` on first use."""
         if self._basis is None:   # no Packing without rows: n may be huge
-            object.__setattr__(self, "_basis", tuple(map(self.packing.unpack, self.packed)) if self.packed else ())
+            self._set(_basis=tuple(map(self.packing.unpack, self.packed)) if self.packed else ())
         return self._basis
 
     @property
     def dim(self) -> int:
         return len(self.packed)
 
+    def _row(self, v: Sequence[int]) -> int:
+        """v, a vector from outside, checked as the constructor checks a row
+        and packed by ``packing``."""
+        if len(v) != self.ambient_dim:
+            raise InputShapeError("vector length differs from ambient dimension")
+        _check_entries(self.field, self.ambient_dim, [v])
+        return self.packing.rows([v])[0]
+
     def reduce(self, v: Sequence[int]) -> Vec:
         """Residual of v after elimination against the basis, zero iff v is a
         member: v packed, cleared at the pivot columns (``_clear``)."""
-        if len(v) != self.ambient_dim:
-            raise InputShapeError("vector length differs from ambient dimension")
-        self._check_entries([v])
         packing = self.packing
-        return packing.unpack(_clear(packing, packing.rows([v])[0], *self._table))
+        return packing.unpack(_clear(packing, self._row(v), *self._table))
 
     def contains(self, v: Sequence[int]) -> bool:
-        return not any(self.reduce(v))
+        """Whether v, a vector from outside, is a member: checked and packed, it ``holds``."""
+        return self.holds(self._row(v))
 
     def holds(self, v: int) -> bool:
         """Whether v, packed by ``packing`` from packed arithmetic and so not
@@ -557,7 +558,7 @@ class Subspace(Value):
         """The parity-check rows of the packed basis (``_parity_rows``), built
         once: a basis of the dual, systematic on the free columns."""
         if self._parity is None:
-            object.__setattr__(self, "_parity", _parity_rows(self.packing, self.packed, self.pivot_cols))
+            self._set(_parity=_parity_rows(self.packing, self.packed, self.pivot_cols))
         return self._parity
 
     def dual(self) -> "Subspace":

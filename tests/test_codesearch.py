@@ -837,6 +837,20 @@ def test_stab_search_path_builds_no_tuples(q, n, k, dx, dz, seed, trial):
         assert not ball_profile_oracle(random_isotropic_code(n, q, k, derive_trial_seed(seed, t)), dx, dz)
 
 
+def test_stab_search_hit_meets_a_nonzero_element_of_s():
+    # the hit's S holds (1,0,0,0 | 0,0,0,2), whose bit and phase parts each
+    # weigh 1: the balls meet S off 0, so a membership test wrong either way
+    # moves the trial index (to 13 if nothing holds, to 1 if everything does)
+    with mock.patch.object(Packing, "unpack", side_effect=AssertionError("unpacked a row")):
+        hit = gv_witness_search("stab", q=3, n=4, k=1, dx=2, dz=2, trials=20, seed=1)
+        held = hit is not None and hit.code.c.contains((1, 0, 0, 0, 0, 0, 0, 2))
+    assert hit is not None and hit.trial_index == 8 and hit.distances == DistancePair(2, 2)
+    assert held
+    assert ball_profile_oracle(hit.code, 2, 2) is True
+    for t in range(1, 8):
+        assert not ball_profile_oracle(random_isotropic_code(4, 3, 1, derive_trial_seed(1, t)), 2, 2)
+
+
 @given(stab_shape())
 def test_profile_guards_never_refuse_within_the_old_prediction(shape):
     # the phase ball holds Bz + 1 errors; the bit ball's Bx + 1 errors each

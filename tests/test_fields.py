@@ -749,7 +749,18 @@ def holds_case(draw):
 @given(holds_case())
 def test_holds_matches_contains_on_the_packed_row(case):
     space, v = case
-    assert space.holds(space.packing.rows([v])[0]) == space.contains(v)
+    assert space.holds(space.packing.rows([v])[0]) == space.contains(v) == (not any(tuple_reduce(space, v)))
+
+
+@pytest.mark.parametrize("p", [2, 3, 251])
+def test_contains_tests_the_packed_row_and_unpacks_nothing(p):
+    field, n = GF(p), 5
+    spaces = [zero_space(field, n), full_space(field, n), Subspace(field, n, [[1, 0, 1, 1, 0], [0, 1, p - 1, 0, 1]])]
+    vectors = [(0, 0, 0, 0, 0), (1, 0, 1, 1, 0), (1, 1, 0, 1, 1), (1, 1, 1, 1, 1)]   # row 1, rows 1 + 2, neither
+    expected = [[not any(tuple_reduce(space, v)) for v in vectors] for space in spaces]
+    assert expected == [[True, False, False, False], [True] * 4, [True, True, True, False]]
+    with mock.patch.object(Packing, "unpack", side_effect=AssertionError("unpacked a residual")):
+        assert [[space.contains(v) for v in vectors] for space in spaces] == expected
 
 
 def test_reduce_rejects_entries_outside_the_field():
@@ -778,5 +789,6 @@ def test_contains_space():
     for other in (full_space(F2, 4), full_space(F3, 3)):
         with pytest.raises(InputShapeError, match="^subspaces live in different ambient spaces$"):
             s.contains_space(other)
-    with pytest.raises(InputShapeError, match="^vector length differs from ambient dimension$"):
-        s.reduce([1, 0])
+    for method in (s.reduce, s.contains):
+        with pytest.raises(InputShapeError, match="^vector length differs from ambient dimension$"):
+            method([1, 0])

@@ -9,9 +9,9 @@ patches fails here rather than in the benchmark.  The benchmark's reference
 code, which checks every benchmark output, has its own tests; they run here
 too, as the standalone script they are.  And ``codesearch`` does no GF(p)
 arithmetic and reads no packed layout: those stay behind ``fields``.  The
-value classes behave as frozen, compared-by-field values, and no module
-imports ``dataclasses``, whose import takes ``inspect`` and ``ast`` into
-every cold command.
+value classes behave as frozen, compared-by-field values, whose slots only
+the base's ``_set`` writes, and no module imports ``dataclasses``, whose
+import takes ``inspect`` and ``ast`` into every cold command.
 """
 
 import ast
@@ -28,6 +28,7 @@ from types import SimpleNamespace
 import pytest
 
 import aqgv
+from aqgv._value import Value
 from aqgv.cli import CommandResult
 
 PUBLIC_NAMES = [
@@ -215,3 +216,15 @@ def test_no_module_imports_dataclasses():
             elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "dataclasses":
                 found.append((path.name, node.module))
     assert found == []
+
+
+def test_only_the_value_base_writes_a_frozen_slot():
+    # each constructor sets its slots by Value._set, and != is Python's inverse of Value.__eq__
+    found = []
+    for path in sorted(Path(aqgv.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr == "__setattr__"
+                    and isinstance(node.value, ast.Name) and node.value.id == "object"):
+                found.append((path.name, node.lineno))
+    assert [name for name, _ in found] == ["_value.py"], found
+    assert "__ne__" not in Value.__dict__
